@@ -385,16 +385,22 @@ def multiarrangement_from_dict(data: dict) -> Multiarrangement:
         hyperplanes = data["hyperplanes"]
     except (KeyError, TypeError) as exc:
         raise ArrangementError("expected keys 'variables' and 'hyperplanes'") from exc
+    if not isinstance(variables, (list, tuple)) or not isinstance(hyperplanes, (list, tuple)):
+        raise ArrangementError("'variables' and 'hyperplanes' must be lists")
     nvars = len(variables)
     forms = []
     mult = []
     for h in hyperplanes:
+        if not isinstance(h, dict) or not isinstance(h.get("form"), (list, tuple)):
+            raise ArrangementError(
+                f"each hyperplane must be an object with a 'form' list, got {h!r}"
+            )
         coeffs = [_scalar_from_json(v) for v in h["form"]]
         if len(coeffs) != nvars:
             raise ArrangementError("form length does not match variable count")
         forms.append(LinearForm(coeffs))
         m = h.get("multiplicity", 1)
-        if not isinstance(m, int) or m < 0:
+        if isinstance(m, bool) or not isinstance(m, int) or m < 0:
             raise ArrangementError("multiplicity must be a nonnegative integer")
         mult.append(m)
     return Arrangement(nvars, forms).with_multiplicity(mult)

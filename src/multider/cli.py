@@ -54,6 +54,16 @@ def _parse_param(value: str):
         return Fraction(value)
 
 
+def _positive_int(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
+    return n
+
+
 def _catalog_params(args) -> dict:
     params = {}
     for entry in args.param or []:
@@ -326,7 +336,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="one inclusive range per hyperplane, in hyperplane order")
     p.add_argument("--predicates", default="free,exponents,universal",
                    help="comma subset of free,exponents,universal")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes, at least 1")
     p.add_argument("--max-total", type=int, default=None,
                    help="skip grid points whose multiplicities sum beyond this")
     p.add_argument("--dedupe", action="store_true",

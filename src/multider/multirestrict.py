@@ -295,12 +295,8 @@ class BPolynomialData:
         return (self.m0 - 1) + sum(f.d_x - self.m0 for f in self.factors)
 
 
-def _local_exponents(ma: Multiarrangement, fl: Flat) -> tuple[int, ...]:
-    ess, _ = essentialize(localize(ma, fl))
-    cert = find_free_basis(ess)
-    if not cert.free or cert.exponents is None:
-        raise InternalCheckError("rank-2 localizations are always free")
-    return cert.exponents
+def _local_exponents(ma: Multiarrangement, fl: Flat) -> tuple[int, int]:
+    return delta(localize(ma, fl)).pair
 
 
 def b_polynomial(ma: Multiarrangement, h0: int) -> BPolynomialData:

@@ -1,7 +1,10 @@
 """Rank-two multiarrangements and their multiplicity lattice.
 
-Rank-two modules are always free, so every multiplicity carries a well
-defined exponent pair (d1, d2) and a gap Delta = d2 - d1.  The gap is a
+Rank-two modules are always free (Ziegler), so every multiplicity carries a
+well defined exponent pair (d1, d2) with d1 + d2 = |m| and a gap
+Delta = d2 - d1.  Freeness fixes the Hilbert function, so one exact graded
+dimension, at degree ceil(|m|/2) - 1, determines the pair: `delta` runs no
+basis search and no Saito certification.  The gap is a
 Lipschitz function on the multiplicity lattice: a single-hyperplane change
 moves it by exactly one.  Balanced multiplicities with a nonzero gap fall
 into finite components with a unique local maximum of Delta called the peak
@@ -27,7 +30,8 @@ from .errors import (
     InternalCheckError,
     MembershipError,
 )
-from .logder import DEFAULT_SEED, Derivation, find_free_basis, membership
+from .graded import graded_dimension
+from .logder import DEFAULT_SEED, Derivation, membership
 
 __all__ = [
     "DeltaValue",
@@ -97,13 +101,29 @@ def _essential_rank2(ma: Multiarrangement) -> Multiarrangement:
 
 
 def delta(ma: Multiarrangement, seed: int = DEFAULT_SEED) -> DeltaValue:
-    """Exponent pair and gap of a rank-2 multiarrangement."""
+    """Exponent pair and gap of a rank-2 multiarrangement, from one dimension.
+
+    D(A, m) is free with exponents d1 <= d2 summing to |m|, so
+    dim D(A, m)_k = (k - d1 + 1)_+ + (k - d2 + 1)_+.  At k = ceil(|m|/2) - 1
+    the second term vanishes (d2 >= ceil(|m|/2) > k) and the first is
+    ceil(|m|/2) - d1, so the single exact dimension dim D(A, m)_k gives
+    d1 = ceil(|m|/2) - dim and d2 = |m| - d1.  No basis, determinant or
+    Q(A, m) is built.  Since 0 <= d1 <= floor(|m|/2), the dimension must lie
+    in [|m| mod 2, ceil(|m|/2)]; anything else is an internal error.  `seed`
+    is accepted so callers can pass the report seed through, but the result
+    does not depend on it.
+    """
     ess = _essential_rank2(ma)
-    cert = find_free_basis(ess, seed=seed)
-    if not cert.free or cert.exponents is None:
-        raise InternalCheckError("rank-2 multiarrangements are always free")
-    d1, d2 = cert.exponents
-    return DeltaValue(d1, d2)
+    total = ess.order()
+    half = (total + 1) // 2
+    dim = graded_dimension(ess, half - 1)
+    if not total % 2 <= dim <= half:
+        raise InternalCheckError(
+            f"dim D(A, m)_{half - 1} = {dim} lies outside [{total % 2}, {half}] "
+            f"for forms {[f.primitive for f in ess.forms]} with multiplicity {ess.mult}"
+        )
+    d1 = half - dim
+    return DeltaValue(d1, total - d1)
 
 
 def wakamiko_exponents(k1: int, k2: int, k3: int) -> tuple[int, int]:

@@ -211,6 +211,39 @@ def test_input_errors_exit_2(capsys):
         assert "input error" in err
 
 
+@pytest.mark.parametrize("data", [
+    {"variables": ["x", "y"], "hyperplanes": [[1, 0], [0, 1]]},
+    {"variables": ["x", "y"], "hyperplanes": [{"multiplicity": 2}]},
+    {"variables": ["x", "y"], "hyperplanes": [{"form": 3}]},
+    {"variables": ["x", "y"], "hyperplanes": 7},
+])
+def test_malformed_hyperplanes_exit_2(capsys, data):
+    code, out, err = run_cli(capsys, "delta", json.dumps(data))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "Traceback" not in err
+
+
+def test_boolean_multiplicity_exit_2(capsys):
+    data = {"variables": ["x", "y"],
+            "hyperplanes": [{"form": [1, 0], "multiplicity": True}, {"form": [0, 1]}]}
+    code, out, err = run_cli(capsys, "delta", json.dumps(data))
+    assert code == 2
+    assert out == ""
+    assert "multiplicity" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_nonpositive_jobs(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "catalog:A2", "--range", "a=0..1,b=0..1,c=0..1",
+              "--predicates", "free", "--jobs", jobs])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--jobs" in captured.err and "positive integer" in captured.err
+
+
 def test_internal_failures_exit_3(capsys, monkeypatch):
     def boom(ma, seed=0):
         raise InternalCheckError("forced")

@@ -237,6 +237,19 @@ def test_boundary_degree_gate_forces_next_membership():
     assert found > 0
 
 
+def test_local_exponents_match_saito_search():
+    # b_polynomial reads each localization's pair off one graded dimension;
+    # the basis search on the essentialized localization must agree
+    from multider.multirestrict import _local_exponents
+
+    for name, mult in [("A3", (2, 2, 2, 1, 1, 1)), ("deletedA3", (1, 1, 2, 1, 1)),
+                       ("B3", (1, 2, 3, 1, 0, 2, 1, 1, 1))]:
+        ma = catalog(name, mult)
+        for fl in rank2_flats(ma.arrangement):
+            cert = find_free_basis(essentialize(localize(ma, fl))[0])
+            assert _local_exponents(ma, fl) == cert.exponents, (name, fl.indices)
+
+
 def test_boundary_factor_identity():
     # each factor exponent matches the raised local order minus the Euler
     # multiplicity of the same flat: two independent computations

@@ -1,18 +1,23 @@
 """Rank-two lattice: exponent gaps, peak points, closed forms, universality."""
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multider import (
     Arrangement,
     ArrangementError,
     HypothesisError,
+    InternalCheckError,
     catalog,
     classify_component,
     classify_universal_rank2,
     delta,
+    essentialize,
     find_free_basis,
     find_universal,
     graded_piece,
@@ -67,11 +72,92 @@ def test_wakamiko_closed_form():
 
 
 def test_wakamiko_matches_linear_algebra_small():
-    for k1, k2, k3 in itertools.product(range(5), repeat=3):
-        if k3 < max(k1, k2):
-            continue
-        closed = wakamiko_exponents(k1, k2, k3)
-        assert closed == delta(catalog("A2", (k1, k2, k3))).pair
+    # the three lines of A2 are permuted by linear maps, so the pair depends
+    # only on the sorted multiplicities
+    for mult in itertools.product(range(7), repeat=3):
+        closed = wakamiko_exponents(*sorted(mult))
+        assert closed == delta(catalog("A2", mult)).pair, mult
+
+
+def _direction(v):
+    g = math.gcd(*v)
+    prim = tuple(c // g for c in v)
+    return max(prim, tuple(-c for c in prim))
+
+
+def _independent(u, v):
+    return any(u[i] * v[j] != u[j] * v[i] for i, j in itertools.combinations(range(len(u)), 2))
+
+
+_LINE = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+
+
+@st.composite
+def rank2_multiarrangements(draw, nvars):
+    """Rank-2 multiarrangements with 2-6 lines, written in `nvars` variables.
+
+    With three variables the lines live on a random plane: each form a*u + b*v
+    for an independent pair u, v, so `delta` has to essentialize first.
+    """
+    lines = draw(st.lists(_LINE, min_size=2, max_size=6, unique_by=_direction))
+    n = len(lines)
+    shape = draw(st.sampled_from(("any", "zero", "single")))
+    if shape == "any":
+        mult = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    else:
+        mult = [0] * n
+        if shape == "single":
+            mult[draw(st.integers(0, n - 1))] = draw(st.integers(1, 6))
+    if nvars == 2:
+        forms = lines
+    else:
+        vec = st.tuples(*[st.integers(-2, 2)] * nvars)
+        u = draw(vec.filter(any))
+        v = draw(vec.filter(lambda w: _independent(u, w)))
+        forms = [tuple(a * x + b * y for x, y in zip(u, v)) for a, b in lines]
+    return Arrangement(nvars, forms).with_multiplicity(mult)
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(rank2_multiarrangements))
+@example(Arrangement(2, [(1, 0), (0, 1)]).with_multiplicity((0, 0)))
+@example(Arrangement(2, [(1, 0), (0, 1), (1, 1)]).with_multiplicity((0, 5, 0)))
+def test_delta_matches_saito_search(ma):
+    cert = find_free_basis(essentialize(ma)[0])
+    assert cert.free
+    assert delta(ma).pair == cert.exponents
+
+
+def test_delta_is_one_graded_dimension(monkeypatch):
+    import multider.logder
+    import multider.rank2
+
+    calls = []
+    solve = multider.rank2.graded_dimension
+
+    def counted(ma, k):
+        calls.append(k)
+        return solve(ma, k)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("delta ran a Saito basis search")
+
+    monkeypatch.setattr(multider.rank2, "graded_dimension", counted)
+    monkeypatch.setattr(multider.logder, "find_free_basis", forbidden)
+    assert delta(catalog("B2", (3, 5, 2, 2))).pair == (5, 7)
+    assert calls == [5]
+    calls.clear()
+    assert delta(catalog("A2", (1, 1, 5))).pair == (2, 5)
+    assert calls == [3]
+
+
+def test_delta_rejects_impossible_dimension(monkeypatch):
+    import multider.rank2
+
+    for bad in (0, 7):  # outside [|m| mod 2, ceil(|m|/2)] = [1, 6] for |m| = 11
+        monkeypatch.setattr(multider.rank2, "graded_dimension", lambda ma, k, bad=bad: bad)
+        with pytest.raises(InternalCheckError, match="outside"):
+            delta(catalog("B2", (3, 4, 2, 2)))
 
 
 def test_lattice_distance():
