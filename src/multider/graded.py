@@ -10,11 +10,12 @@ integer matrix; the graded piece is its rational kernel.
 
 The per-hyperplane substitution rows depend only on (form, degree), so they
 are built once per form by an incremental product expansion and reused across
-every multiplicity, degree and sweep case.  Kernels run through the certified
-modular route in `linalg` (mod-p reduction can only overestimate the kernel,
-and candidates are verified by an exact integer residual, so the returned
-dimension is exact); failures escalate to CRT over several primes and finally
-to Bareiss elimination.
+every multiplicity, degree and sweep case.  One graded solve is one call to
+`linalg.certified_kernel` (one prime, then CRT, then Bareiss), which gets the
+matrix three ways from the engine: stacked cached blocks mod p, a block-wise
+exact residual that certifies the lifted vectors, and the exact rows for the
+fallback.  A multiplicity with no positive entry yields no rows and so the
+whole space of degree-k derivations.
 """
 
 from __future__ import annotations
@@ -25,16 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .arrangement import Arrangement, Multiarrangement
-from .errors import InternalCheckError
-from .linalg import (
-    PRIMES,
-    _INT64_SAFE,
-    crt_pair,
-    kernel_mod,
-    bareiss_kernel,
-    lift_residue_vector,
-    primitive_integer_vector,
-)
+from .linalg import _INT64_SAFE, certified_kernel
 from .polyring import LinearForm, monomial_count, monomial_exponents
 
 _BASIS_CACHE_LIMIT = 2048
@@ -247,63 +239,18 @@ class _Engine:
                     for i in range(l):
                         row.extend(a[i] * v if a[i] else 0 for v in base)
                     rows.append(row)
-        return rows
+        return rows or [[0] * (l * n)]
 
     # -- solving ----------------------------------------------------------
 
     def _solve(self, mult: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
-        n = monomial_count(self.nvars, k)
-        l = self.nvars
         support = self._support(mult)
-        if not support:
-            unit = []
-            for j in range(l * n):
-                vec = [0] * (l * n)
-                vec[j] = 1
-                unit.append(tuple(vec))
-            return tuple(unit)
-        for prime_count in (1, 3):
-            primes = PRIMES[:prime_count]
-            residue = None
-            structure = None
-            ok = True
-            for p in primes:
-                mat = self._assemble_mod(support, mult, k, p)
-                basis_p, pivots, free = kernel_mod(mat, p)
-                if structure is None:
-                    structure = (tuple(pivots), tuple(free))
-                    residue = [basis_p]
-                elif structure != (tuple(pivots), tuple(free)):
-                    ok = False
-                    break
-                else:
-                    residue.append(basis_p)
-            if not ok or residue is None:
-                continue
-            nullity = residue[0].shape[1]
-            if nullity == 0:
-                return ()
-            modulus = primes[0]
-            combined = residue[0].astype(object)
-            for p, mat in zip(primes[1:], residue[1:]):
-                for i in range(combined.shape[0]):
-                    for j in range(combined.shape[1]):
-                        combined[i, j], _ = crt_pair(int(combined[i, j]), modulus, int(mat[i, j]), p)
-                modulus *= p
-            vectors: list[list[int]] = []
-            for j in range(nullity):
-                lifted = lift_residue_vector([int(v) for v in combined[:, j]], modulus)
-                if lifted is None:
-                    ok = False
-                    break
-                vectors.append(primitive_integer_vector(lifted))
-            if ok and self._verify_exact(support, mult, k, vectors):
-                return tuple(tuple(v) for v in vectors)
-        exact = self._assemble_exact(support, mult, k)
-        vectors = bareiss_kernel(exact) if exact else []
-        if exact and not self._verify_exact(support, mult, k, [list(v) for v in vectors]):
-            raise InternalCheckError("reference elimination produced a non-member")
-        return tuple(tuple(v) for v in vectors)
+        basis = certified_kernel(
+            lambda p: self._assemble_mod(support, mult, k, p),
+            lambda vectors: self._verify_exact(support, mult, k, vectors),
+            lambda: self._assemble_exact(support, mult, k),
+        )
+        return tuple(tuple(v) for v in basis)
 
     # -- public -----------------------------------------------------------
 

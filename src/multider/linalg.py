@@ -1,33 +1,38 @@
-"""Exact rational kernels of matrices, fast enough for sweep workloads.
+"""Certified rational kernels of integer matrices: one pipeline, three routes.
 
-Two routes to the same answer:
+`certified_kernel` is the only escalation loop in the package.  It is handed
+the matrix three ways - reduced mod a prime, as an exact integer check, and
+as exact rows - so callers keep their own cached assemblies.  It tries:
 
-* `bareiss_kernel` - fraction-free Gaussian elimination over the integers with
-  exact back-substitution.  Slow but elementary; the reference implementation
-  and final fallback.
+1. one 31-bit prime: `kernel_mod` row reduces with vectorized numpy, and
+   `lift_residue_vector` lifts each standard kernel vector straight to a
+   primitive integer vector (rational reconstruction, Monagan 2004);
+2. three primes combined by CRT, when a one-prime vector fails to lift or
+   the exact check rejects it (the three primes must agree on the pivots);
+3. `bareiss_kernel`, fraction-free elimination over the integers (Bareiss
+   1968): slow but elementary, the reference implementation.
 
-* the modular route - row reduce the integer matrix mod a 31-bit prime with
-  vectorized numpy, lift the standard kernel basis back to rationals, then
-  verify A v = 0 in exact integer arithmetic.  Soundness does not rest on the
-  lift: a mod-p reduction of the exact matrix can only enlarge the kernel
-  (an exact dependency survives reduction, so null_Q <= null_p), and the
-  verified vectors are echelon-patterned hence independent, so exhibiting
-  null_p exact kernel vectors pins the dimension.  Any failure escalates to
-  more primes via CRT and finally to Bareiss.
+Every answer passes the caller's exact check A v = 0 over the integers.
+Soundness does not rest on the lift: a mod-p reduction of the exact matrix
+can only enlarge the kernel (an exact dependency survives reduction, so
+null_Q <= null_p), and the verified vectors are echelon-patterned hence
+independent, so exhibiting null_p exact kernel vectors pins the dimension.
+A Bareiss basis that fails the check raises `InternalCheckError`.
 
-Kernel bases are returned as primitive integer vectors (content 1, first
-nonzero entry positive) in the standard free-column order, so both routes
-produce byte-identical output.
+Kernel bases are primitive integer vectors (content 1, first nonzero entry
+positive) in the standard free-column order, so every route produces
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import InternalCheckError
 from .polyring import Scalar, _frac
 
 # Largest primes below 2**31; products of two entries stay below 2**63 during
@@ -103,47 +108,52 @@ def rational_reconstruction(a: int, modulus: int) -> tuple[int, int] | None:
     return num, den
 
 
-def lift_residue_vector(residues: Sequence[int], modulus: int) -> list[Fraction] | None:
-    """Lift a residue vector to rationals, sharing denominators across entries.
+def lift_residue_vector(residues: Sequence[int], modulus: int) -> list[int] | None:
+    """Lift a residue vector to the primitive integer vector it represents.
 
-    Entries that are small balanced residues lift directly; the first entry
-    that is not fixes a denominator via rational reconstruction, and later
-    entries retry with the accumulated denominator before reconstructing.
+    The entries share one denominator.  An entry that is a small balanced
+    residue once scaled by it lifts directly; the first entry that is not
+    fixes a larger denominator by rational reconstruction, and the numerators
+    lifted so far are rescaled to it.  None when an entry has no
+    reconstruction or the denominator outgrows sqrt(modulus/2).
     """
     bound = math.isqrt(modulus // 2)
     half = modulus // 2
     den = 1
-    out: list[Fraction] = []
+    nums: list[int] = []
     for r in residues:
         v = (r * den) % modulus
         bal = v if v <= half else v - modulus
         if abs(bal) <= bound:
-            out.append(Fraction(bal, den))
+            nums.append(bal)
             continue
         rec = rational_reconstruction(r % modulus, modulus)
         if rec is None:
             return None
         num, d = rec
-        out.append(Fraction(num, d))
-        den = den * d // math.gcd(den, d)
+        grow = d // math.gcd(den, d)
+        if grow > 1:
+            nums = [x * grow for x in nums]
+            den *= grow
+        nums.append(num * (den // d))
         if den > bound:
             return None
-    return out
+    return _normalize(nums)
 
 
-def primitive_integer_vector(vec: Sequence[Fraction]) -> list[int]:
+def _normalize(ints: list[int]) -> list[int]:
+    """Divide by the content and make the first nonzero entry positive."""
+    g = math.gcd(*ints) or 1
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    return ints if g == 1 else [v // g for v in ints]
+
+
+def primitive_integer_vector(vec: Sequence[Scalar]) -> list[int]:
     """Scale a rational vector to coprime integers with positive first nonzero."""
     fracs = [_frac(v) for v in vec]
-    denom = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * denom) for f in fracs]
-    g = math.gcd(*ints) if any(ints) else 1
-    if g == 0:
-        g = 1
-    ints = [v // g for v in ints]
-    lead = next((v for v in ints if v), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return ints
+    denom = math.lcm(*(f.denominator for f in fracs))
+    return _normalize([int(f * denom) for f in fracs])
 
 
 def _exact_matvec_is_zero(matrix_obj: np.ndarray, max_abs: int, vec: Sequence[int]) -> bool:
@@ -202,74 +212,59 @@ def bareiss_kernel(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
     return basis
 
 
-def kernel_integer_certified(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Certified rational kernel of an integer matrix, as primitive vectors.
+def _modular_kernel(assemble_mod: Callable[[int], np.ndarray],
+                    primes: Sequence[int]) -> list[list[int]] | None:
+    """Kernel mod the product of `primes`, lifted to primitive integer vectors.
 
-    Tries one prime, then a three-prime CRT lift, then Bareiss.  Every returned
-    basis is exactly verified regardless of which route produced it.
+    None when two primes disagree on the pivot columns or a vector fails to lift.
     """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return [[1 if j == f else 0 for j in range(n)] for f in range(n)]
-    max_abs = max((abs(int(v)) for row in matrix for v in row), default=0)
-    a_obj = np.array([[int(v) for v in row] for row in matrix], dtype=object)
+    modulus = 1
+    columns = structure = None
+    for p in primes:
+        basis, pivots, _ = kernel_mod(assemble_mod(p), p)
+        residues = basis.T.tolist()
+        if columns is None:
+            columns, structure = residues, pivots
+        elif pivots != structure:
+            return None
+        else:
+            columns = [[crt_pair(a, modulus, b, p)[0] for a, b in zip(old, new)]
+                       for old, new in zip(columns, residues)]
+        modulus *= p
+    vectors = [lift_residue_vector(col, modulus) for col in columns]
+    return None if any(v is None for v in vectors) else vectors
+
+
+def certified_kernel(
+    assemble_mod: Callable[[int], np.ndarray],
+    verify: Callable[[list[list[int]]], bool],
+    assemble_exact: Callable[[], Sequence[Sequence[int]]],
+) -> list[list[int]]:
+    """Certified rational kernel of one integer matrix A, as primitive vectors.
+
+    `assemble_mod(p)` returns A mod p as an int64 array, `verify(vectors)`
+    decides A v = 0 over the integers for every vector, and `assemble_exact()`
+    returns the rows of A (at least one; a zero row stands for none).  Runs
+    one prime, then a three-prime CRT, then Bareiss.
+    """
     for prime_count in (1, 3):
-        primes = PRIMES[:prime_count]
-        residue_mats = []
-        structure = None
-        ok = True
-        for p in primes:
-            ap = np.array([[int(v) % p for v in row] for row in matrix], dtype=np.int64)
-            basis_p, pivots, free = kernel_mod(ap, p)
-            if structure is None:
-                structure = (tuple(pivots), tuple(free))
-            elif structure != (tuple(pivots), tuple(free)):
-                ok = False
-                break
-            residue_mats.append(basis_p)
-        if not ok or structure is None:
-            continue
-        nullity = residue_mats[0].shape[1]
-        if nullity == 0:
-            return []
-        combined = residue_mats[0].astype(object)
-        modulus = primes[0]
-        for p, mat in zip(primes[1:], residue_mats[1:]):
-            merged = np.empty_like(combined)
-            for i in range(combined.shape[0]):
-                for j in range(combined.shape[1]):
-                    merged[i, j], _ = crt_pair(int(combined[i, j]), modulus, int(mat[i, j]), p)
-            combined = merged
-            modulus *= p
-        vectors: list[list[int]] = []
-        for j in range(nullity):
-            lifted = lift_residue_vector([int(v) for v in combined[:, j]], modulus)
-            if lifted is None:
-                ok = False
-                break
-            vec = primitive_integer_vector(lifted)
-            if not _exact_matvec_is_zero(a_obj, max_abs, vec):
-                ok = False
-                break
-            vectors.append(vec)
-        if ok:
+        vectors = _modular_kernel(assemble_mod, PRIMES[:prime_count])
+        if vectors is not None and verify(vectors):
             return vectors
-    return bareiss_kernel([[int(v) for v in row] for row in matrix])
+    vectors = bareiss_kernel(assemble_exact())
+    if not verify(vectors):
+        raise InternalCheckError("reference elimination produced a non-member")
+    return vectors
 
 
-def rational_kernel(matrix: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
-    """Basis of the rational kernel of a matrix with rational entries.
-
-    Returns primitive integer vectors (as Fractions), one per free column of
-    the reduced form, in free-column order; [] when the kernel is trivial.
-    """
-    rows = [[_frac(v) for v in row] for row in matrix]
-    int_rows = []
-    for row in rows:
-        denom = math.lcm(*(v.denominator for v in row)) if row else 1
-        int_rows.append([int(v * denom) for v in row])
-    basis = kernel_integer_certified(int_rows)
-    return [[Fraction(v) for v in vec] for vec in basis]
+def kernel_integer_certified(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Certified rational kernel of an integer matrix, as primitive vectors."""
+    if not len(matrix) or not len(matrix[0]):
+        return []
+    exact = np.array([[int(v) for v in row] for row in matrix], dtype=object)
+    max_abs = int(np.abs(exact).max())
+    return certified_kernel(
+        lambda p: (exact % p).astype(np.int64),
+        lambda vectors: all(_exact_matvec_is_zero(exact, max_abs, v) for v in vectors),
+        lambda: matrix,
+    )

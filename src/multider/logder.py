@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .arrangement import (
     Multiarrangement,
+    _rref_fraction,
     defining_polynomial,
     irreducible_component_count,
     is_essential,
@@ -373,26 +374,6 @@ def _not_free(log: list[str], reason: str) -> FreenessCertificate:
     return FreenessCertificate(False, (), None, None, tuple(log), reason)
 
 
-def _numeric_determinant(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    mat = [row[:] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if mat[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = 1 / mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c]:
-                f = mat[i][c] * inv
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[c])]
-    return det
-
-
 def find_free_basis(ma: Multiarrangement, seed: int = DEFAULT_SEED) -> FreenessCertificate:
     """Decide freeness of D(A, m) and produce a Saito basis or a refutation.
 
@@ -471,7 +452,7 @@ def find_free_basis(ma: Multiarrangement, seed: int = DEFAULT_SEED) -> FreenessC
                     for i in range(l):
                         row[i] += wj * vec[i]
             rows.append(row)
-        if _numeric_determinant(rows):
+        if len(_rref_fraction(rows)[1]) == l:
             basis = tuple(pieces[d].element(w) for d, w in zip(degrees, weights))
             ok, const = saito_check(basis, ma)
             if not ok:

@@ -287,14 +287,6 @@ def variable_names(nvars: int) -> tuple[str, ...]:
     return tuple(f"x{i+1}" for i in range(nvars))
 
 
-def partial_derivative(p: Poly, i: int) -> Poly:
-    return p.partial(i)
-
-
-def substitute_linear(p: Poly, matrix: Sequence[Sequence[Scalar]]) -> Poly:
-    return p.substitute(matrix)
-
-
 # -- linear forms --------------------------------------------------------
 
 
@@ -401,37 +393,6 @@ def divides_power(p: Poly, form: LinearForm, power: int) -> bool:
 # -- polynomial matrices --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
-    """Rectangular matrix of polynomials over one ring."""
-
-    rows: tuple[tuple[Poly, ...], ...]
-
-    def __init__(self, rows: Iterable[Iterable[Poly]]):
-        mat = tuple(tuple(r) for r in rows)
-        if not mat or not mat[0]:
-            raise ValueError("empty matrix")
-        width = len(mat[0])
-        nvars = mat[0][0].nvars
-        for r in mat:
-            if len(r) != width:
-                raise ValueError("ragged matrix")
-            for p in r:
-                if p.nvars != nvars:
-                    raise ValueError("mixed variable counts")
-        object.__setattr__(self, "rows", mat)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.rows[0]))
-
-    def determinant(self) -> Poly:
-        n, m = self.shape
-        if n != m:
-            raise ValueError("determinant of a non-square matrix")
-        return _det_minor_expansion(self.rows, tuple(range(n)))
-
-
 def _det_minor_expansion(rows: tuple[tuple[Poly, ...], ...], cols: tuple[int, ...],
                          _cache: dict | None = None) -> Poly:
     # Laplace expansion along the first remaining row, memoized on column sets;
@@ -456,11 +417,19 @@ def _det_minor_expansion(rows: tuple[tuple[Poly, ...], ...], cols: tuple[int, ..
 
 
 def determinant(rows: Iterable[Iterable[Poly]]) -> Poly:
-    return PolyMatrix(rows).determinant()
-
-
-def poly_matrix_determinant(mat: PolyMatrix) -> Poly:
-    return mat.determinant()
+    """Determinant of a square matrix of polynomials over one ring."""
+    mat = tuple(tuple(r) for r in rows)
+    if not mat or not mat[0]:
+        raise ValueError("empty matrix")
+    nvars = mat[0][0].nvars
+    for r in mat:
+        if len(r) != len(mat[0]):
+            raise ValueError("ragged matrix")
+        if any(p.nvars != nvars for p in r):
+            raise ValueError("mixed variable counts")
+    if len(mat) != len(mat[0]):
+        raise ValueError("determinant of a non-square matrix")
+    return _det_minor_expansion(mat, tuple(range(len(mat))))
 
 
 def product_of_forms(powers: Iterable[tuple[LinearForm, int]]) -> Poly:

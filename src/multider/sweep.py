@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from multiprocessing import get_context
+from typing import Iterator
 
 from .arrangement import Arrangement, Multiarrangement, _rref_fraction, catalog
 from .errors import ArrangementError
@@ -189,6 +190,33 @@ def _eval_task(args) -> SweepRow:
     return evaluate_point(ma, predicates, seed)
 
 
+def grid_points(ranges: list[range], max_total: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Points of the box with sum <= max_total, in grid order (last index fastest).
+
+    A prefix is dropped once its sum plus the minimums of the remaining ranges
+    exceeds max_total, so the cost follows the points kept, not the box.
+    """
+    if max_total is None:
+        yield from product(*ranges)
+        return
+    if not all(ranges):
+        return
+    floors = [0] * (len(ranges) + 1)
+    for i in range(len(ranges) - 1, -1, -1):
+        floors[i] = floors[i + 1] + min(ranges[i])
+
+    def extend(prefix: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
+        i = len(prefix)
+        if i == len(ranges):
+            yield prefix
+            return
+        for v in ranges[i]:
+            if total + v + floors[i + 1] <= max_total:
+                yield from extend(prefix + (v,), total + v)
+
+    yield from extend((), 0)
+
+
 def run_sweep(
     name: str,
     ranges: list[tuple[str, range]],
@@ -211,9 +239,7 @@ def run_sweep(
         )
     group = index_symmetries(probe.arrangement) if dedupe else None
     grid = []
-    for mult in product(*(r for _, r in ranges)):
-        if max_total is not None and sum(mult) > max_total:
-            continue
+    for mult in grid_points([r for _, r in ranges], max_total):
         if group is not None and orbit_canonical(mult, group) != mult:
             continue
         grid.append(mult)

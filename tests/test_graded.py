@@ -132,3 +132,59 @@ def test_non_catalog_fraction_coefficients():
     ma = arr.with_multiplicity((2, 1, 2))
     for k in range(5):
         assert graded_dimension(ma, k) == oracle_graded_dimension(ma, k)
+
+
+ROUTE_CASES = [
+    ("A3", (2, 1, 2, 1, 2, 1), 4),
+    ("X3", (2, 2, 2, 1, 1, 1), 4),
+    ("A3", (0, 0, 0, 0, 0, 0), 2),
+    ("deletedA3", (2, 0, 3, 0, 1), 3),
+]
+
+
+def _bases_by_route(monkeypatch, failing_moduli):
+    """Graded bases of ROUTE_CASES with the lift failing for the given moduli.
+
+    Returns the bases and how many mod-p eliminations and Bareiss runs the
+    solves took.
+    """
+    from multider import linalg
+
+    calls = {"kernel_mod": 0, "bareiss_kernel": 0}
+
+    def counted(name):
+        original = getattr(linalg, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    lift = linalg.lift_residue_vector
+    with monkeypatch.context() as patch:
+        for name in calls:
+            patch.setattr(linalg, name, counted(name))
+        patch.setattr(linalg, "lift_residue_vector",
+                      lambda residues, modulus: None if failing_moduli(modulus) else lift(residues, modulus))
+        clear_caches()
+        bases = [graded_basis_vectors(catalog(name, mult), k)
+                 for name, mult, kmax in ROUTE_CASES for k in range(kmax + 1)]
+    clear_caches()
+    return bases, calls
+
+
+def test_escalation_routes_give_identical_bases(monkeypatch):
+    from multider.linalg import PRIMES
+
+    solves = sum(kmax + 1 for _, _, kmax in ROUTE_CASES)
+    one_prime, calls = _bases_by_route(monkeypatch, lambda modulus: False)
+    assert calls == {"kernel_mod": solves, "bareiss_kernel": 0}
+    crt, calls = _bases_by_route(monkeypatch, lambda modulus: modulus == PRIMES[0])
+    # a solve with a trivial kernel lifts nothing, so it never escalates
+    trivial = sum(1 for basis in one_prime if not basis)
+    assert calls == {"kernel_mod": solves + 3 * (solves - trivial), "bareiss_kernel": 0}
+    bareiss, calls = _bases_by_route(monkeypatch, lambda modulus: True)
+    assert calls["bareiss_kernel"] == solves - trivial
+    assert one_prime == crt == bareiss
+    assert any(one_prime) and not all(one_prime)

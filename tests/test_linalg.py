@@ -5,18 +5,20 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multider.errors import InternalCheckError
 from multider.linalg import (
     PRIMES,
     bareiss_kernel,
+    certified_kernel,
     crt_pair,
     kernel_integer_certified,
     kernel_mod,
     lift_residue_vector,
     primitive_integer_vector,
-    rational_kernel,
     rational_reconstruction,
     rref_mod,
 )
@@ -75,29 +77,6 @@ def test_bareiss_and_certified_agree(matrix):
         assert lead >= 0
 
 
-@given(matrices)
-@settings(max_examples=40, deadline=None)
-def test_rational_kernel_spans_dependencies(matrix):
-    kernel = rational_kernel(matrix)
-    n = len(matrix[0])
-    assert len(kernel) == n - _fraction_rank(matrix)
-    # each kernel vector annihilates every row, and the basis is independent
-    for vec in kernel:
-        assert all(sum(r[j] * vec[j] for j in range(n)) == 0 for r in matrix)
-    if kernel:
-        assert _fraction_rank([list(v) for v in kernel]) == len(kernel)
-
-
-def test_rational_kernel_accepts_fractions():
-    matrix = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2)]]
-    assert rational_kernel(matrix) == []
-    singular = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]
-    (vec,) = rational_kernel(singular)
-    assert vec == [Fraction(2), Fraction(-3)]
-    (vec,) = rational_kernel([[Fraction(1, 2), Fraction(1, 4)]])
-    assert Fraction(1, 2) * vec[0] + Fraction(1, 4) * vec[1] == 0
-
-
 def test_rref_mod_structure():
     p = PRIMES[0]
     a = np.array([[2, 4, 6], [1, 2, 4], [3, 6, 10]], dtype=np.int64)
@@ -151,13 +130,30 @@ def test_rational_reconstruction_respects_bounds():
         assert (a * den - num) % p == 0
 
 
+def _residues(values, modulus):
+    return [(v.numerator * pow(v.denominator, -1, modulus)) % modulus for v in values]
+
+
 def test_lift_residue_vector_shares_denominators():
     p = PRIMES[0]
     values = [Fraction(1, 3), Fraction(-2, 3), Fraction(5), Fraction(7, 6)]
-    residues = [
-        (v.numerator * pow(v.denominator, -1, p)) % p for v in values
-    ]
-    assert lift_residue_vector(residues, p) == values
+    # the denominator grows from 3 to 6 at the last entry, rescaling the others
+    assert lift_residue_vector(_residues(values, p), p) == [2, -4, 30, 7]
+    assert lift_residue_vector(_residues([Fraction(-1, 2), Fraction(3)], p), p) == [1, -6]
+    # a denominator beyond sqrt(p/2) cannot be lifted from one prime
+    assert lift_residue_vector(_residues([Fraction(1, 40000)], p), p) is None
+
+
+small_fractions = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@given(st.lists(small_fractions, min_size=1, max_size=8), st.sampled_from([1, 3]))
+@settings(max_examples=80, deadline=None)
+def test_integer_lift_matches_rational_reference(values, prime_count):
+    modulus = math.prod(PRIMES[:prime_count])
+    assert lift_residue_vector(_residues(values, modulus), modulus) == (
+        primitive_integer_vector(values)
+    )
 
 
 def test_primitive_integer_vector():
@@ -183,3 +179,10 @@ def test_wide_matrix_with_large_entries():
     assert len(kernel) == 2
     for vec in kernel:
         assert all(sum(r[j] * vec[j] for j in range(4)) == 0 for r in matrix)
+
+
+def test_certified_kernel_rejects_a_bad_reference_basis():
+    matrix = [[1, 2, 3], [2, 4, 7]]
+    exact = np.array(matrix, dtype=np.int64)
+    with pytest.raises(InternalCheckError):
+        certified_kernel(lambda p: exact % p, lambda vectors: False, lambda: matrix)

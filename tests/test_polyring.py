@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from multider import LinearForm, Poly
 from multider.polyring import (
-    PolyMatrix,
     determinant,
-    poly_matrix_determinant,
     divides_power,
     grlex_key,
     monomial_count,
@@ -230,10 +228,22 @@ def test_determinant_matches_permutation_expansion():
     ]
     reference = _permutation_determinant(rows)
     assert determinant(rows) == reference
-    mat = PolyMatrix(rows)
-    assert mat.shape == (3, 3)
-    assert mat.determinant() == reference
-    assert poly_matrix_determinant(mat) == reference
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([], "empty matrix"),
+        ([[Poly.variable(2, 0), Poly.variable(2, 1)], [Poly.variable(2, 0)]], "ragged matrix"),
+        ([[Poly.variable(2, 0), Poly.variable(3, 1)], [Poly.variable(2, 0)] * 2],
+         "mixed variable counts"),
+        ([[Poly.variable(2, 0), Poly.variable(2, 1)]], "determinant of a non-square matrix"),
+    ],
+    ids=["empty", "ragged", "mixed-nvars", "non-square"],
+)
+def test_determinant_rejects_malformed_matrices(rows, message):
+    with pytest.raises(ValueError, match=message):
+        determinant(rows)
 
 
 def test_determinant_row_swap_flips_sign():

@@ -1,11 +1,21 @@
 """Grid sweeps: symmetry dedupe, determinism, and table formatting."""
 
 import zlib
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multider import ArrangementError, catalog, find_free_basis, index_symmetries, run_sweep
-from multider.sweep import evaluate_point, format_tsv, orbit_canonical, parse_ranges, row_seed
+from multider.sweep import (
+    evaluate_point,
+    format_tsv,
+    grid_points,
+    orbit_canonical,
+    parse_ranges,
+    row_seed,
+)
 
 
 def test_parse_ranges():
@@ -96,6 +106,29 @@ def test_run_sweep_max_total_and_dedupe():
     assert len(deduped) == 10  # multisets of size 3 over {0,1,2}
     for row in deduped:
         assert orbit_canonical(row.mult, group) == row.mult
+
+
+def test_max_total_prunes_instead_of_walking_the_box():
+    # nine 0..20 ranges make a 21**9 box; only the compositions of <= 2 are walked
+    wide = parse_ranges(",".join(f"h{i}=0..20" for i in range(9)))
+    narrow = parse_ranges(",".join(f"h{i}=0..2" for i in range(9)))
+    rows = run_sweep("B3", wide, max_total=2)
+    assert len(rows) == 55
+    assert rows == run_sweep("B3", narrow, max_total=2)
+    assert len(run_sweep("B3", wide, max_total=2, dedupe=True)) == 10
+
+
+boxes = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda t: range(t[0], t[0] + t[1])),
+    max_size=4,
+)
+
+
+@given(boxes, st.none() | st.integers(0, 12))
+@settings(max_examples=150, deadline=None)
+def test_grid_points_match_filtered_product(ranges, max_total):
+    expected = [m for m in product(*ranges) if max_total is None or sum(m) <= max_total]
+    assert list(grid_points(ranges, max_total)) == expected
 
 
 def test_run_sweep_argument_validation():
