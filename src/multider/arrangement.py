@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -91,13 +92,23 @@ class Arrangement:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "forms", canonical)
 
+    # computed on first use, then cached; not fields, so == and repr ignore them
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.nvars, self.forms))
+
+    @cached_property
+    def _rank(self) -> int:
+        return len(_rref_fraction([list(f.coeffs) for f in self.forms])[1])
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __len__(self) -> int:
         return len(self.forms)
 
     def rank(self) -> int:
-        rows = [[c for c in f.coeffs] for f in self.forms]
-        _, pivots = _rref_fraction([list(r) for r in rows])
-        return len(pivots)
+        return self._rank
 
     def with_multiplicity(self, mult: Sequence[int]) -> Multiarrangement:
         return Multiarrangement(self, tuple(mult))

@@ -76,7 +76,7 @@ def kernel_mod(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[
     """Standard kernel basis mod p: columns of the result, one per free column."""
     rref, pivots = rref_mod(matrix, p)
     ncols = matrix.shape[1]
-    free = [c for c in range(ncols) if c not in set(pivots)]
+    free = sorted(set(range(ncols)) - set(pivots))
     basis = np.zeros((ncols, len(free)), dtype=np.int64)
     for k, f in enumerate(free):
         basis[f, k] = 1
@@ -199,7 +199,7 @@ def bareiss_kernel(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
         prev = a[r][c]
         pivots.append(c)
         r += 1
-    free = [c for c in range(n) if c not in set(pivots)]
+    free = sorted(set(range(n)) - set(pivots))
     basis: list[list[int]] = []
     for f in free:
         vec: list[Fraction] = [Fraction(0)] * n

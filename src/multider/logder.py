@@ -10,9 +10,9 @@ exponents, degreewise criticality, and universal derivations.
 Two standard facts are used without proof and recorded here:
 
 * for derivations theta_1..theta_l in D(A, m), det(theta_i(x_j)) is divisible
-  by the defining polynomial Q(A, m); together with Saito's criterion this
-  means a nonzero determinant whose degree sum equals |m| is automatically a
-  scalar multiple of Q, and
+  by the defining polynomial Q(A, m), hence c * Q for a constant c when their
+  degrees sum to |m|: `find_free_basis` reads c = det(p) / Q(p) off one
+  integer point p, and `saito_check` is the independent symbolic oracle, and
 * a free module determines its exponents through the dimensions of its graded
   pieces, which makes the degree-tuple search below exhaustive rather than
   heuristic: every candidate degree lies in [0, |m|] because exponents are
@@ -30,7 +30,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .arrangement import (
     Multiarrangement,
-    _rref_fraction,
     defining_polynomial,
     irreducible_component_count,
     is_essential,
@@ -382,11 +381,11 @@ def find_free_basis(ma: Multiarrangement, seed: int = DEFAULT_SEED) -> FreenessC
     numerator to be a sum of l monomials t^{d_i} with Sum d_i = |m|, so any
     negative c_k, more than l slots, or weight overflow refutes freeness
     outright; otherwise the scan pins down the unique candidate exponent
-    tuple.  Candidate bases drawn from the graded pieces are then tested by
-    the determinant: seeded random combinations evaluated at random integer
-    points first, and on persistent vanishing an exhaustive expansion over all
-    pure basis selections, whose total vanishing certifies non-freeness
-    because the determinant is multilinear in the basis slots.
+    tuple.  Candidates from the certified graded pieces then have det = c * Q,
+    so one evaluation at an integer point gives c: seeded random combinations
+    first, then every pure basis selection at one point off the hyperplanes,
+    whose total vanishing certifies non-freeness because the determinant is
+    multilinear in the basis slots.  `saito_check` is not called here.
     """
     if not is_essential(ma.arrangement):
         raise ArrangementError("find_free_basis needs an essential arrangement")
@@ -428,48 +427,42 @@ def find_free_basis(ma: Multiarrangement, seed: int = DEFAULT_SEED) -> FreenessC
 
     rng = random.Random(seed)
 
-    def _random_point() -> list[int]:
+    def _random_point(avoid: Sequence[LinearForm] = ()) -> list[int]:
         while True:
             pt = [rng.randint(-9, 9) for _ in range(l)]
-            if any(pt):
+            if any(pt) and all(f.evaluate(pt) for f in avoid):
                 return pt
 
-    for rep in range(RANDOM_REPS):
-        point = _random_point()
-        evaluated = {
-            d: [[p.evaluate(point) for p in theta.coeffs] for theta in piece.basis]
-            for d, piece in pieces.items()
-        }
-        weights = [
-            [rng.randint(-9, 9) for _ in pieces[d].basis]
-            for d in degrees
-        ]
-        rows = []
-        for d, w in zip(degrees, weights):
-            row = [Fraction(0)] * l
-            for wj, vec in zip(w, evaluated[d]):
-                if wj:
-                    for i in range(l):
-                        row[i] += wj * vec[i]
-            rows.append(row)
-        if len(_rref_fraction(rows)[1]) == l:
-            basis = tuple(pieces[d].element(w) for d, w in zip(degrees, weights))
-            ok, const = saito_check(basis, ma)
-            if not ok:
-                raise InternalCheckError("nonzero determinant evaluation failed the exact check")
-            log.append(f"free: randomized combination succeeded at repetition {rep + 1}")
-            return FreenessCertificate(True, basis, degrees, const, tuple(log), None)
+    def _evaluate(point: list[int]) -> dict:
+        return {d: [[p.evaluate(point) for p in theta.coeffs] for theta in piece] for d, piece in pieces.items()}
 
-    log.append(f"randomized test vanished for {RANDOM_REPS} repetitions; expanding all selections")
-    for selection in itertools.product(*(range(len(pieces[d].basis)) for d in degrees)):
-        basis = tuple(pieces[d].basis[j] for d, j in zip(degrees, selection))
-        det = saito_determinant(basis)
+    def _candidates() -> Iterator[tuple[list[int], dict, list[list[int]], str]]:
+        for rep in range(RANDOM_REPS):
+            point = _random_point()
+            weights = [[rng.randint(-9, 9) for _ in pieces[d]] for d in degrees]
+            note = f"free: randomized combination succeeded at repetition {rep + 1}"
+            yield point, _evaluate(point), weights, note
+        log.append(f"randomized test vanished for {RANDOM_REPS} repetitions; expanding all selections")
+        # off every hyperplane of positive multiplicity Q(p) != 0, so a pure
+        # selection evaluates to zero exactly when its c is zero
+        point = _random_point([f for f, m in zip(ma.forms, ma.mult) if m])
+        evaluated = _evaluate(point)
+        for selection in itertools.product(*(range(len(pieces[d])) for d in degrees)):
+            units = [[int(i == j) for i in range(len(pieces[d]))] for d, j in zip(degrees, selection)]
+            yield point, evaluated, units, f"free: pure selection {selection} has nonzero determinant"
+
+    # det = c * Q because the degrees sum to |m|, so c = det(p) / Q(p)
+    for point, evaluated, weights, note in _candidates():
+        rows = [
+            [Poly.constant(l, sum(wj * vec[i] for wj, vec in zip(w, evaluated[d]) if wj)) for i in range(l)]
+            for d, w in zip(degrees, weights)
+        ]
+        det = determinant(rows).leading_coefficient()
         if det:
-            ok, const = saito_check(basis, ma)
-            if not ok:
-                raise InternalCheckError("nonzero symbolic determinant failed the exact check")
-            log.append(f"free: pure selection {selection} has nonzero determinant")
-            return FreenessCertificate(True, basis, degrees, const, tuple(log), None)
+            q = math.prod(f.evaluate(point) ** m for f, m in zip(ma.forms, ma.mult))
+            basis = tuple(pieces[d].element(w) for d, w in zip(degrees, weights))
+            log.append(note)
+            return FreenessCertificate(True, basis, degrees, det / q, tuple(log), None)
     return _not_free(
         log,
         "determinant vanishes identically "

@@ -63,11 +63,6 @@ def parse_ranges(spec: str) -> list[tuple[str, range]]:
 # -- hyperplane symmetries -------------------------------------------------
 
 
-def _rank(forms) -> int:
-    _, pivots = _rref_fraction([[c for c in f.coeffs] for f in forms])
-    return len(pivots)
-
-
 def _express(form, basis) -> tuple[Fraction, ...] | None:
     """Coefficients lam with form = sum lam_i basis_i, None if not in span."""
     n = len(basis)
@@ -86,7 +81,7 @@ def _frame(a: Arrangement) -> tuple[int, ...] | None:
     """l+1 hyperplanes with every l of them independent, or None."""
     n, l = len(a.forms), a.nvars
     for combo in combinations(range(n), l + 1):
-        if all(_rank([a.forms[i] for i in sub]) == l for sub in combinations(combo, l)):
+        if all(Arrangement(l, [a.forms[i] for i in sub]).rank() == l for sub in combinations(combo, l)):
             return combo
     return None
 
@@ -106,7 +101,7 @@ def index_symmetries(a: Arrangement) -> tuple[tuple[int, ...], ...]:
     """
     n, l = len(a.forms), a.nvars
     identity = tuple(range(n))
-    if _rank(a.forms) < l:
+    if a.rank() < l:
         return (identity,)
     if n == l:
         return tuple(sorted(permutations(range(n))))
@@ -122,7 +117,7 @@ def index_symmetries(a: Arrangement) -> tuple[tuple[int, ...], ...]:
     found = {identity}
     for targets in permutations(range(n), l + 1):
         tbase = [a.forms[i] for i in targets[:l]]
-        if _rank(tbase) != l:
+        if Arrangement(l, tbase).rank() != l:
             continue
         mu = _express(a.forms[targets[l]], tbase)
         if mu is None or not all(mu):

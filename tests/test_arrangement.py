@@ -1,9 +1,11 @@
 """Arrangements, flats, localization, essentialization, catalog, JSON I/O."""
 
+import dataclasses
 import json
 
 import pytest
 
+import multider.arrangement as arrangement_module
 from multider import (
     Arrangement,
     ArrangementError,
@@ -94,6 +96,22 @@ def test_arrangement_value_equality():
     b = Arrangement(2, [(2, 0), (0, 5), (3, -3)])  # same canonical forms
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_rank_and_hash_are_computed_once(monkeypatch):
+    a = Arrangement(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    assert a.rank() == 2 and not is_essential(a)
+    assert hash(a) == hash((a.nvars, a.forms))
+    # cached values are not dataclass fields: equality and repr ignore them
+    assert [f.name for f in dataclasses.fields(a)] == ["nvars", "forms"]
+    assert "_rank" not in repr(a) and "_hash" not in repr(a)
+
+    def no_elimination(rows):
+        raise AssertionError("rank recomputed")
+
+    monkeypatch.setattr(arrangement_module, "_rref_fraction", no_elimination)
+    for _ in range(3):
+        assert a.rank() == 2 and hash(a) == hash((a.nvars, a.forms))
 
 
 def test_defining_polynomial():

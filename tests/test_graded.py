@@ -18,6 +18,7 @@ from multider import (
     hilbert_dims,
     membership,
 )
+from multider.graded import _engine
 
 from conftest import oracle_graded_dimension
 
@@ -122,6 +123,8 @@ def test_equal_value_arrangements_share_results():
     a = catalog("A2", (2, 2, 2))
     b = Arrangement(2, [(3, 0), (0, 7), (-2, 2)]).with_multiplicity((2, 2, 2))
     assert a.arrangement == b.arrangement
+    assert hash(a.arrangement) == hash(b.arrangement)
+    assert _engine(a.arrangement) is _engine(b.arrangement)
     assert hilbert_dims(a, 5) == hilbert_dims(b, 5)
 
 

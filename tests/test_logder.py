@@ -1,6 +1,9 @@
 """Derivation modules: membership, covariant derivatives, freeness, universality."""
 
+import ast
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -175,22 +178,43 @@ def _binomials_for(exps, nvars, k):
     return sum(math.comb(k - d + nvars - 1, nvars - 1) for d in exps if k >= d)
 
 
-@pytest.mark.parametrize(
-    "name,mult",
-    [
-        ("A2", (3, 2, 2)),
-        ("A2", (1, 1, 5)),
-        ("B2", (3, 5, 2, 2)),
-        ("A3", (1, 1, 1, 1, 1, 1)),
-        ("A3", (3, 3, 3, 3, 3, 3)),
-        ("deletedA3", (2, 2, 3, 2, 2)),
-        ("X3", (2, 2, 2, 1, 1, 1)),
-    ],
+def _sampled_multiplicities(seed, draws):
+    sizes = {"A2": 3, "B2": 4, "A3": 6, "X3": 6, "deletedA3": 5, "B3": 9}
+    rng = random.Random(seed)
+    return [
+        (name, tuple(rng.randint(0, 4) for _ in range(sizes[name])))
+        for name, count in draws
+        for _ in range(count)
+    ]
+
+
+FREE_CASES = [
+    ("A2", (3, 2, 2)),
+    ("A2", (1, 1, 5)),
+    ("B2", (3, 5, 2, 2)),
+    ("A3", (1, 1, 1, 1, 1, 1)),
+    ("A3", (3, 3, 3, 3, 3, 3)),
+    ("deletedA3", (2, 2, 3, 2, 2)),
+    ("X3", (2, 2, 2, 1, 1, 1)),
+]
+# the known free instances first, then a seeded sample of multiplicities 0..4
+SAITO_CASES = FREE_CASES + _sampled_multiplicities(
+    2026, [("A2", 6), ("B2", 6), ("A3", 12), ("X3", 12), ("deletedA3", 10), ("B3", 6)]
 )
+
+
+@pytest.mark.parametrize("name,mult", SAITO_CASES)
 def test_free_certificates_verify_saito(name, mult):
+    # find_free_basis certifies from one evaluated determinant; saito_check and
+    # membership are the independent oracle for everything it claims
     ma = catalog(name, mult)
     cert = find_free_basis(ma)
-    assert cert.free and bool(cert)
+    if not cert.free:
+        assert (name, mult) not in FREE_CASES
+        assert name not in ("A2", "B2"), "rank-2 multiarrangements are free"
+        assert cert.basis == () and cert.constant is None and cert.refutation
+        return
+    assert bool(cert)
     assert len(cert.basis) == ma.nvars
     assert sum(cert.exponents) == ma.order()
     assert cert.exponents == tuple(sorted(cert.exponents))
@@ -207,6 +231,62 @@ def test_free_certificates_verify_saito(name, mult):
     for k in range(kmax + 1):
         assert dims[k] == _binomials_for(cert.exponents, ma.nvars, k)
     assert any(line.startswith("degree ") for line in cert.search_log)
+
+
+@pytest.mark.parametrize(
+    "name,mult",
+    [
+        ("A2", (3, 2, 2)),
+        ("B2", (3, 5, 2, 2)),
+        ("A3", (1, 1, 1, 1, 1, 1)),
+        ("A3", (2, 2, 2, 2, 2, 2)),
+        ("deletedA3", (2, 2, 3, 2, 2)),
+        ("X3", (2, 2, 2, 1, 1, 1)),
+        ("X3", (4, 4, 4, 1, 1, 1)),
+        ("B3", (1, 1, 1, 1, 1, 1, 1, 1, 1)),
+        ("B3", (1, 1, 1, 1, 2, 1, 1, 1, 1)),
+    ],
+)
+def test_pure_selection_certificates_verify_saito(monkeypatch, name, mult):
+    ma = catalog(name, mult)
+    randomized = find_free_basis(ma)
+    monkeypatch.setattr("multider.logder.RANDOM_REPS", 0)
+    cert = find_free_basis(ma)
+    assert cert.free and cert.search_log[-1].startswith("free: pure selection")
+    assert cert.exponents == randomized.exponents
+    for theta in cert.basis:
+        assert membership(theta, ma)
+    ok, const = saito_check(cert.basis, ma)
+    assert ok and const == cert.constant and const != 0
+    assert saito_determinant(cert.basis) == defining_polynomial(ma) * cert.constant
+
+
+@pytest.mark.parametrize("reps", [None, 0])
+def test_find_free_basis_does_not_call_the_symbolic_oracle(monkeypatch, reps):
+    def oracle_called(*args):
+        raise AssertionError("find_free_basis used the symbolic Saito route")
+
+    for name in ("saito_check", "saito_determinant", "membership", "defining_polynomial"):
+        monkeypatch.setattr(f"multider.logder.{name}", oracle_called)
+    if reps is not None:
+        monkeypatch.setattr("multider.logder.RANDOM_REPS", reps)
+    assert find_free_basis(catalog("A3", (2, 2, 2, 2, 2, 2))).free
+    assert not find_free_basis(catalog("X3", (1, 1, 1, 0, 4, 2))).free
+
+
+def test_vanishing_determinant_refutation_matches_symbolic_determinants():
+    ma = catalog("X3", (1, 1, 1, 0, 4, 2))
+    cert = find_free_basis(ma)
+    assert not cert.free
+    assert cert.refutation.startswith("determinant vanishes identically")
+    line = next(s for s in cert.search_log if s.startswith("candidate exponents "))
+    degrees = ast.literal_eval(line[len("candidate exponents "):])
+    pieces = {d: graded_piece(ma, d) for d in degrees}
+    selections = list(itertools.product(*(range(len(pieces[d])) for d in degrees)))
+    assert len(selections) > 1
+    for selection in selections:
+        basis = [pieces[d].basis[j] for d, j in zip(degrees, selection)]
+        assert saito_determinant(basis) == Poly.zero(3)
 
 
 def test_known_exponents():
