@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -287,6 +287,8 @@ def irreducible_component_count(a: Arrangement) -> int:
 
 # -- catalog ---------------------------------------------------------------
 
+_CATALOG_CACHE_LIMIT = 32
+
 
 def _forms(nvars: int, *rows: Sequence[Scalar]) -> Arrangement:
     return Arrangement(nvars, [LinearForm(r) for r in rows])
@@ -297,7 +299,19 @@ def catalog(name: str, mult: Sequence[int] | None = None, **params) -> Multiarra
 
     fan2d takes `h` and `slopes` (len h, distinct, nonzero allowed); maehara4
     takes a rational slope `t` (default 7/3) standing in for a generic slope.
+    Equal (name, params) share one `Arrangement`, so repeated calls reuse its
+    cached rank and hash and find its graded engine by identity.
     """
+    frozen = tuple(sorted((k, tuple(v) if isinstance(v, list) else v) for k, v in params.items()))
+    arr = _catalog_arrangement(name, frozen)
+    if mult is None:
+        mult = ones(len(arr))
+    return arr.with_multiplicity(mult)
+
+
+@lru_cache(maxsize=_CATALOG_CACHE_LIMIT)
+def _catalog_arrangement(name: str, frozen_params: tuple) -> Arrangement:
+    params = dict(frozen_params)
     if name == "A2":
         arr = _forms(2, (1, 0), (0, 1), (1, -1))
     elif name == "B2":
@@ -333,9 +347,7 @@ def catalog(name: str, mult: Sequence[int] | None = None, **params) -> Multiarra
         arr = _forms(2, (1, 0), (0, 1), (1, -1), (1, -t))
     else:
         raise ArrangementError(f"unknown catalog name {name!r}")
-    if mult is None:
-        mult = ones(len(arr))
-    return arr.with_multiplicity(mult)
+    return arr
 
 
 def catalog_filtration(name: str, **params):

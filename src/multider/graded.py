@@ -99,24 +99,20 @@ class _FormTemplate:
 
     def _extract_blocks(self, k: int) -> None:
         monos = monomial_exponents(self.nvars, k)
-        index = {m: i for i, m in enumerate(monos)}
-        rows_by_e: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]
+        # a transformed monomial's row lies in block e = its first exponent
+        row_index: dict[tuple[int, ...], int] = {}
+        sizes = [0] * (k + 1)
         for ymono in monos:
-            rows_by_e[ymono[0]].append(ymono)
-        blocks = []
-        maxes = []
+            row_index[ymono] = sizes[ymono[0]]
+            sizes[ymono[0]] += 1
+        blocks = [np.zeros((size, len(monos)), dtype=object) for size in sizes]
+        maxes = [0] * (k + 1)
         assert self._expansion is not None
-        for e in range(k + 1):
-            rows = rows_by_e[e]
-            mat = np.zeros((len(rows), len(monos)), dtype=object)
-            row_index = {m: i for i, m in enumerate(rows)}
-            for mono, expansion in self._expansion.items():
-                col = index[mono]
-                for ymono, coef in expansion.items():
-                    if ymono[0] == e:
-                        mat[row_index[ymono], col] = coef
-            blocks.append(mat)
-            maxes.append(max((abs(v) for v in mat.flat), default=0))
+        for col, mono in enumerate(monos):
+            for ymono, coef in self._expansion[mono].items():
+                e = ymono[0]
+                blocks[e][row_index[ymono], col] = coef
+                maxes[e] = max(maxes[e], abs(coef))
         self._blocks[k] = blocks
         self._block_maxes[k] = maxes
 

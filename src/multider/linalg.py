@@ -4,9 +4,11 @@
 the matrix three ways - reduced mod a prime, as an exact integer check, and
 as exact rows - so callers keep their own cached assemblies.  It tries:
 
-1. one 31-bit prime: `kernel_mod` row reduces with vectorized numpy, and
-   `lift_residue_vector` lifts each standard kernel vector straight to a
-   primitive integer vector (rational reconstruction, Monagan 2004);
+1. one 31-bit prime: `kernel_mod` deletes singleton rows and the columns
+   they force to zero, row reduces the rest with vectorized numpy
+   (`rref_mod`), and `lift_residue_vector` lifts each standard kernel vector
+   straight to a primitive integer vector (rational reconstruction,
+   Monagan 2004);
 2. three primes combined by CRT, when a one-prime vector fails to lift or
    the exact check rejects it (the three primes must agree on the pivots);
 3. `bareiss_kernel`, fraction-free elimination over the integers (Bareiss
@@ -73,16 +75,38 @@ def rref_mod(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def kernel_mod(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """Standard kernel basis mod p: columns of the result, one per free column."""
-    rref, pivots = rref_mod(matrix, p)
+    """Standard kernel basis mod p: columns of the result, one per free column.
+
+    Singleton rows go first (the opening step of structured Gaussian
+    elimination, LaMacchia & Odlyzko 1990): a row with one nonzero entry
+    mod p forces its column to zero in every kernel vector, so the row and
+    the column are deleted, zero rows with them, until no singleton is left.
+    `rref_mod` reduces the rest.  The kernel of the matrix is the kernel of
+    the remainder padded with zeros in the forced columns, in the same column
+    order, so the kernel vectors have the same last nonzero positions: the
+    free columns, the pivots (their complement) and the standard basis (the
+    kernel vector that is 1 at one free column and 0 at the others) are those
+    of a plain `rref_mod` of the whole matrix.
+    """
     ncols = matrix.shape[1]
-    free = sorted(set(range(ncols)) - set(pivots))
-    basis = np.zeros((ncols, len(free)), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[f, k] = 1
-    if pivots and free:
-        basis[pivots, :] = (-rref[:, free]) % p
-    return basis, pivots, free
+    nonzero = np.mod(matrix, p) != 0
+    pivot = np.zeros(ncols, dtype=bool)  # forced columns, then every pivot
+    while True:
+        counts = np.count_nonzero(nonzero, axis=1)
+        hit = nonzero[counts == 1].any(axis=0)
+        if not hit.any():
+            break
+        pivot |= hit
+        nonzero[:, hit] = False
+    # no singleton is left, so the rows still nonzero have two or more entries
+    live = np.flatnonzero(~pivot)
+    rref, sub_pivots = rref_mod(matrix[np.ix_(np.flatnonzero(counts), live)], p)
+    pivot[live[sub_pivots]] = True
+    free = np.flatnonzero(~pivot)
+    basis = np.zeros((ncols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[live[sub_pivots], :] = (-rref[:, ~pivot[live]]) % p
+    return basis, np.flatnonzero(pivot).tolist(), free.tolist()
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:

@@ -68,6 +68,36 @@ def test_catalog_multiplicity_argument():
         catalog("B2", (1, 2, 3))
 
 
+def test_catalog_shares_one_arrangement_per_entry():
+    a3 = catalog("A3").arrangement
+    assert catalog("A3", (2, 1, 2, 1, 2, 1)).arrangement is a3
+    assert catalog("B2").arrangement is not catalog("A2").arrangement
+    fan = catalog("fan2d", h=2, slopes=[1, 2]).arrangement
+    assert catalog("fan2d", h=2, slopes=(1, 2)).arrangement is fan
+    other_fan = catalog("fan2d", h=2, slopes=(1, 3)).arrangement
+    assert other_fan is not fan and other_fan != fan
+    mae = catalog("maehara4", t=5).arrangement
+    assert catalog("maehara4", t=5).arrangement is mae
+    other_mae = catalog("maehara4", t=6).arrangement
+    assert other_mae is not mae and other_mae != mae
+    # sharing changes neither ==, hash nor repr
+    fresh = Arrangement(3, [(1, -1, 0), (1, 0, -1), (1, 0, 0), (0, 1, -1), (0, 1, 0), (0, 0, 1)])
+    assert fresh == a3 and hash(fresh) == hash(a3) and repr(fresh) == repr(a3)
+
+
+def test_catalog_cache_is_bounded():
+    cached = arrangement_module._catalog_arrangement
+    limit = arrangement_module._CATALOG_CACHE_LIMIT
+    assert cached.cache_info().maxsize == limit
+    first = catalog("maehara4", t=2).arrangement
+    for t in range(3, 3 + 2 * limit):
+        catalog("maehara4", t=t)
+    assert cached.cache_info().currsize <= limit
+    # an evicted entry is rebuilt equal, as a new object
+    again = catalog("maehara4", t=2).arrangement
+    assert again == first and again is not first
+
+
 def test_arrangement_rejects_bad_input():
     with pytest.raises(ArrangementError):
         Arrangement(2, [])

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,3 +192,45 @@ def test_escalation_routes_give_identical_bases(monkeypatch):
     assert calls["bareiss_kernel"] == solves - trivial
     assert one_prime == crt == bareiss
     assert any(one_prime) and not all(one_prime)
+
+
+def _blocks_one_e_at_a_time(tmpl, k):
+    """Divisibility blocks rebuilt from a degree-k expansion, one walk per e."""
+    from multider.polyring import monomial_exponents
+
+    monos = monomial_exponents(tmpl.nvars, k)
+    blocks = []
+    for e in range(k + 1):
+        rows = [m for m in monos if m[0] == e]
+        mat = np.zeros((len(rows), len(monos)), dtype=object)
+        for col, mono in enumerate(monos):
+            for ymono, coef in tmpl._expansion[mono].items():
+                if ymono[0] == e:
+                    mat[rows.index(ymono), col] = coef
+        blocks.append(mat)
+    return blocks
+
+
+def test_template_blocks_and_maxima_match_a_per_block_rebuild():
+    from multider.graded import _FormTemplate
+
+    forms = {f.primitive for name in ("A3", "B3", "X3") for f in catalog(name).forms}
+    for primitive in sorted(forms):
+        for k in range(9):
+            tmpl = _FormTemplate(3, primitive)
+            tmpl._expand_to(k)
+            expected = _blocks_one_e_at_a_time(tmpl, k)
+            got = tmpl._blocks[k]
+            assert [b.shape for b in got] == [b.shape for b in expected]
+            assert all((g == x).all() for g, x in zip(got, expected))
+            assert tmpl._block_maxes[k] == [max((abs(v) for v in b.flat), default=0)
+                                            for b in expected]
+
+
+def test_no_support_gives_the_identity_basis():
+    # no positive multiplicity assembles a 0-row matrix: every derivation is a member
+    ma = catalog("A3", (0, 0, 0, 0, 0, 0))
+    for k in range(3):
+        n = 3 * math.comb(k + 2, 2)
+        assert graded_basis_vectors(ma, k) == tuple(
+            tuple(int(i == j) for j in range(n)) for i in range(n))

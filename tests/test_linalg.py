@@ -186,3 +186,76 @@ def test_certified_kernel_rejects_a_bad_reference_basis():
     exact = np.array(matrix, dtype=np.int64)
     with pytest.raises(InternalCheckError):
         certified_kernel(lambda p: exact % p, lambda vectors: False, lambda: matrix)
+
+
+def _plain_kernel_mod(matrix, p):
+    """The standard kernel read off one rref_mod of the whole matrix (oracle)."""
+    rref, pivots = rref_mod(matrix, p)
+    ncols = matrix.shape[1]
+    free = sorted(set(range(ncols)) - set(pivots))
+    basis = np.zeros((ncols, len(free)), dtype=np.int64)
+    for k, f in enumerate(free):
+        basis[f, k] = 1
+    if pivots and free:
+        basis[pivots, :] = (-rref[:, free]) % p
+    return basis, pivots, free
+
+
+def _assert_matches_plain_kernel(matrix, p):
+    basis, pivots, free = kernel_mod(matrix, p)
+    want_basis, want_pivots, want_free = _plain_kernel_mod(matrix, p)
+    assert pivots == want_pivots and free == want_free
+    assert basis.dtype == want_basis.dtype and basis.shape == want_basis.shape
+    assert (basis == want_basis).all()
+    assert pivots == sorted(pivots)
+    assert sorted(pivots + free) == list(range(matrix.shape[1]))
+    return pivots
+
+
+@st.composite
+def sparse_mod_matrices(draw):
+    """Sparse matrices with zero rows, unit rows and singleton chains.
+
+    A chain's row i is nonzero on the chain's first i + 1 columns, so it
+    becomes a singleton only once earlier waves have forced the first i.
+    Entries include multiples of p, nonzero integers that vanish mod p.
+    """
+    p = draw(st.sampled_from(PRIMES[:3]))
+    ncols = draw(st.integers(1, 7))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 5, p, -2 * p, p - 1, p + 1])
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    chain = draw(st.permutations(range(ncols)))[: draw(st.integers(0, ncols))]
+    nonzero = st.sampled_from([1, -1, 2, -3, 5, p - 1, p + 1])
+    for i in range(len(chain)):
+        row = [0] * ncols
+        for c in chain[: i + 1]:
+            row[c] = draw(nonzero)
+        rows.append(row)
+    for c in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+        rows.append([int(j == c) for j in range(ncols)])
+    rows = draw(st.permutations(rows))
+    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    return matrix, p
+
+
+@given(sparse_mod_matrices())
+@settings(max_examples=300, deadline=None)
+def test_kernel_mod_matches_the_plain_rref_kernel(case):
+    _assert_matches_plain_kernel(*case)
+
+
+def test_kernel_mod_singleton_edge_cases():
+    p = PRIMES[0]
+    # no rows: the whole space, as the identity
+    basis, pivots, free = kernel_mod(np.zeros((0, 4), dtype=np.int64), p)
+    assert (basis == np.eye(4, dtype=np.int64)).all() and pivots == [] and free == [0, 1, 2, 3]
+    _assert_matches_plain_kernel(np.zeros((0, 4), dtype=np.int64), p)
+    # zero rows, and entries that vanish mod p, leave every column free
+    assert _assert_matches_plain_kernel(np.array([[0, 0, 0], [p, 0, -p]]), p) == []
+    # a chain forced in three waves, with every column forced: empty kernel
+    chain = np.array([[1, 2, 3], [0, 4, 5], [0, 0, 6]], dtype=np.int64)
+    assert _assert_matches_plain_kernel(chain, p) == [0, 1, 2]
+    assert kernel_mod(chain, p)[0].shape == (3, 0)
+    # row 1 is a singleton only once row 0 has forced column 3
+    wave = np.array([[0, 0, 0, 7], [0, 0, 1, 1], [1, 1, 1, 0]], dtype=np.int64)
+    assert _assert_matches_plain_kernel(wave, p) == [0, 2, 3]
