@@ -10,16 +10,20 @@ integer matrix; the graded piece is its rational kernel.
 
 The per-hyperplane substitution rows depend only on (form, degree), so they
 are built once per form by an incremental product expansion and reused across
-every multiplicity, degree and sweep case.  One graded solve is one call to
-`linalg.certified_kernel` (one prime, then CRT, then Bareiss), which gets the
-matrix three ways from the engine: stacked cached blocks mod p, a block-wise
-exact residual that certifies the lifted vectors, and the exact rows for the
-fallback.  A multiplicity with no positive entry yields no rows and so the
-whole space of degree-k derivations.
+every multiplicity, degree and sweep case; the rows for every multiplicity
+are prefixes of one stored matrix per degree.  One graded solve is one call
+to `linalg.certified_kernel` (one prime, then CRT, then Bareiss), which gets
+the matrix three ways from the engine: the cached rows mod p, a
+per-hyperplane exact residual that certifies the lifted vectors, and the
+exact rows for the fallback.  The same exact residual decides membership of
+any one coefficient vector (`graded_member`).  A multiplicity with no
+positive entry yields no rows and so the whole space of degree-k
+derivations.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from typing import Sequence
 
@@ -35,9 +39,12 @@ _BASIS_CACHE_LIMIT = 2048
 class _FormTemplate:
     """Divisibility-condition row blocks for one linear form.
 
-    blocks(k)[e] is the integer matrix taking the coefficient vector of a
-    degree-k polynomial to the coefficients whose transformed first-variable
-    exponent equals e; stacking e < m gives the "divisible by form^m" rows.
+    Block e of degree k is the integer matrix taking the coefficient vector
+    of a degree-k polynomial to the coefficients whose transformed
+    first-variable exponent equals e.  The blocks of one degree are stored
+    one after another in a single matrix (int64 when every entry fits, object
+    otherwise), so the "divisible by form^m" rows, blocks e < m, are a prefix
+    view of it.
     """
 
     def __init__(self, nvars: int, primitive: tuple[int, ...]):
@@ -62,6 +69,8 @@ class _FormTemplate:
                 row = [(cols[j], lead)]
             images.append(row)
         self.images = images
+        self._rows: dict[int, np.ndarray] = {}
+        self._starts: dict[int, list[int]] = {}
         self._blocks: dict[int, list[np.ndarray]] = {}
         self._block_maxes: dict[int, list[int]] = {}
         self._mod_cache: dict[tuple[int, int, int], np.ndarray] = {}
@@ -100,42 +109,53 @@ class _FormTemplate:
     def _extract_blocks(self, k: int) -> None:
         monos = monomial_exponents(self.nvars, k)
         # a transformed monomial's row lies in block e = its first exponent
-        row_index: dict[tuple[int, ...], int] = {}
         sizes = [0] * (k + 1)
         for ymono in monos:
-            row_index[ymono] = sizes[ymono[0]]
             sizes[ymono[0]] += 1
-        blocks = [np.zeros((size, len(monos)), dtype=object) for size in sizes]
+        starts = [0, *itertools.accumulate(sizes)]
+        fill = starts[:-1]
+        row_index: dict[tuple[int, ...], int] = {}
+        for ymono in monos:
+            row_index[ymono] = fill[ymono[0]]
+            fill[ymono[0]] += 1
+        at_row: list[int] = []
+        at_col: list[int] = []
+        coefs: list[int] = []
         maxes = [0] * (k + 1)
         assert self._expansion is not None
         for col, mono in enumerate(monos):
             for ymono, coef in self._expansion[mono].items():
                 e = ymono[0]
-                blocks[e][row_index[ymono], col] = coef
+                at_row.append(row_index[ymono])
+                at_col.append(col)
+                coefs.append(coef)
                 maxes[e] = max(maxes[e], abs(coef))
-        self._blocks[k] = blocks
+        dtype = np.int64 if max(maxes) < _INT64_SAFE else object
+        rows = np.zeros((len(monos), len(monos)), dtype=dtype)
+        rows[at_row, at_col] = np.array(coefs, dtype=dtype)
+        self._rows[k] = rows
+        self._starts[k] = starts
+        self._blocks[k] = [rows[starts[e]:starts[e + 1]] for e in range(k + 1)]
         self._block_maxes[k] = maxes
 
-    def blocks_exact(self, k: int, cap: int) -> tuple[list[np.ndarray], int]:
+    def rows_exact(self, k: int, cap: int) -> tuple[np.ndarray, int]:
+        """The degree-k "divisible by form^cap" rows and their largest |entry|.
+
+        The rows are a view of the stored matrix of degree k; nothing is
+        stacked or cast.
+        """
         self._expand_to(k)
         cap = min(cap, k + 1)
-        blocks = self._blocks[k][:cap]
-        max_abs = max(self._block_maxes[k][:cap], default=0)
-        return blocks, max_abs
+        return self._rows[k][:self._starts[k][cap]], max(self._block_maxes[k][:cap], default=0)
 
     def rows_mod(self, k: int, cap: int, p: int) -> np.ndarray:
         cap = min(cap, k + 1)
         key = (k, cap, p)
         cached = self._mod_cache.get(key)
-        if cached is not None:
-            return cached
-        blocks, _ = self.blocks_exact(k, cap)
-        if blocks:
-            stacked = np.concatenate([np.mod(b, p).astype(np.int64) for b in blocks], axis=0)
-        else:
-            stacked = np.zeros((0, monomial_count(self.nvars, k)), dtype=np.int64)
-        self._mod_cache[key] = stacked
-        return stacked
+        if cached is None:
+            rows, _ = self.rows_exact(k, cap)
+            cached = self._mod_cache[key] = np.mod(rows, p).astype(np.int64, copy=False)
+        return cached
 
 
 _templates: dict[tuple[int, tuple[int, ...]], _FormTemplate] = {}
@@ -189,26 +209,24 @@ class _Engine:
             return True
         n = monomial_count(self.nvars, k)
         l = self.nvars
-        vmax = max((abs(v) for vec in vectors for v in vec), default=0)
+        vmax = max(max(max(vec), -min(vec)) for vec in vectors)
         vmat_obj = None
         vmat_64 = None
         for idx in support:
-            blocks, max_abs = self.templates[idx].blocks_exact(k, mult[idx])
-            stacked = np.concatenate(blocks, axis=0) if blocks else None
-            if stacked is None or stacked.shape[0] == 0:
+            rows, max_abs = self.templates[idx].rows_exact(k, mult[idx])
+            if rows.shape[0] == 0:
                 continue
             amax = max(abs(a) for a in self.prims[idx])
             bound = max_abs * vmax * n * amax * l
-            use64 = bound and bound < _INT64_SAFE
-            if use64:
+            if bound and bound < _INT64_SAFE:
                 if vmat_64 is None:
                     vmat_64 = np.array(vectors, dtype=np.int64).T
-                mat = stacked.astype(np.int64)
+                mat = rows.astype(np.int64, copy=False)
                 vm = vmat_64
             else:
                 if vmat_obj is None:
                     vmat_obj = np.array(vectors, dtype=object).T
-                mat = stacked
+                mat = rows.astype(object, copy=False)
                 vm = vmat_obj
             accum = None
             for i in range(l):
@@ -226,15 +244,13 @@ class _Engine:
         l = self.nvars
         rows: list[list[int]] = []
         for idx in support:
-            blocks, _ = self.templates[idx].blocks_exact(k, mult[idx])
+            rows_k, _ = self.templates[idx].rows_exact(k, mult[idx])
             a = self.prims[idx]
-            for block in blocks:
-                for r in range(block.shape[0]):
-                    base = [int(v) for v in block[r]]
-                    row: list[int] = []
-                    for i in range(l):
-                        row.extend(a[i] * v if a[i] else 0 for v in base)
-                    rows.append(row)
+            for base in rows_k.tolist():
+                row: list[int] = []
+                for i in range(l):
+                    row.extend(a[i] * v if a[i] else 0 for v in base)
+                rows.append(row)
         return rows or [[0] * (l * n)]
 
     # -- solving ----------------------------------------------------------
@@ -308,6 +324,16 @@ def graded_basis_vectors(ma: Multiarrangement, k: int) -> tuple[tuple[int, ...],
     coefficients in graded lex order.
     """
     return _engine(ma.arrangement).basis(ma.mult, k)
+
+
+def graded_member(ma: Multiarrangement, k: int, vector: Sequence[int]) -> bool:
+    """Whether an integer degree-k coefficient vector lies in D(A, m)_k.
+
+    Decided by the exact divisibility rows that certify every graded basis;
+    the layout is that of `graded_basis_vectors`.
+    """
+    eng = _engine(ma.arrangement)
+    return eng._verify_exact(eng._support(ma.mult), ma.mult, k, [list(vector)])
 
 
 def hilbert_dims(ma: Multiarrangement, max_degree: int) -> tuple[int, ...]:

@@ -48,8 +48,12 @@ _INT64_SAFE = 2**62
 
 
 def rref_mod(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of an int64 matrix mod p, with pivot columns."""
-    a = np.mod(matrix, p).astype(np.int64, copy=True)
+    """Reduced row echelon form of an int64 matrix mod p, with pivot columns.
+
+    `np.mod` returns a new array, which is reduced in place; the input is left
+    unchanged.
+    """
+    a = np.mod(matrix, p).astype(np.int64, copy=False)
     nrows, ncols = a.shape
     pivots: list[int] = []
     r = 0

@@ -2,17 +2,27 @@
 
 D(A, m) is the set of polynomial vector fields theta with theta(alpha_H)
 divisible by alpha_H^{m(H)} for every hyperplane H.  This module supplies the
-vocabulary built on the graded solver: membership by exact polynomial
-division, graded pieces as bases of Derivation values, the covariant
-derivative, Saito's determinant criterion, a complete freeness decision with
-exponents, degreewise criticality, and universal derivations.
+vocabulary built on the graded solver: membership, graded pieces as bases of
+Derivation values, the covariant derivative, Saito's determinant criterion, a
+complete freeness decision with exponents, degreewise criticality, and
+universal derivations.
 
-Two standard facts are used without proof and recorded here:
+Internal routes decide membership with the graded solver's exact divisibility
+rows (`_member`).  `membership`, by repeated exact division by each linear
+form, is the independent public oracle, as `saito_check` and
+`saito_determinant` are for the determinant.
+
+Three standard facts are used without proof and recorded here:
 
 * for derivations theta_1..theta_l in D(A, m), det(theta_i(x_j)) is divisible
   by the defining polynomial Q(A, m), hence c * Q for a constant c when their
-  degrees sum to |m|: `find_free_basis` reads c = det(p) / Q(p) off one
-  integer point p, and `saito_check` is the independent symbolic oracle, and
+  degrees sum to |m| (Saito; restated for universal derivations by Abe,
+  Roehrle, Stump and Yoshinaga): `find_free_basis` reads c = det(p) / Q(p)
+  off one integer point p, and `is_universal` decides c != 0 the same way,
+* for a linear form alpha, (nabla_{d/dx_i} theta)(alpha) = d/dx_i
+  (theta(alpha)), and a derivative of a multiple of alpha^{m+1} is a multiple
+  of alpha^m, so theta in D(A, m+1) puts every gradient nabla_{d/dx_i} theta
+  in D(A, m), and
 * a free module determines its exponents through the dimensions of its graded
   pieces, which makes the degree-tuple search below exhaustive rather than
   heuristic: every candidate degree lies in [0, |m|] because exponents are
@@ -40,12 +50,12 @@ from .errors import (
     InternalCheckError,
     MembershipError,
 )
-from .graded import graded_basis_vectors, graded_dimension, hilbert_dims
+from .graded import graded_basis_vectors, graded_dimension, graded_member, hilbert_dims
+from .linalg import primitive_integer_vector
 from .polyring import (
     LinearForm,
     Poly,
     Scalar,
-    _frac,
     determinant,
     divides_power,
     monomial_count,
@@ -241,6 +251,21 @@ def membership(theta: Derivation, ma: Multiarrangement) -> bool:
     return True
 
 
+def _member(theta: Derivation, ma: Multiarrangement) -> bool:
+    """`membership` decided by the graded solver's exact divisibility rows.
+
+    D(A, m) is graded, so theta is a member exactly when each homogeneous part
+    is, and scaling a part to its primitive integer vector keeps the verdict.
+    """
+    if theta.nvars != ma.nvars:
+        raise ArrangementError("derivation and arrangement dimensions differ")
+    degrees = sorted({sum(e) for p in theta.coeffs for e in p.terms})
+    return all(
+        graded_member(ma, k, primitive_integer_vector(theta.coefficient_vector(k)))
+        for k in degrees
+    )
+
+
 @dataclass(frozen=True)
 class GradedPiece:
     """A basis of the homogeneous degree-k members of D(A, m)."""
@@ -295,11 +320,6 @@ def covariant_derivative(phi: Derivation, theta: Derivation) -> Derivation:
         if tag < 0:
             tag = None
     return Derivation((phi.apply(f) for f in theta.coeffs), degree_tag=tag)
-
-
-def _coordinate_derivation(nvars: int, i: int) -> Derivation:
-    coeffs = [Poly.zero(nvars)] * i + [Poly.constant(nvars, 1)] + [Poly.zero(nvars)] * (nvars - i - 1)
-    return Derivation(coeffs, degree_tag=0)
 
 
 def saito_determinant(thetas: Sequence[Derivation]) -> Poly:
@@ -368,6 +388,20 @@ class FreenessCertificate:
         return self.free
 
 
+def _random_point(rng: random.Random, l: int, avoid: Sequence[LinearForm] = ()) -> list[int]:
+    """A nonzero point of [-9, 9]^l drawn from `rng`, off every form in `avoid`."""
+    while True:
+        pt = [rng.randint(-9, 9) for _ in range(l)]
+        if any(pt) and all(f.evaluate(pt) for f in avoid):
+            return pt
+
+
+def _determinant_value(rows: Sequence[Sequence[Scalar]]) -> Fraction:
+    """The determinant of a square scalar matrix."""
+    l = len(rows)
+    return determinant([[Poly.constant(l, v) for v in row] for row in rows]).leading_coefficient()
+
+
 def _not_free(log: list[str], reason: str) -> FreenessCertificate:
     log.append(f"not free: {reason}")
     return FreenessCertificate(False, (), None, None, tuple(log), reason)
@@ -427,25 +461,19 @@ def find_free_basis(ma: Multiarrangement, seed: int = DEFAULT_SEED) -> FreenessC
 
     rng = random.Random(seed)
 
-    def _random_point(avoid: Sequence[LinearForm] = ()) -> list[int]:
-        while True:
-            pt = [rng.randint(-9, 9) for _ in range(l)]
-            if any(pt) and all(f.evaluate(pt) for f in avoid):
-                return pt
-
     def _evaluate(point: list[int]) -> dict:
         return {d: [[p.evaluate(point) for p in theta.coeffs] for theta in piece] for d, piece in pieces.items()}
 
     def _candidates() -> Iterator[tuple[list[int], dict, list[list[int]], str]]:
         for rep in range(RANDOM_REPS):
-            point = _random_point()
+            point = _random_point(rng, l)
             weights = [[rng.randint(-9, 9) for _ in pieces[d]] for d in degrees]
             note = f"free: randomized combination succeeded at repetition {rep + 1}"
             yield point, _evaluate(point), weights, note
         log.append(f"randomized test vanished for {RANDOM_REPS} repetitions; expanding all selections")
         # off every hyperplane of positive multiplicity Q(p) != 0, so a pure
         # selection evaluates to zero exactly when its c is zero
-        point = _random_point([f for f, m in zip(ma.forms, ma.mult) if m])
+        point = _random_point(rng, l, [f for f, m in zip(ma.forms, ma.mult) if m])
         evaluated = _evaluate(point)
         for selection in itertools.product(*(range(len(pieces[d])) for d in degrees)):
             units = [[int(i == j) for i in range(len(pieces[d]))] for d, j in zip(degrees, selection)]
@@ -454,10 +482,10 @@ def find_free_basis(ma: Multiarrangement, seed: int = DEFAULT_SEED) -> FreenessC
     # det = c * Q because the degrees sum to |m|, so c = det(p) / Q(p)
     for point, evaluated, weights, note in _candidates():
         rows = [
-            [Poly.constant(l, sum(wj * vec[i] for wj, vec in zip(w, evaluated[d]) if wj)) for i in range(l)]
+            [sum(wj * vec[i] for wj, vec in zip(w, evaluated[d]) if wj) for i in range(l)]
             for d, w in zip(degrees, weights)
         ]
-        det = determinant(rows).leading_coefficient()
+        det = _determinant_value(rows)
         if det:
             q = math.prod(f.evaluate(point) ** m for f, m in zip(ma.forms, ma.mult))
             basis = tuple(pieces[d].element(w) for d, w in zip(degrees, weights))
@@ -495,10 +523,13 @@ def is_k_critical(ma: Multiarrangement, k: int) -> bool:
 def is_universal(theta: Derivation, ma_base: Multiarrangement) -> bool:
     """Whether theta is a universal derivation for the base multiplicity m.
 
-    Characterization used: theta lies in D(A, m+1), the l covariant
-    derivatives nabla_{d/dx_i} theta all lie in D(A, m) and are independent
-    over the polynomial ring (nonzero coefficient determinant), and
-    l * (deg theta - 1) = |m|.
+    Characterization used: theta lies in D(A, m+1), l * (deg theta - 1) = |m|,
+    and the l covariant derivatives nabla_{d/dx_i} theta are independent over
+    the polynomial ring.  The gradients need no membership check: theta in
+    D(A, m+1) already puts them in D(A, m), and their degrees sum to |m|, so
+    their determinant is c * Q(A, m).  One evaluated determinant decides
+    c != 0: its value at an integer point off every hyperplane of positive
+    multiplicity, which is nonzero for every such point exactly when c is.
     """
     if not theta.is_homogeneous():
         raise HypothesisError("is_universal needs a homogeneous derivation")
@@ -511,16 +542,13 @@ def is_universal(theta: Derivation, ma_base: Multiarrangement) -> bool:
     assert deg is not None
     if l * (deg - 1) != ma_base.order():
         return False
-    if not membership(theta, ma_base.plus_ones()):
+    if not _member(theta, ma_base.plus_ones()):
         return False
-    gradients = [
-        covariant_derivative(_coordinate_derivation(l, i), theta)
-        for i in range(l)
-    ]
-    for grad in gradients:
-        if not membership(grad, ma_base):
-            return False
-    return bool(saito_determinant(gradients))
+    weighted = [f for f, m in zip(ma_base.forms, ma_base.mult) if m]
+    point = _random_point(random.Random(DEFAULT_SEED), l, weighted)
+    # row i holds the coefficients of nabla_{d/dx_i} theta = sum_j d_i(f_j) d/dx_j
+    rows = [[f.partial(i).evaluate(point) for f in theta.coeffs] for i in range(l)]
+    return bool(_determinant_value(rows))
 
 
 def find_universal(ma_base: Multiarrangement, seed: int = DEFAULT_SEED) -> Derivation | None:
@@ -530,7 +558,9 @@ def find_universal(ma_base: Multiarrangement, seed: int = DEFAULT_SEED) -> Deriv
     exponents of m are all equal to d = |m|/l and D(A, m+1) is (d+1)-critical;
     when both hold, any nonzero element of D(A, m+1)_{d+1} works and is unique
     up to a scalar.  The returned element is cross-validated with the direct
-    characterization in `is_universal`.
+    characterization in `is_universal`; a disagreement raises
+    `InternalCheckError` naming the forms, the multiplicity, the degree and
+    the seed.
     """
     if not is_essential(ma_base.arrangement):
         raise ArrangementError("find_universal needs an essential arrangement")
@@ -547,11 +577,14 @@ def find_universal(ma_base: Multiarrangement, seed: int = DEFAULT_SEED) -> Deriv
     if not is_k_critical(lifted, d + 1):
         return None
     piece = graded_piece(lifted, d + 1)
+    context = (f"for forms {[f.primitive for f in ma_base.forms]} with multiplicity "
+               f"{ma_base.mult}, degree {d + 1}, seed {seed}")
     if not piece.basis:
-        raise InternalCheckError("critical degree lost its nonzero element")
+        raise InternalCheckError(f"critical degree lost its nonzero element {context}")
     theta = piece.basis[0]
     if not is_universal(theta, ma_base):
-        raise InternalCheckError("criticality route disagrees with the direct characterization")
+        raise InternalCheckError(
+            f"criticality route disagrees with the direct characterization {context}")
     return theta
 
 

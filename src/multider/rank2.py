@@ -31,7 +31,7 @@ from .errors import (
     MembershipError,
 )
 from .graded import graded_dimension
-from .logder import DEFAULT_SEED, Derivation, membership
+from .logder import DEFAULT_SEED, Derivation, _member
 
 __all__ = [
     "DeltaValue",
@@ -228,7 +228,7 @@ def classify_universal_rank2(ma_base: Multiarrangement, theta: Derivation,
     if not theta or not theta.is_homogeneous():
         raise HypothesisError("the classifier needs a nonzero homogeneous derivation")
     lifted = ma_base.plus_ones()
-    if not membership(theta, lifted):
+    if not _member(theta, lifted):
         raise MembershipError("the derivation does not lie in D(A, m+1)")
     deg = theta.homogeneous_degree()
     assert deg is not None

@@ -227,6 +227,27 @@ def test_template_blocks_and_maxima_match_a_per_block_rebuild():
                                             for b in expected]
 
 
+def test_multiplicity_rows_are_prefix_views_of_one_matrix_per_degree():
+    from multider.graded import _FormTemplate
+    from multider.linalg import PRIMES
+
+    for primitive, fits in [((1, -1, 2), True), ((1, 2**40, 0), False)]:
+        tmpl = _FormTemplate(3, primitive)
+        for k in range(5):
+            for cap in range(1, k + 3):
+                rows, max_abs = tmpl.rows_exact(k, cap)
+                blocks = tmpl._blocks[k][:min(cap, k + 1)]
+                assert (rows == np.concatenate(blocks, axis=0)).all()
+                assert max_abs == max(tmpl._block_maxes[k][:min(cap, k + 1)])
+                # no copy: a view of the degree's matrix, stored as int64
+                # unless an entry outgrows it (from degree 2 on for 2**40)
+                assert np.shares_memory(rows, tmpl._rows[k])
+                assert (rows.dtype == np.int64) == (fits or k < 2)
+                mod = tmpl.rows_mod(k, cap, PRIMES[0])
+                assert mod.dtype == np.int64 and (mod == rows % PRIMES[0]).all()
+                assert tmpl.rows_mod(k, cap, PRIMES[0]) is mod
+
+
 def test_no_support_gives_the_identity_basis():
     # no positive multiplicity assembles a 0-row matrix: every derivation is a member
     ma = catalog("A3", (0, 0, 0, 0, 0, 0))

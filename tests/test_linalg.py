@@ -88,6 +88,19 @@ def test_rref_mod_structure():
         assert all(rref[i, c] == 0 for i in range(len(pivots)) if i != r)
 
 
+def test_rref_mod_leaves_its_input_unchanged():
+    p = PRIMES[0]
+    rng = np.random.default_rng(3)
+    for a in (rng.integers(-5, 5, size=(6, 8)), rng.integers(0, p, size=(4, 4)),
+              np.array([[p + 3, -1, 2 * p], [1, 1, 1]], dtype=np.int64)):
+        a = a.astype(np.int64)
+        before = a.copy()
+        rref, pivots = rref_mod(a, p)
+        assert (a == before).all()
+        assert not np.shares_memory(rref, a)
+        assert (rref == rref_mod(before, p)[0]).all() and pivots == rref_mod(before, p)[1]
+
+
 def test_kernel_mod_annihilates():
     p = PRIMES[1]
     rng = random.Random(5)

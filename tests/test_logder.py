@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multider import (
+    Arrangement,
     ArrangementError,
     Derivation,
+    InternalCheckError,
     Poly,
     catalog,
     covariant_derivative,
@@ -33,6 +35,9 @@ from multider import (
     saito_check,
     saito_determinant,
 )
+from multider.graded import _template
+from multider.linalg import _INT64_SAFE
+from multider.logder import _member
 from multider.polyring import monomial_exponents
 
 scalars = st.integers(-3, 3).map(Fraction)
@@ -169,6 +174,68 @@ def test_membership_rejects_outsiders():
     assert not membership(Derivation([Poly.constant(2, 1), Poly.zero(2)]), ma)
     x = Poly.variable(2, 0)
     assert not membership(Derivation([x, Poly.zero(2)]), ma)
+
+
+# a rank-2 arrangement whose template rows outgrow int64 from degree 2 on, so
+# every check against it takes the object-dtype branch of `_verify_exact`
+HUGE = Arrangement(2, [(1, 0), (0, 1), (1, 2**40), (3, -5)])
+MEMBER_ARRANGEMENTS = [
+    catalog(name).arrangement for name in ("A2", "B2", "A3", "deletedA3", "X3")
+] + [HUGE]
+huge_ints = st.integers(2**62, 2**80)
+weights = st.one_of(scalars, st.fractions(-50, 50, max_denominator=9), huge_ints)
+
+
+@st.composite
+def member_cases(draw):
+    """(theta, ma): sums of graded-piece members of several degrees, at times
+    plus an arbitrary derivation, with rational or huge weights."""
+    arr = draw(st.sampled_from(MEMBER_ARRANGEMENTS))
+    n, l = len(arr.forms), arr.nvars
+    ma = arr.with_multiplicity(tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))))
+    theta = Derivation([Poly.zero(l)] * l)
+    for k in draw(st.sets(st.integers(0, 4), max_size=3)):
+        piece = graded_piece(ma, k)
+        if piece.basis:
+            w = draw(st.lists(weights, min_size=len(piece), max_size=len(piece)))
+            theta = theta + piece.element(w)
+    if draw(st.booleans()):
+        theta = theta + draw(derivations(l, max_degree=3)) * draw(weights)
+    return theta, ma
+
+
+@given(member_cases())
+@settings(max_examples=150, deadline=None)
+def test_member_agrees_with_division_membership(case):
+    theta, ma = case
+    assert _member(theta, ma) == membership(theta, ma)
+
+
+def test_member_edge_cases_agree_with_division_membership():
+    zero = Derivation([Poly.zero(2)] * 2)
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    outsider = Derivation([x, Poly.zero(2)])
+    for mult in [(0, 0, 0, 0), (1, 3, 0, 0), (0, 2, 0, 1), (3, 1, 2, 2)]:
+        ma = HUGE.with_multiplicity(mult)
+        # theta = 0 is a member of every module; zero multiplicities ask nothing
+        assert _member(zero, ma) and membership(zero, ma)
+        # x d_x sends x to x, y to 0 and the other two forms to multiples of x
+        expected = mult[0] <= 1 and mult[2] == mult[3] == 0
+        assert _member(outsider, ma) == membership(outsider, ma) == expected
+    # the rows of the (1, 2**40) form no longer fit int64 at degree 2
+    assert _template(HUGE.forms[2]).rows_exact(2, 3)[1] >= _INT64_SAFE
+    # a non-homogeneous member with huge rational coefficients and a term of
+    # every degree 1..4 (vector entries far beyond int64)
+    ma = HUGE.with_multiplicity((1, 1, 1, 1))
+    parts = [graded_piece(ma, k) for k in range(1, 5)]
+    theta = sum((piece.element([2**70 + i + Fraction(1, 3)] * len(piece))
+                 for i, piece in enumerate(parts)), zero)
+    assert max(abs(c) for p in theta.coeffs for c in p.terms.values()) > _INT64_SAFE
+    assert _member(theta, ma) and membership(theta, ma)
+    broken = theta + Derivation([x**3, y**2]) * 2**70
+    assert not _member(broken, ma) and not membership(broken, ma)
+    with pytest.raises(ArrangementError):
+        _member(euler_derivation(3), ma)
 
 
 # -- freeness and Saito ----------------------------------------------------
@@ -346,6 +413,16 @@ def test_is_k_critical():
     assert graded_dimension(lifted, 5) > 0
 
 
+def test_find_universal_cross_check_failure_names_the_instance(monkeypatch):
+    monkeypatch.setattr("multider.logder.is_universal", lambda theta, ma: False)
+    with pytest.raises(InternalCheckError) as info:
+        find_universal(catalog("B2", (2, 4, 1, 1)), seed=7)
+    message = str(info.value)
+    assert "multiplicity (2, 4, 1, 1)" in message
+    assert "degree 5" in message and "seed 7" in message
+    assert str([f.primitive for f in catalog("B2").forms]) in message
+
+
 def test_find_universal_b2():
     base = catalog("B2", (2, 4, 1, 1))
     theta = find_universal(base)
@@ -465,3 +542,112 @@ def test_derivation_vector_round_trip():
     )
     vec = theta.coefficient_vector(2)
     assert derivation_from_vector(2, 2, vec) == theta
+
+
+# -- universality without division ------------------------------------------
+
+
+def _is_universal_by_division(theta, ma):
+    """The slow oracle: l + 1 division memberships and the symbolic determinant."""
+    l = ma.nvars
+    if l * (theta.homogeneous_degree() - 1) != ma.order():
+        return False
+    if not membership(theta, ma.plus_ones()):
+        return False
+    gradients = []
+    for i in range(l):
+        unit = [Poly.zero(l)] * l
+        unit[i] = Poly.constant(l, 1)
+        gradients.append(covariant_derivative(Derivation(unit), theta))
+    if not all(membership(g, ma) for g in gradients):
+        return False
+    return bool(saito_determinant(gradients))
+
+
+UNIVERSALITY_BASES = [
+    ("A2", (1, 1, 2)), ("A2", (2, 2, 2)), ("A2", (0, 0, 2)), ("A2", (0, 1, 1)),
+    ("A2", (3, 1, 2)), ("A2", (1, 1, 4)), ("A2", (2, 1, 1)), ("A2", (3, 3, 2)),
+    ("A2", (4, 1, 1)), ("A2", (2, 2, 4)), ("A2", (0, 0, 4)), ("A2", (0, 2, 4)),
+    ("B2", (2, 4, 1, 1)), ("B2", (1, 3, 1, 1)), ("B2", (2, 2, 1, 1)), ("B2", (0, 0, 1, 1)),
+    ("B2", (3, 3, 1, 1)), ("B2", (1, 1, 1, 1)), ("B2", (2, 2, 2, 2)), ("B2", (4, 1, 1, 0)),
+    ("B2", (1, 1, 2, 2)), ("B2", (3, 1, 1, 1)), ("B2", (0, 0, 0, 2)), ("B2", (0, 0, 2, 2)),
+    ("A3", (1, 1, 1, 0, 0, 0)), ("A3", (2, 2, 2, 2, 2, 2)), ("A3", (1, 1, 1, 1, 1, 1)),
+    ("A3", (0, 0, 1, 0, 1, 1)), ("A3", (2, 1, 2, 1, 2, 1)), ("A3", (3, 0, 0, 0, 0, 0)),
+    ("A3", (0, 0, 0, 0, 0, 6)),
+    ("B3", (2, 2, 2, 2, 2, 2, 2, 2, 2)), ("B3", (1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    ("B3", (1, 1, 1, 1, 1, 1, 0, 0, 0)), ("B3", (0, 0, 0, 0, 0, 0, 0, 0, 3)),
+    ("deletedA3", (0, 0, 1, 1, 1)), ("deletedA3", (1, 1, 1, 0, 0)), ("deletedA3", (1, 1, 1, 1, 2)),
+    ("deletedA3", (2, 2, 2, 2, 1)), ("deletedA3", (1, 1, 2, 1, 1)),
+    ("X3", (0, 0, 0, 0, 0, 0)), ("X3", (2, 2, 2, 1, 1, 1)), ("X3", (1, 1, 1, 1, 1, 1)),
+    ("X3", (2, 2, 2, 0, 0, 0)), ("X3", (1, 1, 1, 0, 0, 0)), ("X3", (3, 3, 3, 0, 0, 0)),
+]
+
+
+def _universality_candidates():
+    """(m, theta): universal derivations, their multiples of the wrong degree,
+    every basis element of D(A, m+1) in the universal degree, and the lowest
+    piece of D(A, m+1); in the universal degree also an element of D(A, m)
+    and sum_i x_i^deg d/dx_i, whose gradients are independent."""
+    out = []
+    for name, mult in UNIVERSALITY_BASES:
+        ma = catalog(name, mult)
+        lifted = ma.plus_ones()
+        thetas = []
+        found = find_universal(ma)
+        if found is not None:
+            thetas += [found, found * Poly.variable(ma.nvars, 0),
+                       found * Poly.variable(ma.nvars, ma.nvars - 1) ** 2]
+        if ma.order() % ma.nvars == 0:
+            deg = ma.order() // ma.nvars + 1
+            piece = graded_piece(lifted, deg)
+            thetas += piece.basis
+            if len(piece) > 1:
+                thetas.append(piece.element([1] * len(piece)))
+            thetas += graded_piece(ma, deg).basis[-1:]
+            thetas.append(Derivation(Poly.variable(ma.nvars, i) ** deg for i in range(ma.nvars)))
+        k = 0
+        while not graded_dimension(lifted, k):
+            k += 1
+        thetas.append(graded_piece(lifted, k).basis[0])
+        out += [(ma, theta) for theta in dict.fromkeys(thetas)]
+    return out
+
+
+def test_is_universal_matches_the_division_oracle(monkeypatch):
+    candidates = _universality_candidates()
+    assert len(candidates) >= 60
+    expected = [_is_universal_by_division(theta, ma) for ma, theta in candidates]
+    assert sum(expected) >= 15
+    # many negatives reach the determinant: right degree, member of D(A, m+1)
+    assert sum(
+        not verdict and ma.nvars * (theta.homogeneous_degree() - 1) == ma.order()
+        and membership(theta, ma.plus_ones())
+        for (ma, theta), verdict in zip(candidates, expected)
+    ) >= 10
+    # the verdict does not depend on the evaluation point the seed draws
+    for seed in (1729, 1, 2):
+        monkeypatch.setattr("multider.logder.DEFAULT_SEED", seed)
+        assert [is_universal(theta, ma) for ma, theta in candidates] == expected
+
+
+def test_universality_routes_use_no_division(monkeypatch):
+    import multider.logder
+    import multider.rank2
+    from multider import classify_universal_rank2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an internal route used division or a symbolic determinant")
+
+    for target in ("multider.logder.membership", "multider.logder.divides_power",
+                   "multider.logder.saito_determinant", "multider.polyring.divides_power",
+                   "multider.polyring.try_divide_linear"):
+        monkeypatch.setattr(target, refuse)
+    assert not hasattr(multider.rank2, "membership")
+    assert not hasattr(multider.logder, "_coordinate_derivation")
+    base = catalog("B2", (2, 4, 1, 1))
+    theta = find_universal(base)
+    assert theta is not None and is_universal(theta, base)
+    assert classify_universal_rank2(base, theta)
+    assert not is_universal(theta * Poly.variable(2, 0), base)
+    assert find_universal(catalog("A3", (2, 2, 2, 2, 2, 2))) is not None
+    assert find_universal(catalog("X3", (2, 2, 2, 1, 1, 1))) is None
