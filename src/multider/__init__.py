@@ -35,7 +35,7 @@ from .errors import (
     MultiderError,
     UndefinedExponentError,
 )
-from .graded import clear_caches, graded_basis_vectors, graded_dimension, hilbert_dims
+from .graded import clear_caches, graded_basis_vectors, graded_dimension, hilbert_dims, solve_routes
 from .logder import (
     DEFAULT_SEED,
     Derivation,

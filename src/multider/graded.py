@@ -11,29 +11,55 @@ integer matrix; the graded piece is its rational kernel.
 The per-hyperplane substitution rows depend only on (form, degree), so they
 are built once per form by an incremental product expansion and reused across
 every multiplicity, degree and sweep case; the rows for every multiplicity
-are prefixes of one stored matrix per degree.  One graded solve is one call
-to `linalg.certified_kernel` (one prime, then CRT, then Bareiss), which gets
-the matrix three ways from the engine: the cached rows mod p, a
-per-hyperplane exact residual that certifies the lifted vectors, and the
-exact rows for the fallback.  The same exact residual decides membership of
-any one coefficient vector (`graded_member`).  A multiplicity with no
-positive entry yields no rows and so the whole space of degree-k
-derivations.
+are prefixes of one stored matrix per degree.  The same exact residual that
+certifies solved vectors decides membership of any one coefficient vector
+(`graded_member`).  A multiplicity with no positive entry yields no rows and
+so the whole space of degree-k derivations.
+
+A solve takes one of two paths; `solve_routes` counts the first as
+"unchanged" or "restricted" and the second as "full":
+
+- restriction along the multiplicity lattice.  Hyperplane H contributes the
+  blocks e = 0..m(H) - 1 of first-variable exponents, so D(A, m + delta_H)_k
+  is the set of theta in D(A, m)_k whose block m(H) vanishes.  When a basis
+  of some D(A, m - delta_H)_k is cached, the new block is applied to it
+  exactly.  If the block does not exist at degree k or vanishes on the
+  basis, the basis is the answer unchanged.  Otherwise the kernel of the
+  small product (block rows x dim D(A, m - delta_H)_k) mod p maps back to a
+  spanning set, which is put in reduced echelon form with its columns
+  reversed: that is the standard kernel basis (1 at one free column, 0 at
+  the others, nothing after), which depends only on the subspace, so the
+  lifted vectors are those the full solve returns.  Every vector is checked
+  exactly against the whole matrix of m, and there are exactly as many as
+  the small kernel's mod-p nullity, which bounds the rational one from
+  above, so they span the piece (the argument of `linalg`).  A mod-p rank
+  drop, a failed lift or a failed check falls back to the full solve.
+- the full solve: one call to `linalg.certified_kernel` (one prime, then
+  CRT, then Bareiss), which gets the matrix three ways from the engine: the
+  cached rows mod p, the per-hyperplane exact residual that certifies the
+  lifted vectors, and the exact rows for the fallback.  It serves cache
+  misses and is the reference the restriction is tested against.
+
+Cache state chooses the route, never the answer: every route returns the
+same primitive vectors in the same order.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import Sequence
 
 import numpy as np
 
 from .arrangement import Arrangement, Multiarrangement
-from .linalg import _INT64_SAFE, certified_kernel
+from .linalg import PRIMES, _INT64_SAFE, certified_kernel, kernel_mod, lift_residue_vector, rref_mod
 from .polyring import LinearForm, monomial_count, monomial_exponents
 
 _BASIS_CACHE_LIMIT = 2048
+
+# how each graded solve was answered; see `solve_routes`
+_routes: Counter = Counter()
 
 
 class _FormTemplate:
@@ -148,6 +174,11 @@ class _FormTemplate:
         cap = min(cap, k + 1)
         return self._rows[k][:self._starts[k][cap]], max(self._block_maxes[k][:cap], default=0)
 
+    def block(self, k: int, e: int) -> tuple[np.ndarray, int]:
+        """Block e of degree k (a view) and its largest |entry|."""
+        self._expand_to(k)
+        return self._blocks[k][e], self._block_maxes[k][e]
+
     def rows_mod(self, k: int, cap: int, p: int) -> np.ndarray:
         cap = min(cap, k + 1)
         key = (k, cap, p)
@@ -203,39 +234,42 @@ class _Engine:
             return np.zeros((0, l * n), dtype=np.int64)
         return np.concatenate(pieces, axis=0)
 
+    def _images(self, k: int, vectors: Sequence[Sequence[int]]):
+        """`image(idx, rows, max_abs)`: rows times the coefficients of theta(alpha_idx).
+
+        Exact, one column per degree-k vector theta; int64 when a bound
+        proves it safe, Python integers otherwise.
+        """
+        n = monomial_count(self.nvars, k)
+        l = self.nvars
+        vmax = max(max(max(vec), -min(vec)) for vec in vectors)
+        vmats: dict = {}
+
+        def image(idx: int, rows: np.ndarray, max_abs: int) -> np.ndarray:
+            prim = self.prims[idx]
+            bound = max_abs * vmax * n * max(abs(a) for a in prim) * l
+            dtype = np.int64 if bound and bound < _INT64_SAFE else object
+            vm = vmats.get(dtype)
+            if vm is None:
+                vm = vmats[dtype] = np.array(vectors, dtype=dtype).T
+            mat = rows.astype(dtype, copy=False)
+            accum = None
+            for i, a in enumerate(prim):
+                if a:
+                    part = mat @ vm[i * n:(i + 1) * n, :]
+                    accum = part * a if accum is None else accum + part * a
+            return accum
+
+        return image
+
     def _verify_exact(self, support: list[int], mult: Sequence[int], k: int,
                       vectors: list[list[int]]) -> bool:
         if not vectors:
             return True
-        n = monomial_count(self.nvars, k)
-        l = self.nvars
-        vmax = max(max(max(vec), -min(vec)) for vec in vectors)
-        vmat_obj = None
-        vmat_64 = None
+        image = self._images(k, vectors)
         for idx in support:
             rows, max_abs = self.templates[idx].rows_exact(k, mult[idx])
-            if rows.shape[0] == 0:
-                continue
-            amax = max(abs(a) for a in self.prims[idx])
-            bound = max_abs * vmax * n * amax * l
-            if bound and bound < _INT64_SAFE:
-                if vmat_64 is None:
-                    vmat_64 = np.array(vectors, dtype=np.int64).T
-                mat = rows.astype(np.int64, copy=False)
-                vm = vmat_64
-            else:
-                if vmat_obj is None:
-                    vmat_obj = np.array(vectors, dtype=object).T
-                mat = rows.astype(object, copy=False)
-                vm = vmat_obj
-            accum = None
-            for i in range(l):
-                a = self.prims[idx][i]
-                if not a:
-                    continue
-                part = mat @ vm[i * n:(i + 1) * n, :]
-                accum = part * a if accum is None else accum + part * a
-            if accum is not None and (accum != 0).any():
+            if rows.shape[0] and (image(idx, rows, max_abs) != 0).any():
                 return False
         return True
 
@@ -257,12 +291,56 @@ class _Engine:
 
     def _solve(self, mult: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
         support = self._support(mult)
-        basis = certified_kernel(
-            lambda p: self._assemble_mod(support, mult, k, p),
-            lambda vectors: self._verify_exact(support, mult, k, vectors),
-            lambda: self._assemble_exact(support, mult, k),
-        )
+        basis = self._restrict(support, mult, k)
+        if basis is None:
+            _routes["full"] += 1
+            basis = certified_kernel(
+                lambda p: self._assemble_mod(support, mult, k, p),
+                lambda vectors: self._verify_exact(support, mult, k, vectors),
+                lambda: self._assemble_exact(support, mult, k),
+            )
         return tuple(tuple(v) for v in basis)
+
+    def _restrict(self, support: list[int], mult: tuple[int, ...], k: int):
+        """D(A, m)_k cut out of a cached basis of D(A, m - delta_H)_k.
+
+        None when no such basis is cached, or when the cut does not certify
+        (a mod-p rank drop, a failed lift or a failed exact check): the
+        caller then runs the full solve.  The parent is looked up without
+        refreshing its place in the LRU order, so the route taken does not
+        change which bases the cache evicts.
+        """
+        for idx in support:
+            parent = self.bases.get((mult[:idx] + (mult[idx] - 1,) + mult[idx + 1:], k))
+            if parent is not None:
+                break
+        else:
+            return None
+        e = mult[idx] - 1
+        if not parent or e > k:
+            _routes["unchanged"] += 1
+            return parent
+        block, max_abs = self.templates[idx].block(k, e)
+        image = self._images(k, parent)(idx, block, max_abs)
+        if not (image != 0).any():
+            _routes["unchanged"] += 1
+            return parent
+        # the kernel of the small product, mapped back to a spanning set mod p
+        p = PRIMES[0]
+        coeffs, _, _ = kernel_mod(np.mod(image, p).astype(np.int64), p)
+        vmax = max(max(max(vec), -min(vec)) for vec in parent)
+        dtype = np.int64 if p * vmax * len(parent) < _INT64_SAFE else object
+        span = np.mod(coeffs.T.astype(dtype) @ np.array(parent, dtype=dtype), p).astype(np.int64)
+        # reduced echelon form with the columns reversed is the standard
+        # kernel basis: 1 at one free column, 0 at the others, nothing after
+        rref, pivots = rref_mod(span[:, ::-1], p)
+        if len(pivots) == span.shape[0]:
+            vectors = [lift_residue_vector(row, p) for row in rref[::-1, ::-1].tolist()]
+            if None not in vectors and self._verify_exact(support, mult, k, vectors):
+                _routes["restricted"] += 1
+                return vectors
+        _routes["fallback"] += 1
+        return None
 
     # -- public -----------------------------------------------------------
 
@@ -343,6 +421,18 @@ def hilbert_dims(ma: Multiarrangement, max_degree: int) -> tuple[int, ...]:
     return tuple(graded_dimension(ma, k) for k in range(max_degree + 1))
 
 
+def solve_routes() -> dict[str, int]:
+    """How many graded solves took each route since the last `clear_caches`.
+
+    "unchanged" reused a cached D(A, m - delta_H)_k basis as it was,
+    "restricted" cut it down by one template block, and "full" solved the
+    whole matrix; "fallback" counts the restrictions that did not certify and
+    went on to the full solve (each is also counted as "full").
+    """
+    return {route: _routes[route] for route in ("unchanged", "restricted", "full", "fallback")}
+
+
 def clear_caches() -> None:
     _engines.clear()
     _templates.clear()
+    _routes.clear()

@@ -562,6 +562,16 @@ def find_universal(ma_base: Multiarrangement, seed: int = DEFAULT_SEED) -> Deriv
     `InternalCheckError` naming the forms, the multiplicity, the degree and
     the seed.
     """
+    return _find_universal(ma_base, seed)
+
+
+def _find_universal(ma_base: Multiarrangement, seed: int,
+                    cert: FreenessCertificate | None = None) -> Derivation | None:
+    """`find_universal`, reading the exponents off `cert` when one is given.
+
+    `cert` must be `find_free_basis(ma_base, seed=seed)`; without it the
+    certificate is computed here, and only when |m| is divisible by l.
+    """
     if not is_essential(ma_base.arrangement):
         raise ArrangementError("find_universal needs an essential arrangement")
     if irreducible_component_count(ma_base.arrangement) != 1:
@@ -571,7 +581,9 @@ def find_universal(ma_base: Multiarrangement, seed: int = DEFAULT_SEED) -> Deriv
     if total % l:
         return None
     d = total // l
-    if exponents(ma_base, seed=seed) != (d,) * l:
+    if cert is None:
+        cert = find_free_basis(ma_base, seed=seed)
+    if not cert.free or cert.exponents != (d,) * l:
         return None
     lifted = ma_base.plus_ones()
     if not is_k_critical(lifted, d + 1):

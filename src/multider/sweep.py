@@ -24,7 +24,7 @@ from typing import Iterator
 
 from .arrangement import Arrangement, Multiarrangement, _rref_fraction, catalog
 from .errors import ArrangementError
-from .logder import DEFAULT_SEED, find_free_basis, find_universal
+from .logder import DEFAULT_SEED, _find_universal, find_free_basis
 
 __all__ = [
     "PREDICATES",
@@ -166,14 +166,15 @@ def row_seed(base_seed: int, mult: tuple[int, ...]) -> int:
 
 
 def evaluate_point(ma: Multiarrangement, predicates, seed: int) -> SweepRow:
-    free = exps = None
+    """One row; the universality test reuses the row's freeness certificate."""
+    cert = free = exps = None
     if "free" in predicates or "exponents" in predicates:
         cert = find_free_basis(ma, seed=seed)
         free = cert.free
         exps = cert.exponents
     degree = None
     if "universal" in predicates:
-        theta = find_universal(ma, seed=seed)
+        theta = _find_universal(ma, seed, cert)
         if theta is not None:
             degree = theta.homogeneous_degree()
     return SweepRow(tuple(ma.mult), seed, free, exps, degree)
@@ -222,7 +223,12 @@ def run_sweep(
     dedupe: bool = False,
     params: dict | None = None,
 ) -> list[SweepRow]:
-    """Evaluate every grid point; rows come back in grid order."""
+    """Evaluate every grid point; rows come back in grid order.
+
+    With jobs > 1 the rows go to "spawn" workers, which start from a fresh
+    import (fork is unsafe in a process with threads), so a script calling
+    this must do so under `if __name__ == "__main__":`.
+    """
     params = params or {}
     for p in predicates:
         if p not in PREDICATES:
@@ -244,7 +250,7 @@ def run_sweep(
     if jobs <= 1 or len(tasks) <= 1:
         return [_eval_task(t) for t in tasks]
     chunk = max(1, len(tasks) // (jobs * 8))
-    with get_context("fork").Pool(jobs) as pool:
+    with get_context("spawn").Pool(jobs) as pool:
         return list(pool.imap(_eval_task, tasks, chunksize=chunk))
 
 

@@ -18,6 +18,7 @@ from multider import (
     graded_piece,
     hilbert_dims,
     membership,
+    solve_routes,
 )
 from multider.graded import _engine
 
@@ -255,3 +256,121 @@ def test_no_support_gives_the_identity_basis():
         n = 3 * math.comb(k + 2, 2)
         assert graded_basis_vectors(ma, k) == tuple(
             tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+# -- the restriction route -------------------------------------------------
+
+WALK_NAMES = ("A3", "X3", "B3", "deletedA3")
+
+
+def _walk(name, start, steps, k):
+    """Bases along a walk of single-hyperplane steps at degree k, warm caches.
+
+    Each step that would make a multiplicity negative is skipped; returns the
+    visited multiplicities and their bases.
+    """
+    mult = tuple(start)
+    visited = [mult]
+    for idx, up in steps:
+        idx %= len(mult)
+        if up or mult[idx]:
+            mult = mult[:idx] + (mult[idx] + (1 if up else -1),) + mult[idx + 1:]
+            visited.append(mult)
+    return visited, [graded_basis_vectors(catalog(name, m), k) for m in visited]
+
+
+def _cold_bases(name, visited, k):
+    """The same bases, each from the full solve on cleared caches."""
+    cold = []
+    for m in visited:
+        clear_caches()
+        cold.append(graded_basis_vectors(catalog(name, m), k))
+        assert solve_routes() == {"unchanged": 0, "restricted": 0, "full": 1, "fallback": 0}
+    return cold
+
+
+@st.composite
+def walks(draw):
+    name = draw(st.sampled_from(WALK_NAMES))
+    n = len(catalog(name).forms)
+    start = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    steps = draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()), max_size=8))
+    return name, start, steps, draw(st.integers(0, 6))
+
+
+@given(walks())
+@settings(max_examples=60, deadline=None)
+def test_cache_state_never_changes_the_bases(walk):
+    name, start, steps, k = walk
+    clear_caches()
+    visited, warm = _walk(name, start, steps, k)
+    assert warm == _cold_bases(name, visited, k)
+    clear_caches()
+
+
+# Up-steps on A3 from m = 0, at degrees 0 and 2.  At degree 0 the walk meets
+# all three routes: hyperplanes 3, 4, 5 meet in a line, so the constant
+# derivation along it survives the third step unchanged (block 0 vanishes on
+# it), and the fourth step asks for block 1, which degree 0 does not have.
+FIXED_WALK = ("A3", (0, 0, 0, 0, 0, 0), [(4, True), (5, True), (3, True), (3, True), (0, True),
+                                         (1, True), (1, True), (2, True)])
+
+
+def test_fixed_walk_takes_every_route():
+    name, start, steps = FIXED_WALK
+    clear_caches()
+    visited = []
+    for k in (0, 2):
+        points, warm = _walk(name, start, steps, k)
+        visited.append((k, points, warm))
+    routes = solve_routes()
+    assert routes["full"] == 2 and routes["fallback"] == 0
+    assert routes["unchanged"] and routes["restricted"]
+    assert sum(routes.values()) == sum(len(points) for _, points, _ in visited)
+    for k, points, warm in visited:
+        assert warm == _cold_bases(name, points, k)
+    clear_caches()
+    assert solve_routes() == dict.fromkeys(routes, 0)
+
+
+def test_failed_restriction_lift_falls_back_to_identical_bases(monkeypatch):
+    from multider import graded
+
+    name, start, steps = FIXED_WALK
+    clear_caches()
+    visited, expected = _walk(name, start, steps, 2)
+    restricted = solve_routes()
+    assert restricted["restricted"]
+    clear_caches()
+    # the restriction's own lift fails; the full solve's lift in linalg does not
+    monkeypatch.setattr(graded, "lift_residue_vector", lambda residues, modulus: None)
+    _, bases = _walk(name, start, steps, 2)
+    assert bases == expected
+    assert solve_routes() == {
+        "unchanged": restricted["unchanged"],
+        "restricted": 0,
+        "full": restricted["full"] + restricted["restricted"],
+        "fallback": restricted["restricted"],
+    }
+    clear_caches()
+
+
+@pytest.mark.parametrize("name,mult,idx,k", [
+    ("A3", (2, 1, 2, 1, 2, 1), 0, 4),
+    ("X3", (2, 2, 2, 1, 1, 1), 3, 4),
+    ("B3", (1, 1, 1, 1, 1, 1, 1, 1, 2), 8, 4),
+])
+def test_restriction_depends_only_on_the_span_of_the_parent(name, mult, idx, k):
+    # the reversed-column echelon form makes the answer a function of the
+    # subspace: any other basis of the parent piece gives the same vectors
+    parent = mult[:idx] + (mult[idx] - 1,) + mult[idx + 1:]
+    clear_caches()
+    expected = graded_basis_vectors(catalog(name, mult), k)
+    clear_caches()
+    basis = graded_basis_vectors(catalog(name, parent), k)
+    assert len(basis) >= 2 and len(expected) < len(basis)
+    mixed = [tuple(a + b for a, b in zip(basis[0], v)) for v in basis[1:]]
+    _engine(catalog(name).arrangement).bases[(parent, k)] = tuple(reversed(mixed)) + (basis[0],)
+    assert graded_basis_vectors(catalog(name, mult), k) == expected
+    assert solve_routes() == {"unchanged": 0, "restricted": 1, "full": 1, "fallback": 0}
+    clear_caches()

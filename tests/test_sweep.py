@@ -94,6 +94,46 @@ def test_run_sweep_serial_matches_parallel():
         assert row.seed == row_seed(11, row.mult)
 
 
+def test_run_sweep_requests_the_spawn_start_method(monkeypatch):
+    # fork is unsafe with threads on macOS and no longer the default from 3.14
+    from multider import sweep
+
+    requested = []
+    real = sweep.get_context
+
+    def recording(method=None):
+        requested.append(method)
+        return real(method)
+
+    monkeypatch.setattr(sweep, "get_context", recording)
+    ranges = parse_ranges("a=1..2,b=1..2,c=1")
+    assert run_sweep("A2", ranges, predicates=("free",), jobs=2) == run_sweep(
+        "A2", ranges, predicates=("free",), jobs=1)
+    assert requested == ["spawn"]
+
+
+def test_evaluate_point_runs_find_free_basis_once(monkeypatch):
+    from multider import logder, sweep
+
+    calls = []
+    real = logder.find_free_basis
+
+    def counted(ma, seed):
+        calls.append((ma.mult, seed))
+        return real(ma, seed=seed)
+
+    expected = evaluate_point(catalog("A2", (2, 2, 2)), ("free", "exponents", "universal"), 5)
+    assert expected.universal_degree == 4
+    monkeypatch.setattr(sweep, "find_free_basis", counted)
+    monkeypatch.setattr(logder, "find_free_basis", counted)
+    row = evaluate_point(catalog("A2", (2, 2, 2)), ("free", "exponents", "universal"), 5)
+    assert row == expected and calls == [((2, 2, 2), 5)]
+    # without a certificate, the universality test computes its own
+    calls.clear()
+    row = evaluate_point(catalog("A2", (2, 2, 2)), ("universal",), 5)
+    assert row.universal_degree == 4 and calls == [((2, 2, 2), 5)]
+
+
 def test_run_sweep_max_total_and_dedupe():
     ranges = parse_ranges("a=0..2,b=0..2,c=0..2")
     capped = run_sweep("A2", ranges, predicates=("free",), max_total=3)
