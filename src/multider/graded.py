@@ -16,29 +16,25 @@ certifies solved vectors decides membership of any one coefficient vector
 (`graded_member`).  A multiplicity with no positive entry yields no rows and
 so the whole space of degree-k derivations.
 
-A solve takes one of two paths; `solve_routes` counts the first as
-"unchanged" or "restricted" and the second as "full":
+Hyperplane H contributes the blocks e = 0..m(H) - 1 of first-variable
+exponents, so D(A, m + delta_H)_k is the set of theta in D(A, m)_k whose
+block m(H) vanishes.  A solve with a cached basis of some D(A, m - delta_H)_k
+applies the new block to it exactly; if the block does not exist at degree k
+or vanishes on the basis, the basis is the answer unchanged.  Every other
+solve is one call to `linalg.certified_kernel`, with the same exact check
+(the per-hyperplane residual against every row of m) and the same exact rows
+for Bareiss, and one of two per-prime kernels (`solve_routes` counts them):
 
-- restriction along the multiplicity lattice.  Hyperplane H contributes the
-  blocks e = 0..m(H) - 1 of first-variable exponents, so D(A, m + delta_H)_k
-  is the set of theta in D(A, m)_k whose block m(H) vanishes.  When a basis
-  of some D(A, m - delta_H)_k is cached, the new block is applied to it
-  exactly.  If the block does not exist at degree k or vanishes on the
-  basis, the basis is the answer unchanged.  Otherwise the kernel of the
-  small product (block rows x dim D(A, m - delta_H)_k) mod p maps back to a
-  spanning set, which is put in reduced echelon form with its columns
-  reversed: that is the standard kernel basis (1 at one free column, 0 at
-  the others, nothing after), which depends only on the subspace, so the
-  lifted vectors are those the full solve returns.  Every vector is checked
-  exactly against the whole matrix of m, and there are exactly as many as
-  the small kernel's mod-p nullity, which bounds the rational one from
-  above, so they span the piece (the argument of `linalg`).  A mod-p rank
-  drop, a failed lift or a failed check falls back to the full solve.
-- the full solve: one call to `linalg.certified_kernel` (one prime, then
-  CRT, then Bareiss), which gets the matrix three ways from the engine: the
-  cached rows mod p, the per-hyperplane exact residual that certifies the
-  lifted vectors, and the exact rows for the fallback.  It serves cache
-  misses and is the reference the restriction is tested against.
+- restricted: the kernel of the small product (block rows x dim D(A, m -
+  delta_H)_k) mod p maps back to a spanning set, put in reduced echelon form
+  with its columns reversed.  That is the standard kernel basis (1 at one
+  free column, 0 at the others, nothing after), which depends only on the
+  subspace, so the lifted vectors are those the full solve returns.  There
+  are as many as the small kernel's mod-p nullity, an upper bound on
+  dim D(A, m)_k, so once verified they span the piece (the argument of
+  `linalg`).  A mod-p rank drop of the span fails the prime.
+- full: `kernel_mod` of the cached divisibility rows of m mod p.  It serves
+  cache misses and is the reference the restriction is tested against.
 
 Cache state chooses the route, never the answer: every route returns the
 same primitive vectors in the same order.
@@ -48,12 +44,14 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, OrderedDict
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .arrangement import Arrangement, Multiarrangement
-from .linalg import PRIMES, _INT64_SAFE, certified_kernel, kernel_mod, lift_residue_vector, rref_mod
+from .errors import InternalCheckError
+from .linalg import _INT64_SAFE, certified_kernel, kernel_mod, rref_mod
 from .polyring import LinearForm, monomial_count, monomial_exponents
 
 _BASIS_CACHE_LIMIT = 2048
@@ -189,6 +187,22 @@ class _FormTemplate:
         return cached
 
 
+def _restricted_kernel(parent: Sequence[Sequence[int]], image: np.ndarray, p: int):
+    """The restricted route's kernel mod p, or None on a rank drop (module docstring).
+
+    `image` is the new block applied to the `parent` vectors.
+    """
+    coeffs, _, _ = kernel_mod(np.mod(image, p).astype(np.int64), p)
+    vmax = max(max(max(vec), -min(vec)) for vec in parent)
+    dtype = np.int64 if p * vmax * len(parent) < _INT64_SAFE else object
+    span = np.mod(coeffs.T.astype(dtype) @ np.array(parent, dtype=dtype), p).astype(np.int64)
+    rref, pivots = rref_mod(span[:, ::-1], p)
+    if len(pivots) < span.shape[0]:
+        return None
+    last = span.shape[1] - 1
+    return rref[::-1, ::-1], [last - c for c in reversed(pivots)]
+
+
 _templates: dict[tuple[int, tuple[int, ...]], _FormTemplate] = {}
 
 
@@ -291,24 +305,38 @@ class _Engine:
 
     def _solve(self, mult: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
         support = self._support(mult)
-        basis = self._restrict(support, mult, k)
-        if basis is None:
-            _routes["full"] += 1
+        found = self._restriction(support, mult, k)
+        if found is None:
+            route, kernel_p = "full", partial(self._full_kernel, support, mult, k)
+        elif found[1] is None:
+            _routes["unchanged"] += 1
+            return found[0]
+        else:
+            route, kernel_p = "restricted", partial(_restricted_kernel, *found)
+        _routes[route] += 1
+        try:
             basis = certified_kernel(
-                lambda p: self._assemble_mod(support, mult, k, p),
+                kernel_p,
                 lambda vectors: self._verify_exact(support, mult, k, vectors),
                 lambda: self._assemble_exact(support, mult, k),
             )
+        except InternalCheckError as exc:
+            raise InternalCheckError(f"{exc} for forms {self.prims} with multiplicity {mult}, "
+                                     f"degree {k}, {route} route") from exc
         return tuple(tuple(v) for v in basis)
 
-    def _restrict(self, support: list[int], mult: tuple[int, ...], k: int):
-        """D(A, m)_k cut out of a cached basis of D(A, m - delta_H)_k.
+    def _full_kernel(self, support: list[int], mult: Sequence[int], k: int, p: int):
+        basis, _, free = kernel_mod(self._assemble_mod(support, mult, k, p), p)
+        return basis.T, free
 
-        None when no such basis is cached, or when the cut does not certify
-        (a mod-p rank drop, a failed lift or a failed exact check): the
-        caller then runs the full solve.  The parent is looked up without
-        refreshing its place in the LRU order, so the route taken does not
-        change which bases the cache evicts.
+    def _restriction(self, support: list[int], mult: tuple[int, ...], k: int):
+        """A cached basis of some D(A, m - delta_H)_k and the exact image of its new block.
+
+        None when no such basis is cached.  The image is None when the block
+        does not exist at degree k or vanishes on the basis, which is then
+        the answer unchanged.  The parent is looked up without refreshing its
+        place in the LRU order, so the route taken does not change which
+        bases the cache evicts.
         """
         for idx in support:
             parent = self.bases.get((mult[:idx] + (mult[idx] - 1,) + mult[idx + 1:], k))
@@ -318,29 +346,10 @@ class _Engine:
             return None
         e = mult[idx] - 1
         if not parent or e > k:
-            _routes["unchanged"] += 1
-            return parent
+            return parent, None
         block, max_abs = self.templates[idx].block(k, e)
         image = self._images(k, parent)(idx, block, max_abs)
-        if not (image != 0).any():
-            _routes["unchanged"] += 1
-            return parent
-        # the kernel of the small product, mapped back to a spanning set mod p
-        p = PRIMES[0]
-        coeffs, _, _ = kernel_mod(np.mod(image, p).astype(np.int64), p)
-        vmax = max(max(max(vec), -min(vec)) for vec in parent)
-        dtype = np.int64 if p * vmax * len(parent) < _INT64_SAFE else object
-        span = np.mod(coeffs.T.astype(dtype) @ np.array(parent, dtype=dtype), p).astype(np.int64)
-        # reduced echelon form with the columns reversed is the standard
-        # kernel basis: 1 at one free column, 0 at the others, nothing after
-        rref, pivots = rref_mod(span[:, ::-1], p)
-        if len(pivots) == span.shape[0]:
-            vectors = [lift_residue_vector(row, p) for row in rref[::-1, ::-1].tolist()]
-            if None not in vectors and self._verify_exact(support, mult, k, vectors):
-                _routes["restricted"] += 1
-                return vectors
-        _routes["fallback"] += 1
-        return None
+        return parent, (image if (image != 0).any() else None)
 
     # -- public -----------------------------------------------------------
 
@@ -426,10 +435,9 @@ def solve_routes() -> dict[str, int]:
 
     "unchanged" reused a cached D(A, m - delta_H)_k basis as it was,
     "restricted" cut it down by one template block, and "full" solved the
-    whole matrix; "fallback" counts the restrictions that did not certify and
-    went on to the full solve (each is also counted as "full").
+    whole matrix; both of the last two run the same certified kernel loop.
     """
-    return {route: _routes[route] for route in ("unchanged", "restricted", "full", "fallback")}
+    return {route: _routes[route] for route in ("unchanged", "restricted", "full")}
 
 
 def clear_caches() -> None:

@@ -1,16 +1,19 @@
 """Certified rational kernels of integer matrices: one pipeline, three routes.
 
 `certified_kernel` is the only escalation loop in the package.  It is handed
-the matrix three ways - reduced mod a prime, as an exact integer check, and
-as exact rows - so callers keep their own cached assemblies.  It tries:
+the matrix three ways - as its standard kernel basis mod a prime, as an exact
+integer check, and as exact rows - so callers keep their own cached
+assemblies and choose how the mod-p kernel is found: `kernel_mod` of the
+whole matrix, or the graded solver's restriction of a known larger kernel.
+`kernel_mod` deletes singleton rows and the columns they force to zero, then
+row reduces the rest with vectorized numpy (`rref_mod`).  The loop tries:
 
-1. one 31-bit prime: `kernel_mod` deletes singleton rows and the columns
-   they force to zero, row reduces the rest with vectorized numpy
-   (`rref_mod`), and `lift_residue_vector` lifts each standard kernel vector
-   straight to a primitive integer vector (rational reconstruction,
+1. one 31-bit prime: `lift_residue_vector` lifts each standard kernel vector
+   mod p straight to a primitive integer vector (rational reconstruction,
    Monagan 2004);
-2. three primes combined by CRT, when a one-prime vector fails to lift or
-   the exact check rejects it (the three primes must agree on the pivots);
+2. three primes combined by CRT, when the caller's kernel fails for the
+   first prime, a one-prime vector fails to lift or the exact check rejects
+   it (the three primes must agree on the free columns);
 3. `bareiss_kernel`, fraction-free elimination over the integers (Bareiss
    1968): slow but elementary, the reference implementation.
 
@@ -18,7 +21,8 @@ Every answer passes the caller's exact check A v = 0 over the integers.
 Soundness does not rest on the lift: a mod-p reduction of the exact matrix
 can only enlarge the kernel (an exact dependency survives reduction, so
 null_Q <= null_p), and the verified vectors are echelon-patterned hence
-independent, so exhibiting null_p exact kernel vectors pins the dimension.
+independent, so exhibiting null_p exact kernel vectors pins the dimension;
+any per-prime kernel that returns at least null_Q vectors is as good.
 A Bareiss basis that fails the check raises `InternalCheckError`.
 
 Kernel bases are primitive integer vectors (content 1, first nonzero entry
@@ -184,20 +188,6 @@ def primitive_integer_vector(vec: Sequence[Scalar]) -> list[int]:
     return _normalize([int(f * denom) for f in fracs])
 
 
-def _exact_matvec_is_zero(matrix_obj: np.ndarray, max_abs: int, vec: Sequence[int]) -> bool:
-    """A v == 0 over the integers, using int64 when a bound proves it safe."""
-    if matrix_obj.size == 0:
-        return True
-    vmax = max((abs(v) for v in vec), default=0)
-    ncols = matrix_obj.shape[1]
-    if vmax and max_abs and max_abs * vmax * ncols < _INT64_SAFE:
-        prod = matrix_obj.astype(np.int64) @ np.array(vec, dtype=np.int64)
-        return not prod.any()
-    v = np.array(vec, dtype=object)
-    prod = matrix_obj.astype(object) @ v
-    return all(x == 0 for x in prod)
-
-
 def bareiss_kernel(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
     """Kernel basis via fraction-free elimination; primitive integer vectors."""
     m = len(matrix)
@@ -240,59 +230,52 @@ def bareiss_kernel(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
     return basis
 
 
-def _modular_kernel(assemble_mod: Callable[[int], np.ndarray],
+def _modular_kernel(kernel_p: Callable[[int], tuple[np.ndarray, list[int]] | None],
                     primes: Sequence[int]) -> list[list[int]] | None:
     """Kernel mod the product of `primes`, lifted to primitive integer vectors.
 
-    None when two primes disagree on the pivot columns or a vector fails to lift.
+    None when `kernel_p` fails for a prime, two primes disagree on the free
+    columns, or a vector fails to lift.
     """
     modulus = 1
-    columns = structure = None
+    rows = structure = None
     for p in primes:
-        basis, pivots, _ = kernel_mod(assemble_mod(p), p)
-        residues = basis.T.tolist()
-        if columns is None:
-            columns, structure = residues, pivots
-        elif pivots != structure:
+        kernel = kernel_p(p)
+        if kernel is None:
+            return None
+        basis, free = kernel
+        residues = basis.tolist()
+        if rows is None:
+            rows, structure = residues, free
+        elif free != structure:
             return None
         else:
-            columns = [[crt_pair(a, modulus, b, p)[0] for a, b in zip(old, new)]
-                       for old, new in zip(columns, residues)]
+            rows = [[crt_pair(a, modulus, b, p)[0] for a, b in zip(old, new)]
+                    for old, new in zip(rows, residues)]
         modulus *= p
-    vectors = [lift_residue_vector(col, modulus) for col in columns]
+    vectors = [lift_residue_vector(row, modulus) for row in rows]
     return None if any(v is None for v in vectors) else vectors
 
 
 def certified_kernel(
-    assemble_mod: Callable[[int], np.ndarray],
+    kernel_p: Callable[[int], tuple[np.ndarray, list[int]] | None],
     verify: Callable[[list[list[int]]], bool],
     assemble_exact: Callable[[], Sequence[Sequence[int]]],
 ) -> list[list[int]]:
     """Certified rational kernel of one integer matrix A, as primitive vectors.
 
-    `assemble_mod(p)` returns A mod p as an int64 array, `verify(vectors)`
-    decides A v = 0 over the integers for every vector, and `assemble_exact()`
-    returns the rows of A (at least one; a zero row stands for none).  Runs
-    one prime, then a three-prime CRT, then Bareiss.
+    `kernel_p(p)` returns the standard kernel basis of A mod p, one vector per
+    row (1 at its free column, 0 at the others, nothing after), with the free
+    columns, or None when p is unlucky; at least null_Q(A) vectors.
+    `verify(vectors)` decides A v = 0 over the integers for every vector, and
+    `assemble_exact()` returns the rows of A (at least one; a zero row stands
+    for none).  Runs one prime, then a three-prime CRT, then Bareiss.
     """
     for prime_count in (1, 3):
-        vectors = _modular_kernel(assemble_mod, PRIMES[:prime_count])
+        vectors = _modular_kernel(kernel_p, PRIMES[:prime_count])
         if vectors is not None and verify(vectors):
             return vectors
     vectors = bareiss_kernel(assemble_exact())
     if not verify(vectors):
         raise InternalCheckError("reference elimination produced a non-member")
     return vectors
-
-
-def kernel_integer_certified(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Certified rational kernel of an integer matrix, as primitive vectors."""
-    if not len(matrix) or not len(matrix[0]):
-        return []
-    exact = np.array([[int(v) for v in row] for row in matrix], dtype=object)
-    max_abs = int(np.abs(exact).max())
-    return certified_kernel(
-        lambda p: (exact % p).astype(np.int64),
-        lambda vectors: all(_exact_matvec_is_zero(exact, max_abs, v) for v in vectors),
-        lambda: matrix,
-    )

@@ -188,7 +188,10 @@ def classify_component(ma: Multiarrangement, seed: int = DEFAULT_SEED) -> Compon
                 cand_delta = delta(cand_ma, seed=seed).delta
                 if cand_delta > current_delta:
                     if cand_delta != current_delta + 1:
-                        raise InternalCheckError("gap moved by more than one step")
+                        raise InternalCheckError(
+                            f"gap moved by more than one step, from {current_delta} at multiplicity "
+                            f"{current} to {cand_delta} at {tuple(cand)}, "
+                            f"for forms {[f.primitive for f in ess.forms]}")
                     current = tuple(cand)
                     current_delta = cand_delta
                     path.append(current)

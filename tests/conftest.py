@@ -88,6 +88,21 @@ def oracle_graded_dimension(ma: Multiarrangement, k: int) -> int:
 
 
 @pytest.fixture
+def gap_jumps(monkeypatch):
+    """`plant(start)`: every multiplicity but `start` reports the gap 5, exponents (0, 5)."""
+    import multider.rank2
+    from multider.rank2 import DeltaValue
+
+    real = multider.rank2.delta
+
+    def plant(start):
+        monkeypatch.setattr(multider.rank2, "delta",
+                            lambda ma, seed=0: real(ma, seed) if ma.mult == start else DeltaValue(0, 5))
+
+    return plant
+
+
+@pytest.fixture
 def a2():
     from multider import catalog
 

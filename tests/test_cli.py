@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from multider import InternalCheckError, catalog, multiarrangement_to_dict
+from multider import InternalCheckError, catalog, clear_caches, multiarrangement_to_dict
 from multider.cli import main
 
 
@@ -252,6 +252,24 @@ def test_internal_failures_exit_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "is-free", "catalog:A2", "--mult", "1,1,1")
     assert code == 3
     assert "internal invariant violation" in err
+
+
+def test_internal_failures_name_the_instance_on_stderr(capsys, monkeypatch, gap_jumps):
+    from multider.graded import _Engine
+
+    gap_jumps((3, 4, 2, 2))
+    code, out, err = run_cli(capsys, "classify-component", "catalog:B2", "--mult", "3,4,2,2")
+    assert code == 3 and out == ""
+    assert "internal invariant violation: gap moved by more than one step" in err
+    assert "multiplicity (3, 4, 2, 2) to 5 at (4, 4, 2, 2)" in err
+    monkeypatch.setattr(_Engine, "_verify_exact", lambda self, support, mult, k, vectors: False)
+    clear_caches()
+    code, out, err = run_cli(capsys, "graded-dim", "catalog:A2", "--mult", "1,1,1", "--max-degree", "2")
+    clear_caches()
+    assert code == 3 and out == ""
+    assert "internal invariant violation: reference elimination produced a non-member" in err
+    assert "with multiplicity (1, 1, 1), degree 0, full route" in err
+    assert str([f.primitive for f in catalog("A2").forms]) in err
 
 
 def test_console_entry_point():

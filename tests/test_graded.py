@@ -153,30 +153,49 @@ def _bases_by_route(monkeypatch, failing_moduli):
     Returns the bases and how many mod-p eliminations and Bareiss runs the
     solves took.
     """
-    from multider import linalg
-
-    calls = {"kernel_mod": 0, "bareiss_kernel": 0}
-
-    def counted(name):
-        original = getattr(linalg, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        return wrapper
-
-    lift = linalg.lift_residue_vector
     with monkeypatch.context() as patch:
-        for name in calls:
-            patch.setattr(linalg, name, counted(name))
-        patch.setattr(linalg, "lift_residue_vector",
-                      lambda residues, modulus: None if failing_moduli(modulus) else lift(residues, modulus))
+        calls = _count_kernel_calls(patch)
+        _fail_lift(patch, failing_moduli)
         clear_caches()
         bases = [graded_basis_vectors(catalog(name, mult), k)
                  for name, mult, kmax in ROUTE_CASES for k in range(kmax + 1)]
     clear_caches()
     return bases, calls
+
+
+def _count_kernel_calls(patch):
+    """Count mod-p eliminations and Bareiss runs, wherever they are called from.
+
+    `kernel_mod` runs in linalg's own namespace and, for both per-prime
+    kernels, in graded's; `bareiss_kernel` runs only inside linalg.
+    """
+    from multider import graded, linalg
+
+    calls = {"kernel_mod": 0, "bareiss_kernel": 0}
+    for name, modules in (("kernel_mod", (linalg, graded)), ("bareiss_kernel", (linalg,))):
+        original = getattr(linalg, name)
+
+        def wrapper(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module in modules:
+            patch.setattr(module, name, wrapper)
+    return calls
+
+
+def _fail_lift(patch, failing_moduli):
+    """Make the residue lift fail for the moduli the predicate picks.
+
+    The lift is patched in every module that imports it; graded must not.
+    """
+    from multider import graded, linalg
+
+    lift = linalg.lift_residue_vector
+    failing = lambda residues, modulus: None if failing_moduli(modulus) else lift(residues, modulus)
+    for module in (linalg, graded):
+        if hasattr(module, "lift_residue_vector"):
+            patch.setattr(module, "lift_residue_vector", failing)
 
 
 def test_escalation_routes_give_identical_bases(monkeypatch):
@@ -285,7 +304,7 @@ def _cold_bases(name, visited, k):
     for m in visited:
         clear_caches()
         cold.append(graded_basis_vectors(catalog(name, m), k))
-        assert solve_routes() == {"unchanged": 0, "restricted": 0, "full": 1, "fallback": 0}
+        assert solve_routes() == {"unchanged": 0, "restricted": 0, "full": 1}
     return cold
 
 
@@ -324,7 +343,7 @@ def test_fixed_walk_takes_every_route():
         points, warm = _walk(name, start, steps, k)
         visited.append((k, points, warm))
     routes = solve_routes()
-    assert routes["full"] == 2 and routes["fallback"] == 0
+    assert routes["full"] == 2
     assert routes["unchanged"] and routes["restricted"]
     assert sum(routes.values()) == sum(len(points) for _, points, _ in visited)
     for k, points, warm in visited:
@@ -333,26 +352,59 @@ def test_fixed_walk_takes_every_route():
     assert solve_routes() == dict.fromkeys(routes, 0)
 
 
-def test_failed_restriction_lift_falls_back_to_identical_bases(monkeypatch):
-    from multider import graded
+def _fixed_walk_under(monkeypatch, failing_moduli):
+    """FIXED_WALK at degree 2, with the lift failing for the given moduli.
+
+    Returns the bases, the routes, the mod-p elimination and Bareiss counts,
+    the multiplicities `_assemble_mod` was called for, and the moduli lifted.
+    """
+    from multider import linalg
+    from multider.graded import _Engine
 
     name, start, steps = FIXED_WALK
+    assembled, lifted = [], []
+    assemble, lift = _Engine._assemble_mod, linalg.lift_residue_vector
+    with monkeypatch.context() as patch:
+        calls = _count_kernel_calls(patch)
+        patch.setattr(_Engine, "_assemble_mod",
+                      lambda self, support, mult, k, p: assembled.append(mult)
+                      or assemble(self, support, mult, k, p))
+        patch.setattr(linalg, "lift_residue_vector",
+                      lambda residues, modulus: lifted.append(modulus) or lift(residues, modulus))
+        _fail_lift(patch, failing_moduli)
+        clear_caches()
+        _, bases = _walk(name, start, steps, 2)
+        routes = solve_routes()
     clear_caches()
-    visited, expected = _walk(name, start, steps, 2)
-    restricted = solve_routes()
-    assert restricted["restricted"]
-    clear_caches()
-    # the restriction's own lift fails; the full solve's lift in linalg does not
-    monkeypatch.setattr(graded, "lift_residue_vector", lambda residues, modulus: None)
-    _, bases = _walk(name, start, steps, 2)
+    return bases, routes, calls, set(assembled), set(lifted)
+
+
+def test_restriction_escalates_to_crt_without_the_full_matrix(monkeypatch):
+    from multider.linalg import PRIMES
+
+    name, start, _ = FIXED_WALK
+    expected, routes, _, _, _ = _fixed_walk_under(monkeypatch, lambda modulus: False)
+    assert routes["restricted"] and routes["full"] == 1
+    bases, crt_routes, calls, assembled, lifted = _fixed_walk_under(
+        monkeypatch, lambda modulus: modulus == PRIMES[0])
     assert bases == expected
-    assert solve_routes() == {
-        "unchanged": restricted["unchanged"],
-        "restricted": 0,
-        "full": restricted["full"] + restricted["restricted"],
-        "fallback": restricted["restricted"],
-    }
-    clear_caches()
+    # every restriction still counts as one, certified by the three-prime CRT
+    # of its small product; only the walk's start assembles the whole matrix
+    assert crt_routes == routes
+    assert math.prod(PRIMES[:3]) in lifted
+    assert assembled == {tuple(start)}
+    assert calls["bareiss_kernel"] == 0
+
+
+def test_failed_lifts_reach_bareiss_on_the_full_rows(monkeypatch):
+    expected, routes, _, _, _ = _fixed_walk_under(monkeypatch, lambda modulus: False)
+    bases, bareiss_routes, calls, _, _ = _fixed_walk_under(monkeypatch, lambda modulus: True)
+    assert bases == expected
+    assert bareiss_routes == routes
+    # one Bareiss run per solve that eliminates and has a nonzero kernel
+    # (a trivial kernel lifts nothing, so it never escalates)
+    assert calls["bareiss_kernel"] == routes["restricted"] + routes["full"] - sum(
+        1 for basis in expected if not basis)
 
 
 @pytest.mark.parametrize("name,mult,idx,k", [
@@ -372,5 +424,50 @@ def test_restriction_depends_only_on_the_span_of_the_parent(name, mult, idx, k):
     mixed = [tuple(a + b for a, b in zip(basis[0], v)) for v in basis[1:]]
     _engine(catalog(name).arrangement).bases[(parent, k)] = tuple(reversed(mixed)) + (basis[0],)
     assert graded_basis_vectors(catalog(name, mult), k) == expected
-    assert solve_routes() == {"unchanged": 0, "restricted": 1, "full": 1, "fallback": 0}
+    assert solve_routes() == {"unchanged": 0, "restricted": 1, "full": 1}
+    clear_caches()
+
+
+@pytest.mark.parametrize("name,mult,idx,k", [
+    ("A3", (2, 1, 2, 1, 2, 1), 0, 4),
+    ("X3", (2, 2, 2, 1, 1, 1), 3, 4),
+])
+def test_restriction_rank_drop_mod_p_fails_the_prime(monkeypatch, name, mult, idx, k):
+    # a parent vector that vanishes mod PRIMES[0] makes the mapped-back span
+    # lose rank there, so every pass through that prime fails and Bareiss on
+    # the full exact rows answers; the basis is unchanged
+    from multider.linalg import PRIMES
+
+    parent = mult[:idx] + (mult[idx] - 1,) + mult[idx + 1:]
+    clear_caches()
+    expected = graded_basis_vectors(catalog(name, mult), k)
+    clear_caches()
+    basis = graded_basis_vectors(catalog(name, parent), k)
+    planted = (tuple(PRIMES[0] * v for v in basis[0]),) + basis[1:]
+    _engine(catalog(name).arrangement).bases[(parent, k)] = planted
+    with monkeypatch.context() as patch:
+        calls = _count_kernel_calls(patch)
+        assert graded_basis_vectors(catalog(name, mult), k) == expected
+    assert solve_routes() == {"unchanged": 0, "restricted": 1, "full": 1}
+    assert calls["bareiss_kernel"] == 1
+    clear_caches()
+
+
+def test_failed_reference_elimination_names_the_solve(monkeypatch):
+    from multider import InternalCheckError
+    from multider.graded import _Engine
+
+    name, mult = "A3", (2, 1, 2, 1, 2, 1)
+    child = (3,) + mult[1:]
+    prims = [f.primitive for f in catalog(name).forms]
+    clear_caches()
+    graded_basis_vectors(catalog(name, mult), 4)
+    monkeypatch.setattr(_Engine, "_verify_exact", lambda self, support, mult, k, vectors: False)
+    for target, route in ((child, "restricted"), ((1,) * 6, "full")):
+        with pytest.raises(InternalCheckError) as info:
+            graded_basis_vectors(catalog(name, target), 4)
+        message = str(info.value)
+        assert "reference elimination produced a non-member" in message
+        assert str(prims) in message and f"multiplicity {target}" in message
+        assert "degree 4" in message and f"{route} route" in message
     clear_caches()

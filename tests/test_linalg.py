@@ -15,7 +15,6 @@ from multider.linalg import (
     bareiss_kernel,
     certified_kernel,
     crt_pair,
-    kernel_integer_certified,
     kernel_mod,
     lift_residue_vector,
     primitive_integer_vector,
@@ -48,6 +47,25 @@ def _in_span(vec, basis):
     return _fraction_rank(basis) == _fraction_rank(basis + [list(vec)])
 
 
+def _standard_kernel(exact, p):
+    """The per-prime kernel of the whole matrix: kernel_mod, one vector per row."""
+    basis, _, free = kernel_mod((exact % p).astype(np.int64), p)
+    return basis.T, free
+
+
+def _certified(matrix, kernel_p=_standard_kernel):
+    """`certified_kernel` of a plain integer matrix, checked by an exact A v == 0."""
+    if not len(matrix) or not len(matrix[0]):
+        return []
+    exact = np.array([[int(v) for v in row] for row in matrix], dtype=object)
+    return certified_kernel(
+        lambda p: kernel_p(exact, p),
+        lambda vectors: all(all(x == 0 for x in exact.dot(np.array(v, dtype=object)))
+                            for v in vectors),
+        lambda: matrix,
+    )
+
+
 matrices = st.integers(1, 5).flatmap(
     lambda m: st.integers(1, 6).flatmap(
         lambda n: st.lists(
@@ -63,7 +81,7 @@ matrices = st.integers(1, 5).flatmap(
 @settings(max_examples=80, deadline=None)
 def test_bareiss_and_certified_agree(matrix):
     b = bareiss_kernel(matrix)
-    c = kernel_integer_certified(matrix)
+    c = _certified(matrix)
     assert b == c  # both use the standard free-column normal form
     n = len(matrix[0])
     expected_nullity = n - _fraction_rank(matrix)
@@ -179,16 +197,16 @@ def test_primitive_integer_vector():
 
 def test_zero_and_identity_edge_cases():
     assert bareiss_kernel([[0, 0], [0, 0]]) == [[1, 0], [0, 1]]
-    assert kernel_integer_certified([[0, 0], [0, 0]]) == [[1, 0], [0, 1]]
+    assert _certified([[0, 0], [0, 0]]) == [[1, 0], [0, 1]]
     assert bareiss_kernel([[1, 0], [0, 1]]) == []
-    assert kernel_integer_certified([[1, 0], [0, 1]]) == []
+    assert _certified([[1, 0], [0, 1]]) == []
 
 
 def test_wide_matrix_with_large_entries():
     # entries big enough that naive int64 products would overflow mid-run
     base = 10**12
     matrix = [[base, -base, 0, 1], [0, base, -base, 1]]
-    kernel = kernel_integer_certified(matrix)
+    kernel = _certified(matrix)
     assert len(kernel) == 2
     for vec in kernel:
         assert all(sum(r[j] * vec[j] for j in range(4)) == 0 for r in matrix)
@@ -198,7 +216,52 @@ def test_certified_kernel_rejects_a_bad_reference_basis():
     matrix = [[1, 2, 3], [2, 4, 7]]
     exact = np.array(matrix, dtype=np.int64)
     with pytest.raises(InternalCheckError):
-        certified_kernel(lambda p: exact % p, lambda vectors: False, lambda: matrix)
+        certified_kernel(lambda p: _standard_kernel(exact, p), lambda vectors: False, lambda: matrix)
+
+
+# the kernel vector (10**12, 10**6, 1, 0) outgrows a one-prime lift, so
+# certification needs the three-prime CRT; (0, 0, 0, 1) lifts from any prime
+NEEDS_CRT = [[1, -10**6, 0, 0], [0, 1, -10**6, 0]]
+
+
+def _counting_bareiss(monkeypatch):
+    from multider import linalg
+
+    calls = []
+    original = linalg.bareiss_kernel
+    monkeypatch.setattr(linalg, "bareiss_kernel", lambda rows: calls.append(rows) or original(rows))
+    return calls
+
+
+def test_certified_kernel_lifts_by_crt_when_one_prime_is_not_enough(monkeypatch):
+    bareiss = _counting_bareiss(monkeypatch)
+    assert _certified(NEEDS_CRT) == [[10**12, 10**6, 1, 0], [0, 0, 0, 1]]
+    assert bareiss == []
+
+
+def test_certified_kernel_treats_none_as_a_failed_prime(monkeypatch):
+    # a per-prime kernel may give up on a prime; that prime's pass fails and
+    # the loop moves on, here to Bareiss since every pass uses PRIMES[0]
+    bareiss = _counting_bareiss(monkeypatch)
+    for unlucky in (PRIMES[0], PRIMES[1]):
+        def kernel_p(exact, p, unlucky=unlucky):
+            return None if p == unlucky else _standard_kernel(exact, p)
+
+        bareiss.clear()
+        assert _certified(NEEDS_CRT, kernel_p) == bareiss_kernel(NEEDS_CRT)
+        assert bareiss == [NEEDS_CRT]
+
+
+def test_certified_kernel_rejects_primes_that_disagree_on_free_columns(monkeypatch):
+    # the third prime loses the last kernel vector; its residues alone would
+    # still lift and verify, so only the free-column comparison catches it
+    def kernel_p(exact, p):
+        basis, free = _standard_kernel(exact, p)
+        return (basis[:-1], free[:-1]) if p == PRIMES[2] else (basis, free)
+
+    bareiss = _counting_bareiss(monkeypatch)
+    assert _certified(NEEDS_CRT, kernel_p) == [[10**12, 10**6, 1, 0], [0, 0, 0, 1]]
+    assert bareiss == [NEEDS_CRT]
 
 
 def _plain_kernel_mod(matrix, p):

@@ -185,6 +185,18 @@ def test_classify_component_peaks():
     assert out.peak == (3, 5, 2, 2) and out.peak_delta == 2 and out.distance == 0
 
 
+def test_classify_component_gap_jump_names_the_step(gap_jumps):
+    start = (3, 4, 2, 2)
+    gap_jumps(start)
+    with pytest.raises(InternalCheckError) as info:
+        classify_component(catalog("B2", start))
+    message = str(info.value)
+    # the first balanced neighbour, (4, 4, 2, 2), jumps from gap 1 to gap 5
+    assert "gap moved by more than one step" in message
+    assert "from 1 at multiplicity (3, 4, 2, 2) to 5 at (4, 4, 2, 2)" in message
+    assert str([f.primitive for f in catalog("B2").forms]) in message
+
+
 def test_classify_component_walks_uphill():
     out = classify_component(catalog("B2", (3, 4, 2, 2)))
     assert not out.infinite
