@@ -5,8 +5,8 @@ coefficient polynomials.  Membership in D(A, m) says theta(alpha_H) is
 divisible by alpha_H^{m(H)} for every H, which is linear in the coefficients:
 after an integer change of coordinates sending alpha_H to a multiple of the
 first new variable, divisibility means "all coefficients with first-variable
-exponent below m(H) vanish".  Those vanishing conditions are rows of an
-integer matrix; the graded piece is its rational kernel.
+exponent below m(H) vanish".  Those vanishing conditions are the rows of the
+divisibility matrix (`_Engine._matrix`); the graded piece is its rational kernel.
 
 The per-hyperplane substitution rows depend only on (form, degree), so they
 are built once per form by an incremental product expansion and reused across
@@ -22,8 +22,8 @@ block m(H) vanishes.  A solve with a cached basis of some D(A, m - delta_H)_k
 applies the new block to it exactly; if the block does not exist at degree k
 or vanishes on the basis, the basis is the answer unchanged.  Every other
 solve is one call to `linalg.certified_kernel`, with the same exact check
-(the per-hyperplane residual against every row of m) and the same exact rows
-for Bareiss, and one of two per-prime kernels (`solve_routes` counts them):
+(the per-hyperplane residual against every row of m) and the divisibility
+matrix for Bareiss, and one of two per-prime kernels (`solve_routes` counts them):
 
 - restricted: the kernel of the small product (block rows x dim D(A, m -
   delta_H)_k) mod p maps back to a spanning set, put in reduced echelon form
@@ -33,8 +33,9 @@ for Bareiss, and one of two per-prime kernels (`solve_routes` counts them):
   are as many as the small kernel's mod-p nullity, an upper bound on
   dim D(A, m)_k, so once verified they span the piece (the argument of
   `linalg`).  A mod-p rank drop of the span fails the prime.
-- full: `kernel_mod` of the cached divisibility rows of m mod p.  It serves
-  cache misses and is the reference the restriction is tested against.
+- full: `kernel_mod` of the divisibility matrix, built once per solve (the
+  restricted route builds it only on reaching Bareiss).  It serves cache
+  misses and is the reference the restriction is tested against.
 
 Cache state chooses the route, never the answer: every route returns the
 same primitive vectors in the same order.
@@ -97,7 +98,6 @@ class _FormTemplate:
         self._starts: dict[int, list[int]] = {}
         self._blocks: dict[int, list[np.ndarray]] = {}
         self._block_maxes: dict[int, list[int]] = {}
-        self._mod_cache: dict[tuple[int, int, int], np.ndarray] = {}
         self._expansion: dict[tuple[int, ...], dict[tuple[int, ...], int]] | None = None
         self._expansion_degree = -1
 
@@ -177,14 +177,11 @@ class _FormTemplate:
         self._expand_to(k)
         return self._blocks[k][e], self._block_maxes[k][e]
 
-    def rows_mod(self, k: int, cap: int, p: int) -> np.ndarray:
-        cap = min(cap, k + 1)
-        key = (k, cap, p)
-        cached = self._mod_cache.get(key)
-        if cached is None:
-            rows, _ = self.rows_exact(k, cap)
-            cached = self._mod_cache[key] = np.mod(rows, p).astype(np.int64, copy=False)
-        return cached
+
+def _full_kernel(matrix: np.ndarray, p: int):
+    """The full route's kernel mod p: `kernel_mod` of the exact matrix, one vector per row."""
+    basis, _, free = kernel_mod(matrix, p)
+    return basis.T, free
 
 
 def _restricted_kernel(parent: Sequence[Sequence[int]], image: np.ndarray, p: int):
@@ -192,10 +189,10 @@ def _restricted_kernel(parent: Sequence[Sequence[int]], image: np.ndarray, p: in
 
     `image` is the new block applied to the `parent` vectors.
     """
-    coeffs, _, _ = kernel_mod(np.mod(image, p).astype(np.int64), p)
+    coeffs, _, _ = kernel_mod(image, p)
     vmax = max(max(max(vec), -min(vec)) for vec in parent)
     dtype = np.int64 if p * vmax * len(parent) < _INT64_SAFE else object
-    span = np.mod(coeffs.T.astype(dtype) @ np.array(parent, dtype=dtype), p).astype(np.int64)
+    span = coeffs.T.astype(dtype) @ np.array(parent, dtype=dtype)
     rref, pivots = rref_mod(span[:, ::-1], p)
     if len(pivots) < span.shape[0]:
         return None
@@ -231,22 +228,26 @@ class _Engine:
     def _support(self, mult: Sequence[int]) -> list[int]:
         return [i for i, m in enumerate(mult) if m > 0]
 
-    def _assemble_mod(self, support: list[int], mult: Sequence[int], k: int, p: int) -> np.ndarray:
+    def _matrix(self, support: list[int], mult: Sequence[int], k: int) -> np.ndarray:
+        """The exact divisibility matrix of (m, k), whose kernel is D(A, m)_k.
+
+        For each H in the support, the template rows of H with column block i
+        scaled by coordinate i of alpha_H: int64 when max |template entry| *
+        max |coordinate| < 2**62, Python integers otherwise.
+        """
+        parts = [(*self.templates[idx].rows_exact(k, mult[idx]), self.prims[idx])
+                 for idx in support]
+        fits = all(max_abs * max(map(abs, prim)) < _INT64_SAFE for _, max_abs, prim in parts)
+        dtype = np.int64 if fits else object
         n = monomial_count(self.nvars, k)
-        l = self.nvars
-        pieces = []
-        for idx in support:
-            rows = self.templates[idx].rows_mod(k, mult[idx], p)
-            if rows.shape[0] == 0:
-                continue
-            block = np.empty((rows.shape[0], l * n), dtype=np.int64)
-            for i in range(l):
-                a = self.prims[idx][i] % p
-                block[:, i * n:(i + 1) * n] = (rows * a) % p
-            pieces.append(block)
-        if not pieces:
-            return np.zeros((0, l * n), dtype=np.int64)
-        return np.concatenate(pieces, axis=0)
+        matrix = np.empty((sum(len(rows) for rows, _, _ in parts), self.nvars * n), dtype)
+        start = 0
+        for rows, _, prim in parts:
+            rows = rows.astype(dtype, copy=False)
+            for i, a in enumerate(prim):
+                matrix[start:start + len(rows), i * n:(i + 1) * n] = rows * a
+            start += len(rows)
+        return matrix
 
     def _images(self, k: int, vectors: Sequence[Sequence[int]]):
         """`image(idx, rows, max_abs)`: rows times the coefficients of theta(alpha_idx).
@@ -287,47 +288,28 @@ class _Engine:
                 return False
         return True
 
-    def _assemble_exact(self, support: list[int], mult: Sequence[int], k: int) -> list[list[int]]:
-        n = monomial_count(self.nvars, k)
-        l = self.nvars
-        rows: list[list[int]] = []
-        for idx in support:
-            rows_k, _ = self.templates[idx].rows_exact(k, mult[idx])
-            a = self.prims[idx]
-            for base in rows_k.tolist():
-                row: list[int] = []
-                for i in range(l):
-                    row.extend(a[i] * v if a[i] else 0 for v in base)
-                rows.append(row)
-        return rows or [[0] * (l * n)]
-
     # -- solving ----------------------------------------------------------
 
     def _solve(self, mult: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
         support = self._support(mult)
         found = self._restriction(support, mult, k)
         if found is None:
-            route, kernel_p = "full", partial(self._full_kernel, support, mult, k)
+            route, matrix = "full", self._matrix(support, mult, k)
+            kernel_p, exact = partial(_full_kernel, matrix), lambda: matrix
         elif found[1] is None:
             _routes["unchanged"] += 1
             return found[0]
         else:
             route, kernel_p = "restricted", partial(_restricted_kernel, *found)
+            exact = partial(self._matrix, support, mult, k)
         _routes[route] += 1
         try:
             basis = certified_kernel(
-                kernel_p,
-                lambda vectors: self._verify_exact(support, mult, k, vectors),
-                lambda: self._assemble_exact(support, mult, k),
-            )
+                kernel_p, lambda vectors: self._verify_exact(support, mult, k, vectors), exact)
         except InternalCheckError as exc:
             raise InternalCheckError(f"{exc} for forms {self.prims} with multiplicity {mult}, "
                                      f"degree {k}, {route} route") from exc
         return tuple(tuple(v) for v in basis)
-
-    def _full_kernel(self, support: list[int], mult: Sequence[int], k: int, p: int):
-        basis, _, free = kernel_mod(self._assemble_mod(support, mult, k, p), p)
-        return basis.T, free
 
     def _restriction(self, support: list[int], mult: tuple[int, ...], k: int):
         """A cached basis of some D(A, m - delta_H)_k and the exact image of its new block.

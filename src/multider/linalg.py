@@ -2,10 +2,11 @@
 
 `certified_kernel` is the only escalation loop in the package.  It is handed
 the matrix three ways - as its standard kernel basis mod a prime, as an exact
-integer check, and as exact rows - so callers keep their own cached
-assemblies and choose how the mod-p kernel is found: `kernel_mod` of the
-whole matrix, or the graded solver's restriction of a known larger kernel.
-`kernel_mod` deletes singleton rows and the columns they force to zero, then
+integer check, and as the exact matrix - so the caller builds the matrix once
+and chooses how the mod-p kernel is found: `kernel_mod` of the whole matrix,
+or the graded solver's restriction of a known larger kernel.  `kernel_mod`
+takes any exact integer matrix (int64 or Python integers) and reduces it mod
+p itself; it deletes singleton rows and the columns they force to zero, then
 row reduces the rest with vectorized numpy (`rref_mod`).  The loop tries:
 
 1. one 31-bit prime: `lift_residue_vector` lifts each standard kernel vector
@@ -13,7 +14,8 @@ row reduces the rest with vectorized numpy (`rref_mod`).  The loop tries:
    Monagan 2004);
 2. three primes combined by CRT, when the caller's kernel fails for the
    first prime, a one-prime vector fails to lift or the exact check rejects
-   it (the three primes must agree on the free columns);
+   it (the three primes must agree on the free columns; the first prime's
+   kernel is reused, not recomputed);
 3. `bareiss_kernel`, fraction-free elimination over the integers (Bareiss
    1968): slow but elementary, the reference implementation.
 
@@ -52,7 +54,7 @@ _INT64_SAFE = 2**62
 
 
 def rref_mod(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of an int64 matrix mod p, with pivot columns.
+    """Reduced row echelon form mod p of an integer matrix, with pivot columns.
 
     `np.mod` returns a new array, which is reduced in place; the input is left
     unchanged.
@@ -94,10 +96,12 @@ def kernel_mod(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[
     order, so the kernel vectors have the same last nonzero positions: the
     free columns, the pivots (their complement) and the standard basis (the
     kernel vector that is 1 at one free column and 0 at the others) are those
-    of a plain `rref_mod` of the whole matrix.
+    of a plain `rref_mod` of the whole matrix.  The input, int64 or of Python
+    integers, is reduced mod p here and left unchanged.
     """
-    ncols = matrix.shape[1]
-    nonzero = np.mod(matrix, p) != 0
+    reduced = np.mod(matrix, p).astype(np.int64, copy=False)
+    ncols = reduced.shape[1]
+    nonzero = reduced != 0
     pivot = np.zeros(ncols, dtype=bool)  # forced columns, then every pivot
     while True:
         counts = np.count_nonzero(nonzero, axis=1)
@@ -108,7 +112,7 @@ def kernel_mod(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[
         nonzero[:, hit] = False
     # no singleton is left, so the rows still nonzero have two or more entries
     live = np.flatnonzero(~pivot)
-    rref, sub_pivots = rref_mod(matrix[np.ix_(np.flatnonzero(counts), live)], p)
+    rref, sub_pivots = rref_mod(reduced[np.ix_(np.flatnonzero(counts), live)], p)
     pivot[live[sub_pivots]] = True
     free = np.flatnonzero(~pivot)
     basis = np.zeros((ncols, free.size), dtype=np.int64)
@@ -188,13 +192,16 @@ def primitive_integer_vector(vec: Sequence[Scalar]) -> list[int]:
     return _normalize([int(f * denom) for f in fracs])
 
 
-def bareiss_kernel(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Kernel basis via fraction-free elimination; primitive integer vectors."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
+def bareiss_kernel(matrix: np.ndarray | Sequence[Sequence[int]]) -> list[list[int]]:
+    """Kernel basis via fraction-free elimination; primitive integer vectors.
+
+    A 2-D array with no rows keeps its column count: its kernel is everything.
+    """
+    rows = np.array(matrix, dtype=object, ndmin=2)
+    m, n = rows.shape
     if n == 0:
         return []
-    a = [[int(v) for v in row] for row in matrix]
+    a = [[int(v) for v in row] for row in rows.tolist()]
     prev = 1
     r = 0
     pivots: list[int] = []
@@ -231,16 +238,19 @@ def bareiss_kernel(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def _modular_kernel(kernel_p: Callable[[int], tuple[np.ndarray, list[int]] | None],
-                    primes: Sequence[int]) -> list[list[int]] | None:
+                    primes: Sequence[int], kernels: dict) -> list[list[int]] | None:
     """Kernel mod the product of `primes`, lifted to primitive integer vectors.
 
-    None when `kernel_p` fails for a prime, two primes disagree on the free
-    columns, or a vector fails to lift.
+    `kernels` holds the per-prime kernels computed so far and gains the new
+    ones.  None when `kernel_p` fails for a prime, two primes disagree on the
+    free columns, or a vector fails to lift.
     """
     modulus = 1
     rows = structure = None
     for p in primes:
-        kernel = kernel_p(p)
+        if p not in kernels:
+            kernels[p] = kernel_p(p)
+        kernel = kernels[p]
         if kernel is None:
             return None
         basis, free = kernel
@@ -260,7 +270,7 @@ def _modular_kernel(kernel_p: Callable[[int], tuple[np.ndarray, list[int]] | Non
 def certified_kernel(
     kernel_p: Callable[[int], tuple[np.ndarray, list[int]] | None],
     verify: Callable[[list[list[int]]], bool],
-    assemble_exact: Callable[[], Sequence[Sequence[int]]],
+    assemble_exact: Callable[[], np.ndarray],
 ) -> list[list[int]]:
     """Certified rational kernel of one integer matrix A, as primitive vectors.
 
@@ -268,11 +278,12 @@ def certified_kernel(
     row (1 at its free column, 0 at the others, nothing after), with the free
     columns, or None when p is unlucky; at least null_Q(A) vectors.
     `verify(vectors)` decides A v = 0 over the integers for every vector, and
-    `assemble_exact()` returns the rows of A (at least one; a zero row stands
-    for none).  Runs one prime, then a three-prime CRT, then Bareiss.
+    `assemble_exact()` returns A as a 2-D integer array.  Runs one prime, then
+    a three-prime CRT, then Bareiss; `kernel_p` runs at most once per prime.
     """
+    kernels: dict = {}
     for prime_count in (1, 3):
-        vectors = _modular_kernel(kernel_p, PRIMES[:prime_count])
+        vectors = _modular_kernel(kernel_p, PRIMES[:prime_count], kernels)
         if vectors is not None and verify(vectors):
             return vectors
     vectors = bareiss_kernel(assemble_exact())

@@ -207,7 +207,8 @@ def test_escalation_routes_give_identical_bases(monkeypatch):
     crt, calls = _bases_by_route(monkeypatch, lambda modulus: modulus == PRIMES[0])
     # a solve with a trivial kernel lifts nothing, so it never escalates
     trivial = sum(1 for basis in one_prime if not basis)
-    assert calls == {"kernel_mod": solves + 3 * (solves - trivial), "bareiss_kernel": 0}
+    # the three-prime pass reuses the first prime's kernel: two more per escalation
+    assert calls == {"kernel_mod": solves + 2 * (solves - trivial), "bareiss_kernel": 0}
     bareiss, calls = _bases_by_route(monkeypatch, lambda modulus: True)
     assert calls["bareiss_kernel"] == solves - trivial
     assert one_prime == crt == bareiss
@@ -248,11 +249,12 @@ def test_template_blocks_and_maxima_match_a_per_block_rebuild():
 
 
 def test_multiplicity_rows_are_prefix_views_of_one_matrix_per_degree():
-    from multider.graded import _FormTemplate
-    from multider.linalg import PRIMES
+    from multider.linalg import PRIMES, kernel_mod
 
     for primitive, fits in [((1, -1, 2), True), ((1, 2**40, 0), False)]:
-        tmpl = _FormTemplate(3, primitive)
+        clear_caches()
+        eng = _engine(Arrangement(3, [primitive]))
+        tmpl = eng.templates[0]
         for k in range(5):
             for cap in range(1, k + 3):
                 rows, max_abs = tmpl.rows_exact(k, cap)
@@ -263,9 +265,19 @@ def test_multiplicity_rows_are_prefix_views_of_one_matrix_per_degree():
                 # unless an entry outgrows it (from degree 2 on for 2**40)
                 assert np.shares_memory(rows, tmpl._rows[k])
                 assert (rows.dtype == np.int64) == (fits or k < 2)
-                mod = tmpl.rows_mod(k, cap, PRIMES[0])
-                assert mod.dtype == np.int64 and (mod == rows % PRIMES[0]).all()
-                assert tmpl.rows_mod(k, cap, PRIMES[0]) is mod
+                # the solve's one exact matrix: column block i is the rows
+                # times coordinate i, int64 while entry times coordinate fits
+                matrix = eng._matrix([0], (cap,), k)
+                n = rows.shape[1]
+                assert matrix.shape == (rows.shape[0], 3 * n)
+                assert all((matrix[:, i * n:(i + 1) * n] == rows.astype(object) * a).all()
+                           for i, a in enumerate(primitive))
+                assert (matrix.dtype == np.int64) == (fits or k == 0)
+                # kernel_mod reads it as it is, whatever its dtype
+                reduced = np.mod(matrix, PRIMES[0]).astype(np.int64)
+                got, want = kernel_mod(matrix, PRIMES[0]), kernel_mod(reduced, PRIMES[0])
+                assert (got[0] == want[0]).all() and got[1:] == want[1:]
+    clear_caches()
 
 
 def test_no_support_gives_the_identity_basis():
@@ -275,6 +287,47 @@ def test_no_support_gives_the_identity_basis():
         n = 3 * math.comb(k + 2, 2)
         assert graded_basis_vectors(ma, k) == tuple(
             tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+# Divisibility entries outgrow int64 from degree 1 on: a template entry of
+# 2**40 (or 2**33) times the coordinate 2**40 (or 2**33) of the same form.
+BIG = Arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2**40, 0), (1, 1, 2**33)])
+
+
+def test_big_coefficients_take_one_object_matrix_per_solve(monkeypatch):
+    from multider.graded import _Engine
+
+    build = _Engine._matrix
+    for mult in [(1, 1, 1, 1, 1), (2, 1, 1, 2, 1), (0, 0, 1, 3, 2)]:
+        ma = BIG.with_multiplicity(mult)
+        for k in range(4):
+            built = []
+            with monkeypatch.context() as patch:
+                patch.setattr(_Engine, "_matrix", lambda self, *args: built.append(
+                    build(self, *args)) or built[-1])
+                clear_caches()
+                basis = graded_basis_vectors(ma, k)
+                _fail_lift(patch, lambda modulus: True)
+                clear_caches()
+                bareiss = graded_basis_vectors(ma, k)
+            clear_caches()
+            # one full solve each, so one matrix each; Bareiss reads the same one
+            assert [m.dtype == object for m in built] == [k > 0] * 2
+            assert basis == bareiss
+            assert len(basis) == oracle_graded_dimension(ma, k)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("A2", {}), ("B2", {}), ("maehara4", {"t": "7/3"}), ("A3", {}), ("B3", {}),
+    ("deletedA3", {}), ("X3", {}), ("fan2d", {"h": 2, "slopes": [2, "-1/3"]}),
+])
+def test_catalog_matrices_stay_int64(name, params):
+    arr = catalog(name, **params).arrangement
+    eng = _engine(arr)
+    mult = (4,) * len(arr.forms)
+    for k in range(10):
+        assert eng._matrix(list(range(len(mult))), mult, k).dtype == np.int64
+    clear_caches()
 
 
 # -- the restriction route -------------------------------------------------
@@ -356,19 +409,20 @@ def _fixed_walk_under(monkeypatch, failing_moduli):
     """FIXED_WALK at degree 2, with the lift failing for the given moduli.
 
     Returns the bases, the routes, the mod-p elimination and Bareiss counts,
-    the multiplicities `_assemble_mod` was called for, and the moduli lifted.
+    the multiplicities `_matrix` built the divisibility matrix for, and the
+    moduli lifted.
     """
     from multider import linalg
     from multider.graded import _Engine
 
     name, start, steps = FIXED_WALK
     assembled, lifted = [], []
-    assemble, lift = _Engine._assemble_mod, linalg.lift_residue_vector
+    build, lift = _Engine._matrix, linalg.lift_residue_vector
     with monkeypatch.context() as patch:
         calls = _count_kernel_calls(patch)
-        patch.setattr(_Engine, "_assemble_mod",
-                      lambda self, support, mult, k, p: assembled.append(mult)
-                      or assemble(self, support, mult, k, p))
+        patch.setattr(_Engine, "_matrix",
+                      lambda self, support, mult, k: assembled.append(mult)
+                      or build(self, support, mult, k))
         patch.setattr(linalg, "lift_residue_vector",
                       lambda residues, modulus: lifted.append(modulus) or lift(residues, modulus))
         _fail_lift(patch, failing_moduli)
@@ -376,7 +430,7 @@ def _fixed_walk_under(monkeypatch, failing_moduli):
         _, bases = _walk(name, start, steps, 2)
         routes = solve_routes()
     clear_caches()
-    return bases, routes, calls, set(assembled), set(lifted)
+    return bases, routes, calls, assembled, set(lifted)
 
 
 def test_restriction_escalates_to_crt_without_the_full_matrix(monkeypatch):
@@ -392,19 +446,23 @@ def test_restriction_escalates_to_crt_without_the_full_matrix(monkeypatch):
     # of its small product; only the walk's start assembles the whole matrix
     assert crt_routes == routes
     assert math.prod(PRIMES[:3]) in lifted
-    assert assembled == {tuple(start)}
+    # and builds its exact matrix once, for all three primes
+    assert assembled == [tuple(start)]
     assert calls["bareiss_kernel"] == 0
 
 
 def test_failed_lifts_reach_bareiss_on_the_full_rows(monkeypatch):
     expected, routes, _, _, _ = _fixed_walk_under(monkeypatch, lambda modulus: False)
-    bases, bareiss_routes, calls, _, _ = _fixed_walk_under(monkeypatch, lambda modulus: True)
+    bases, bareiss_routes, calls, assembled, _ = _fixed_walk_under(
+        monkeypatch, lambda modulus: True)
     assert bases == expected
     assert bareiss_routes == routes
     # one Bareiss run per solve that eliminates and has a nonzero kernel
     # (a trivial kernel lifts nothing, so it never escalates)
     assert calls["bareiss_kernel"] == routes["restricted"] + routes["full"] - sum(
         1 for basis in expected if not basis)
+    # each run reads its solve's exact matrix, built once for that solve
+    assert len(assembled) == len(set(assembled)) == calls["bareiss_kernel"]
 
 
 @pytest.mark.parametrize("name,mult,idx,k", [

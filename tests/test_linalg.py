@@ -49,7 +49,7 @@ def _in_span(vec, basis):
 
 def _standard_kernel(exact, p):
     """The per-prime kernel of the whole matrix: kernel_mod, one vector per row."""
-    basis, _, free = kernel_mod((exact % p).astype(np.int64), p)
+    basis, _, free = kernel_mod(exact, p)
     return basis.T, free
 
 
@@ -295,6 +295,8 @@ def sparse_mod_matrices(draw):
     A chain's row i is nonzero on the chain's first i + 1 columns, so it
     becomes a singleton only once earlier waves have forced the first i.
     Entries include multiples of p, nonzero integers that vanish mod p.
+    Some matrices are object arrays of Python integers beyond 2**63 with
+    the same residues.
     """
     p = draw(st.sampled_from(PRIMES[:3]))
     ncols = draw(st.integers(1, 7))
@@ -311,13 +313,25 @@ def sparse_mod_matrices(draw):
         rows.append([int(j == c) for j in range(ncols)])
     rows = draw(st.permutations(rows))
     matrix = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    if draw(st.booleans()):
+        shifts = draw(st.lists(st.integers(-2**20, 2**20), min_size=matrix.size,
+                               max_size=matrix.size))
+        matrix = matrix.astype(object) + p * 2**63 * np.array(shifts, dtype=object).reshape(
+            matrix.shape)
     return matrix, p
 
 
 @given(sparse_mod_matrices())
 @settings(max_examples=300, deadline=None)
 def test_kernel_mod_matches_the_plain_rref_kernel(case):
-    _assert_matches_plain_kernel(*case)
+    matrix, p = case
+    _assert_matches_plain_kernel(matrix, p)
+    # an exact matrix of any dtype has the kernel of its int64 reduction
+    basis, pivots, free = kernel_mod(matrix, p)
+    want_basis, want_pivots, want_free = kernel_mod(np.mod(matrix, p).astype(np.int64), p)
+    assert (pivots, free) == (want_pivots, want_free)
+    assert basis.dtype == want_basis.dtype and basis.shape == want_basis.shape
+    assert (basis == want_basis).all()
 
 
 def test_kernel_mod_singleton_edge_cases():
