@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ArrangementError
+from .linalg import primitive_integer_vector, rank, rref
 from .polyring import (
     LinearForm,
     Poly,
@@ -51,29 +52,6 @@ def order(m: Multiplicity) -> int:
     return sum(m)
 
 
-def _rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals; tiny matrices only."""
-    mat = [row[:] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        lead = mat[r][c]
-        mat[r] = [v / lead for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return mat[:r], pivots
-
-
 @dataclass(frozen=True)
 class Arrangement:
     nvars: int
@@ -99,7 +77,7 @@ class Arrangement:
 
     @cached_property
     def _rank(self) -> int:
-        return len(_rref_fraction([list(f.coeffs) for f in self.forms])[1])
+        return rank([f.primitive for f in self.forms])
 
     def __hash__(self) -> int:
         return self._hash
@@ -162,7 +140,7 @@ def defining_polynomial(ma: Multiarrangement) -> Poly:
 
 @dataclass(frozen=True)
 class Flat:
-    """A codimension-2 intersection, named by canonical defining equations."""
+    """A codimension-2 intersection, named by its unique RREF (`linalg.rref`)."""
 
     basis: tuple[tuple[Fraction, ...], ...]  # RREF rows spanning the forms through it
     indices: tuple[int, ...]
@@ -172,14 +150,11 @@ class Flat:
 
 
 def _span_key(forms: Sequence[LinearForm]) -> tuple[tuple[Fraction, ...], ...]:
-    rref, _ = _rref_fraction([[c for c in f.coeffs] for f in forms])
-    return tuple(tuple(row) for row in rref)
+    return tuple(tuple(row) for row in rref([f.primitive for f in forms])[0])
 
 
 def _in_span(form: LinearForm, basis: tuple[tuple[Fraction, ...], ...]) -> bool:
-    rows = [list(r) for r in basis] + [[c for c in form.coeffs]]
-    rref, pivots = _rref_fraction(rows)
-    return len(pivots) == len(basis)
+    return rank([primitive_integer_vector(r) for r in basis] + [form.primitive]) == len(basis)
 
 
 def rank2_flats(a: Arrangement) -> list[Flat]:
@@ -247,9 +222,9 @@ def delete(ma: Multiarrangement, h0: int) -> Multiarrangement:
 class CoordinateChange:
     """Essentialization data: new forms live on the span of the old ones.
 
-    `basis` rows are the chosen spanning forms (RREF of the coefficient
-    matrix); a form a in the span maps to its coordinate vector over these
-    rows, read off at the pivot columns.
+    `basis` rows are the chosen spanning forms (`linalg.rref` of the primitive
+    coefficient rows, in `Fraction`s); a form a in the span maps to its
+    coordinate vector over these rows, read off at the pivot columns.
     """
 
     basis: tuple[tuple[Fraction, ...], ...]
@@ -268,8 +243,8 @@ def essentialize(ma: Multiarrangement) -> tuple[Multiarrangement, CoordinateChan
     the original just carries rank-many extra free directions (extra exponent
     zeros).
     """
-    rref, pivots = _rref_fraction([[c for c in f.coeffs] for f in ma.forms])
-    change = CoordinateChange(tuple(tuple(r) for r in rref), tuple(pivots))
+    reduced, pivots = rref([f.primitive for f in ma.forms])
+    change = CoordinateChange(tuple(tuple(r) for r in reduced), tuple(pivots))
     r = len(pivots)
     new_forms = [LinearForm([f.coeffs[p] for p in pivots]) for f in ma.forms]
     sub = Arrangement(r, new_forms)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, OrderedDict
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -56,6 +56,8 @@ from .linalg import _INT64_SAFE, certified_kernel, kernel_mod, rref_mod
 from .polyring import LinearForm, monomial_count, monomial_exponents
 
 _BASIS_CACHE_LIMIT = 2048
+_ENGINE_CACHE_LIMIT = 64
+_TEMPLATE_CACHE_LIMIT = 128
 
 # how each graded solve was answered; see `solve_routes`
 _routes: Counter = Counter()
@@ -200,16 +202,9 @@ def _restricted_kernel(parent: Sequence[Sequence[int]], image: np.ndarray, p: in
     return rref[::-1, ::-1], [last - c for c in reversed(pivots)]
 
 
-_templates: dict[tuple[int, tuple[int, ...]], _FormTemplate] = {}
-
-
+@lru_cache(maxsize=_TEMPLATE_CACHE_LIMIT)
 def _template(form: LinearForm) -> _FormTemplate:
-    key = (form.nvars, form.primitive)
-    tmpl = _templates.get(key)
-    if tmpl is None:
-        tmpl = _FormTemplate(form.nvars, form.primitive)
-        _templates[key] = tmpl
-    return tmpl
+    return _FormTemplate(form.nvars, form.primitive)
 
 
 class _Engine:
@@ -370,15 +365,9 @@ class _Engine:
             self.bases.popitem(last=False)
 
 
-_engines: dict[Arrangement, _Engine] = {}
-
-
+@lru_cache(maxsize=_ENGINE_CACHE_LIMIT)
 def _engine(arrangement: Arrangement) -> _Engine:
-    eng = _engines.get(arrangement)
-    if eng is None:
-        eng = _Engine(arrangement)
-        _engines[arrangement] = eng
-    return eng
+    return _Engine(arrangement)
 
 
 def graded_dimension(ma: Multiarrangement, k: int) -> int:
@@ -423,6 +412,6 @@ def solve_routes() -> dict[str, int]:
 
 
 def clear_caches() -> None:
-    _engines.clear()
-    _templates.clear()
+    _engine.cache_clear()
+    _template.cache_clear()
     _routes.clear()

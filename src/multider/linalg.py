@@ -1,4 +1,10 @@
-"""Certified rational kernels of integer matrices: one pipeline, three routes.
+"""Exact linear algebra: one elimination over the integers, one mod p.
+
+`echelon` is the one fraction-free forward pass (Bareiss 1968).  Its pivot
+count is a rank, its last pivot a determinant, `rref` back-substitutes it in
+`Fraction`s and `bareiss_kernel` reads a kernel from it.  Callers hand it
+integer rows (a rational row scaled by `primitive_integer_vector` keeps its
+rank, row space and pivots).  `rref_mod` is the one elimination mod p.
 
 `certified_kernel` is the only escalation loop in the package.  It is handed
 the matrix three ways - as its standard kernel basis mod a prime, as an exact
@@ -16,8 +22,8 @@ row reduces the rest with vectorized numpy (`rref_mod`).  The loop tries:
    first prime, a one-prime vector fails to lift or the exact check rejects
    it (the three primes must agree on the free columns; the first prime's
    kernel is reused, not recomputed);
-3. `bareiss_kernel`, fraction-free elimination over the integers (Bareiss
-   1968): slow but elementary, the reference implementation.
+3. `bareiss_kernel`, the kernel of `echelon`: slow but elementary, the
+   reference implementation.
 
 Every answer passes the caller's exact check A v = 0 over the integers.
 Soundness does not rest on the lift: a mod-p reduction of the exact matrix
@@ -192,17 +198,16 @@ def primitive_integer_vector(vec: Sequence[Scalar]) -> list[int]:
     return _normalize([int(f * denom) for f in fracs])
 
 
-def bareiss_kernel(matrix: np.ndarray | Sequence[Sequence[int]]) -> list[list[int]]:
-    """Kernel basis via fraction-free elimination; primitive integer vectors.
+def echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Nonzero echelon rows, pivot columns and row-swap sign of an integer matrix.
 
-    A 2-D array with no rows keeps its column count: its kernel is everything.
+    Every division is exact and each pivot is a minor of the input,
+    so a square matrix of full rank has determinant sign * rows[-1][-1].
     """
-    rows = np.array(matrix, dtype=object, ndmin=2)
-    m, n = rows.shape
-    if n == 0:
-        return []
-    a = [[int(v) for v in row] for row in rows.tolist()]
+    a = [[int(v) for v in row] for row in rows]
+    m, n = len(a), len(a[0]) if a else 0
     prev = 1
+    sign = 1
     r = 0
     pivots: list[int] = []
     for c in range(n):
@@ -213,6 +218,7 @@ def bareiss_kernel(matrix: np.ndarray | Sequence[Sequence[int]]) -> list[list[in
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
+            sign = -sign
         lead = a[r][c]
         row_r = a[r]
         for i in range(r + 1, m):
@@ -221,9 +227,37 @@ def bareiss_kernel(matrix: np.ndarray | Sequence[Sequence[int]]) -> list[list[in
             for j in range(c + 1, n):
                 row_i[j] = (lead * row_i[j] - head * row_r[j]) // prev
             row_i[c] = 0
-        prev = a[r][c]
+        prev = lead
         pivots.append(c)
         r += 1
+    return a[:r], pivots, sign
+
+
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    return len(echelon(rows)[1])
+
+
+def rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form in `Fraction`s and pivot columns; unique per row space."""
+    ech, pivots, _ = echelon(rows)
+    reduced: list[list[Fraction]] = []
+    for i in range(len(pivots) - 1, -1, -1):
+        row = [Fraction(v, ech[i][pivots[i]]) for v in ech[i]]
+        for c, below in zip(pivots[i + 1:], reduced):
+            f = row[c]
+            row = [v - f * w for v, w in zip(row, below)]
+        reduced.insert(0, row)
+    return reduced, pivots
+
+
+def bareiss_kernel(matrix: np.ndarray | Sequence[Sequence[int]]) -> list[list[int]]:
+    """Kernel basis from `echelon` by back substitution; primitive integer vectors.
+
+    A 2-D array with no rows keeps its column count: its kernel is everything.
+    """
+    rows = np.array(matrix, dtype=object, ndmin=2)
+    n = rows.shape[1]
+    a, pivots, _ = echelon(rows.tolist())
     free = sorted(set(range(n)) - set(pivots))
     basis: list[list[int]] = []
     for f in free:

@@ -51,7 +51,7 @@ from .errors import (
     MembershipError,
 )
 from .graded import graded_basis_vectors, graded_dimension, graded_member, hilbert_dims
-from .linalg import primitive_integer_vector
+from .linalg import echelon, primitive_integer_vector, rank
 from .polyring import (
     LinearForm,
     Poly,
@@ -396,12 +396,6 @@ def _random_point(rng: random.Random, l: int, avoid: Sequence[LinearForm] = ()) 
             return pt
 
 
-def _determinant_value(rows: Sequence[Sequence[Scalar]]) -> Fraction:
-    """The determinant of a square scalar matrix."""
-    l = len(rows)
-    return determinant([[Poly.constant(l, v) for v in row] for row in rows]).leading_coefficient()
-
-
 def _not_free(log: list[str], reason: str) -> FreenessCertificate:
     log.append(f"not free: {reason}")
     return FreenessCertificate(False, (), None, None, tuple(log), reason)
@@ -485,8 +479,11 @@ def find_free_basis(ma: Multiarrangement, seed: int = DEFAULT_SEED) -> FreenessC
             [sum(wj * vec[i] for wj, vec in zip(w, evaluated[d]) if wj) for i in range(l)]
             for d, w in zip(degrees, weights)
         ]
-        det = _determinant_value(rows)
-        if det:
+        # det(rows) = det(D * rows) / D^l, the signed last pivot at full rank
+        denom = math.lcm(*(v.denominator for row in rows for v in row))
+        ech, pivots, sign = echelon([[int(v * denom) for v in row] for row in rows])
+        if len(pivots) == l:
+            det = Fraction(sign * ech[-1][-1], denom**l)
             q = math.prod(f.evaluate(point) ** m for f, m in zip(ma.forms, ma.mult))
             basis = tuple(pieces[d].element(w) for d, w in zip(degrees, weights))
             log.append(note)
@@ -527,9 +524,9 @@ def is_universal(theta: Derivation, ma_base: Multiarrangement) -> bool:
     and the l covariant derivatives nabla_{d/dx_i} theta are independent over
     the polynomial ring.  The gradients need no membership check: theta in
     D(A, m+1) already puts them in D(A, m), and their degrees sum to |m|, so
-    their determinant is c * Q(A, m).  One evaluated determinant decides
-    c != 0: its value at an integer point off every hyperplane of positive
-    multiplicity, which is nonzero for every such point exactly when c is.
+    their determinant is c * Q(A, m).  One evaluation decides c != 0: at an
+    integer point off every hyperplane of positive multiplicity the gradients
+    have full rank (a nonzero determinant) exactly when c is nonzero.
     """
     if not theta.is_homogeneous():
         raise HypothesisError("is_universal needs a homogeneous derivation")
@@ -548,7 +545,7 @@ def is_universal(theta: Derivation, ma_base: Multiarrangement) -> bool:
     point = _random_point(random.Random(DEFAULT_SEED), l, weighted)
     # row i holds the coefficients of nabla_{d/dx_i} theta = sum_j d_i(f_j) d/dx_j
     rows = [[f.partial(i).evaluate(point) for f in theta.coeffs] for i in range(l)]
-    return bool(_determinant_value(rows))
+    return rank([primitive_integer_vector(row) for row in rows]) == l
 
 
 def find_universal(ma_base: Multiarrangement, seed: int = DEFAULT_SEED) -> Derivation | None:

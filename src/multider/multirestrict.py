@@ -40,6 +40,7 @@ from .errors import (
     MultiderError,
     UndefinedExponentError,
 )
+from .linalg import rank
 from .logder import (
     DEFAULT_SEED,
     Derivation,
@@ -96,8 +97,7 @@ class Filtration:
         for depth, lvl in enumerate(norm, start=1):
             if not set(prev) < set(lvl):
                 raise FiltrationError("filtration levels must strictly increase")
-            sub = Arrangement(arrangement.nvars, [arrangement.forms[i] for i in lvl])
-            if sub.rank() != depth:
+            if rank([arrangement.forms[i].primitive for i in lvl]) != depth:
                 raise FiltrationError(f"level {depth} must have rank {depth}")
             prev = lvl
         if set(norm[-1]) != set(range(n)):
@@ -190,9 +190,11 @@ def special_rank2_basis(ma: Multiarrangement, alpha0: LinearForm) -> tuple[Deriv
     if ess.nvars != 2:
         raise ArrangementError("special basis needs a rank-2 localization")
     a0 = change.map_form(alpha0)
+    context = (f"for forms {[f.primitive for f in ma.forms]} with multiplicity {ma.mult}, "
+               f"boundary form {alpha0.primitive}")
     cert = find_free_basis(ess)
     if not cert.free or cert.exponents is None:
-        raise InternalCheckError("rank-2 localizations are always free")
+        raise InternalCheckError(f"rank-2 localizations are always free, but not {context}")
     b1, b2 = cert.basis
     d1, d2 = cert.exponents
     w = a0.kernel_point_2d()
@@ -205,7 +207,7 @@ def special_rank2_basis(ma: Multiarrangement, alpha0: LinearForm) -> tuple[Deriv
     else:
         lam = _parallel_ratio(r1, r2)
         if lam is None:
-            raise InternalCheckError("independent residues leave no special basis")
+            raise InternalCheckError(f"independent residues leave no special basis {context}")
         j = next(i for i, v in enumerate(w) if v)
         unit = Poly.variable(2, j) * Fraction(1, w[j])
         g = unit ** (d2 - d1) * lam
@@ -213,9 +215,9 @@ def special_rank2_basis(ma: Multiarrangement, alpha0: LinearForm) -> tuple[Deriv
         psi = b2 - Derivation(g * p for p in b1.coeffs)
     for p in psi.coeffs:
         if p and try_divide_linear(p, a0) is None:
-            raise InternalCheckError("special element failed exact division")
+            raise InternalCheckError(f"special element failed exact division {context}")
     if all((not p) or try_divide_linear(p, a0) is not None for p in theta.coeffs):
-        raise InternalCheckError("both basis elements are divisible by the boundary form")
+        raise InternalCheckError(f"both basis elements are divisible by the boundary form {context}")
     return theta, psi
 
 
@@ -264,7 +266,8 @@ def euler_multiplicity(ma: Multiarrangement, h0: int) -> EulerRestriction:
         theta, psi = special_rank2_basis(local, alpha0)
         mu = theta.homogeneous_degree()
         if mu is None:
-            raise InternalCheckError("special basis element lost homogeneity")
+            raise InternalCheckError(f"special basis element lost homogeneity at h0 {h0} for forms "
+                                     f"{[f.primitive for f in local.forms]}, multiplicity {local.mult}")
         records.append(FlatRestriction(fl, mu, theta, psi, local.order()))
     return EulerRestriction(ma, h0, tuple(records))
 

@@ -22,8 +22,9 @@ from itertools import combinations, permutations, product
 from multiprocessing import get_context
 from typing import Iterator
 
-from .arrangement import Arrangement, Multiarrangement, _rref_fraction, catalog
+from .arrangement import Arrangement, Multiarrangement, catalog
 from .errors import ArrangementError
+from .linalg import primitive_integer_vector, rank, rref
 from .logder import DEFAULT_SEED, _find_universal, find_free_basis
 
 __all__ = [
@@ -66,11 +67,11 @@ def parse_ranges(spec: str) -> list[tuple[str, range]]:
 def _express(form, basis) -> tuple[Fraction, ...] | None:
     """Coefficients lam with form = sum lam_i basis_i, None if not in span."""
     n = len(basis)
-    cols = len(form.coeffs)
-    aug = [[basis[i].coeffs[c] for i in range(n)] + [form.coeffs[c]] for c in range(cols)]
-    rref, pivots = _rref_fraction(aug)
+    # scale each equation (one per coordinate), never the basis forms
+    aug = [primitive_integer_vector(col) for col in zip(*(b.coeffs for b in basis), form.coeffs)]
+    reduced, pivots = rref(aug)
     lam = [Fraction(0)] * n
-    for row, p in zip(rref, pivots):
+    for row, p in zip(reduced, pivots):
         if p == n:
             return None  # pivot in the right-hand side: outside the span
         lam[p] = row[n]
@@ -81,7 +82,7 @@ def _frame(a: Arrangement) -> tuple[int, ...] | None:
     """l+1 hyperplanes with every l of them independent, or None."""
     n, l = len(a.forms), a.nvars
     for combo in combinations(range(n), l + 1):
-        if all(Arrangement(l, [a.forms[i] for i in sub]).rank() == l for sub in combinations(combo, l)):
+        if all(rank([a.forms[i].primitive for i in sub]) == l for sub in combinations(combo, l)):
             return combo
     return None
 
@@ -117,7 +118,7 @@ def index_symmetries(a: Arrangement) -> tuple[tuple[int, ...], ...]:
     found = {identity}
     for targets in permutations(range(n), l + 1):
         tbase = [a.forms[i] for i in targets[:l]]
-        if Arrangement(l, tbase).rank() != l:
+        if rank([f.primitive for f in tbase]) != l:
             continue
         mu = _express(a.forms[targets[l]], tbase)
         if mu is None or not all(mu):

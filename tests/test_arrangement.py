@@ -2,10 +2,13 @@
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
 import multider.arrangement as arrangement_module
+import multider.linalg as linalg_module
+import multider.sweep as sweep_module
 from multider import (
     Arrangement,
     ArrangementError,
@@ -18,6 +21,7 @@ from multider import (
     dump_multiarrangement,
     essentialize,
     flat_of,
+    index_symmetries,
     irreducible_component_count,
     is_essential,
     load_multiarrangement,
@@ -26,6 +30,8 @@ from multider import (
     multiarrangement_to_dict,
     rank2_flats,
 )
+
+from test_linalg import oracle_rref
 
 CATALOG_SIZES = {
     "A2": (2, 3),
@@ -139,9 +145,42 @@ def test_rank_and_hash_are_computed_once(monkeypatch):
     def no_elimination(rows):
         raise AssertionError("rank recomputed")
 
-    monkeypatch.setattr(arrangement_module, "_rref_fraction", no_elimination)
+    monkeypatch.setattr(linalg_module, "echelon", no_elimination)
     for _ in range(3):
         assert a.rank() == 2 and hash(a) == hash((a.nvars, a.forms))
+
+
+GEOMETRY_CATALOG = [(name, {}) for name in CATALOG_SIZES] + [
+    ("fan2d", {"h": 3, "slopes": (1, 2, Fraction(-1, 3))}),
+    ("maehara4", {"t": Fraction(7, 3)}),
+]
+
+
+def _geometry(ma):
+    """Everything read off an exact elimination, as reprs (types included)."""
+    a = ma.arrangement
+    flats = rank2_flats(a)
+    out = [a.rank(), flats, [flat_of(a, fl.indices) for fl in flats], essentialize(ma),
+           index_symmetries(a)]
+    # a non-essential copy one variable up, with a mixed coordinate in front
+    # of the old second one, so the pivots are not a prefix of the identity
+    lifted = Arrangement(a.nvars + 1, [(c[0], 2 * c[0] - 3 * c[1], *c[1:]) for c in
+                                       (f.coeffs for f in a.forms)])
+    lifted_flats = rank2_flats(lifted)
+    out += [lifted.rank(), lifted_flats, [flat_of(lifted, fl.indices) for fl in lifted_flats],
+            essentialize(lifted.with_multiplicity(ma.mult))]
+    return [repr(v) for v in out]
+
+
+@pytest.mark.parametrize("name, params", GEOMETRY_CATALOG, ids=[n for n, _ in GEOMETRY_CATALOG])
+def test_geometry_matches_the_fraction_reference(monkeypatch, name, params):
+    """Flats, essentialization and symmetries equal those of Gauss-Jordan in
+    Fractions, the elimination the package used before the fraction-free one."""
+    got = _geometry(catalog(name, **params))
+    for module in (arrangement_module, sweep_module):
+        monkeypatch.setattr(module, "rref", oracle_rref)
+        monkeypatch.setattr(module, "rank", lambda rows: len(oracle_rref(rows)[1]))
+    assert _geometry(catalog(name, **params)) == got
 
 
 def test_defining_polynomial():

@@ -20,7 +20,7 @@ from multider import (
     membership,
     solve_routes,
 )
-from multider.graded import _engine
+from multider.graded import _ENGINE_CACHE_LIMIT, _TEMPLATE_CACHE_LIMIT, _engine, _template
 
 from conftest import oracle_graded_dimension
 
@@ -128,6 +128,27 @@ def test_equal_value_arrangements_share_results():
     assert hash(a.arrangement) == hash(b.arrangement)
     assert _engine(a.arrangement) is _engine(b.arrangement)
     assert hilbert_dims(a, 5) == hilbert_dims(b, 5)
+
+
+def test_engine_and_template_caches_stay_bounded():
+    # one engine per slope, and one new form x - t y per slope
+    clear_caches()
+    first = catalog("maehara4", (2, 1, 1, 2), t=2)
+    evicted = _engine(first.arrangement)
+    dims = hilbert_dims(first, 5)
+    bases = [graded_basis_vectors(first, k) for k in range(6)]
+    for t in range(3, 203):
+        graded_dimension(catalog("maehara4", (2, 1, 1, 2), t=t), 3)
+        assert _engine.cache_info().currsize <= _ENGINE_CACHE_LIMIT
+        assert _template.cache_info().currsize <= _TEMPLATE_CACHE_LIMIT
+    assert _engine.cache_info().currsize == _ENGINE_CACHE_LIMIT
+    assert _template.cache_info().currsize == _TEMPLATE_CACHE_LIMIT
+    # the first engine was dropped; its rebuild answers the same
+    assert _engine(first.arrangement) is not evicted
+    assert hilbert_dims(first, 5) == dims
+    assert [graded_basis_vectors(first, k) for k in range(6)] == bases
+    clear_caches()
+    assert _engine.cache_info().currsize == _template.cache_info().currsize == 0
 
 
 def test_non_catalog_fraction_coefficients():

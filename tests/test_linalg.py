@@ -1,4 +1,5 @@
-"""Kernel computations: the modular fast path against fraction-free elimination."""
+"""Exact elimination: the fraction-free pass against a Fraction reference, and
+kernels, the modular fast path against fraction-free elimination."""
 
 import math
 import random
@@ -9,36 +10,120 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multider import Poly
 from multider.errors import InternalCheckError
 from multider.linalg import (
     PRIMES,
     bareiss_kernel,
     certified_kernel,
     crt_pair,
+    echelon,
     kernel_mod,
     lift_residue_vector,
     primitive_integer_vector,
+    rank,
     rational_reconstruction,
+    rref,
     rref_mod,
 )
+from multider.polyring import determinant
+
+
+def _rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals; tiny matrices only."""
+    mat = [row[:] for row in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        lead = mat[r][c]
+        mat[r] = [v / lead for v in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat[:r], pivots
+
+
+def oracle_rref(rows):
+    """The Fraction reference on any exact rows: Gauss-Jordan with division."""
+    return _rref_fraction([[Fraction(v) for v in row] for row in rows])
 
 
 def _fraction_rank(rows):
-    mat = [[Fraction(v) for v in r] for r in rows]
-    rank = 0
-    for c in range(len(mat[0]) if mat else 0):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][c]
-        mat[rank] = [v / inv for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+    return len(oracle_rref(rows)[1])
+
+
+def _determinant(rows):
+    """det of a square rational matrix as `find_free_basis` reads it: one common
+    denominator D, then the signed last pivot of `echelon` over D^l."""
+    denom = math.lcm(*(Fraction(v).denominator for row in rows for v in row))
+    ech, pivots, sign = echelon([[int(v * denom) for v in row] for row in rows])
+    return Fraction(sign * ech[-1][-1], denom ** len(rows)) if len(pivots) == len(rows) else 0
+
+
+# small entries make zero rows, repeated columns and row swaps likely; the
+# wide ones pass 2**63
+exact_entries = st.one_of(
+    st.sampled_from([0, 0, 0, 1, -1, 2]),
+    st.integers(-2**70, 2**70),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+)
+
+
+@st.composite
+def exact_matrices(draw, square=False):
+    nrows = draw(st.integers(0 if not square else 1, 5))
+    ncols = nrows if square else draw(st.integers(1, 5))
+    rows = [[draw(exact_entries) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows >= 2 and draw(st.booleans()):
+        # overwrite one row by a combination of two others: rank deficient
+        i, j, k = (draw(st.integers(0, nrows - 1)) for _ in range(3))
+        a, b = draw(exact_entries), draw(exact_entries)
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@given(exact_matrices())
+@settings(max_examples=200, deadline=None)
+def test_echelon_rank_and_rref_match_the_fraction_reference(rows):
+    expected, expected_pivots = oracle_rref(rows)
+    ints = [primitive_integer_vector(row) for row in rows]
+    reduced, pivots = rref(ints)
+    assert pivots == expected_pivots and reduced == expected
+    assert all(type(v) is Fraction for row in reduced for v in row)
+    assert rank(ints) == len(expected_pivots) == len(echelon(ints)[0])
+
+
+@given(exact_matrices(square=True))
+@settings(max_examples=200, deadline=None)
+def test_echelon_determinant_matches_polyring(rows):
+    constant = [[Poly.constant(1, v) for v in row] for row in rows]
+    assert _determinant(rows) == determinant(constant).leading_coefficient()
+
+
+def test_echelon_edge_cases():
+    assert echelon([]) == ([], [], 1)
+    assert rref([]) == ([], []) and rank([]) == 0
+    assert echelon([[0, 0], [0, 0]]) == ([], [], 1)
+    assert rank([[0, 0, 0], [1, 2, 3], [2, 4, 6]]) == 1
+    # one swap flips the sign, two restore it
+    assert _determinant([[0, 1], [1, 0]]) == -1
+    assert echelon([[0, 0, 1], [1, 0, 0], [0, 1, 0]])[2] == 1
+    assert _determinant([[0, 0, 1], [1, 0, 0], [0, 1, 0]]) == 1
+    big = 2**64 + 13
+    assert _determinant([[big, 1], [1, big]]) == big * big - 1
+    assert _determinant([[Fraction(1, 2), Fraction(1, 3)], [1, 1]]) == Fraction(1, 6)
+    # a zero column between pivots: rref skips it and pivots stay in order
+    assert rref([[0, 2, 0, 4], [0, 1, 3, 5]]) == (
+        [[0, 1, 0, 2], [0, 0, 1, 1]], [1, 2])
 
 
 def _in_span(vec, basis):

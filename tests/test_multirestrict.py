@@ -5,11 +5,14 @@ import json
 
 import pytest
 
+import multider.multirestrict as multirestrict_module
 from multider import (
     ArrangementError,
     Filtration,
     FiltrationError,
+    FreenessCertificate,
     HypothesisError,
+    InternalCheckError,
     LinearForm,
     Poly,
     b_polynomial,
@@ -131,6 +134,17 @@ def test_special_rank2_basis_on_localizations():
             (not p) or try_divide_linear(p, a0) is not None for p in psi.coeffs
         )
         assert membership(theta, ess) and membership(psi, ess)
+
+
+def test_special_rank2_basis_errors_name_the_instance(monkeypatch):
+    def not_free(ma, seed=None):
+        return FreenessCertificate(False, (), None, None, (), "forced")
+
+    monkeypatch.setattr(multirestrict_module, "find_free_basis", not_free)
+    ma = catalog("B2", (3, 1, 4, 2))
+    expected = r"always free.* multiplicity \(3, 1, 4, 2\), boundary form \(0, 1\)"
+    with pytest.raises(InternalCheckError, match=expected):
+        special_rank2_basis(ma, ma.forms[1])
 
 
 def test_special_rank2_basis_input_validation():
