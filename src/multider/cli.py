@@ -179,7 +179,7 @@ def _cmd_is_universal(args, ma):
 
 
 def _cmd_delta(args, ma):
-    dv = delta(ma, seed=args.seed)
+    dv = delta(ma)
     report = _base_report(args, ma)
     report["exponents"] = [dv.d1, dv.d2]
     report["delta"] = dv.delta
@@ -187,7 +187,7 @@ def _cmd_delta(args, ma):
 
 
 def _cmd_classify_component(args, ma):
-    c = classify_component(ma, seed=args.seed)
+    c = classify_component(ma)
     report = _base_report(args, ma)
     report["infinite"] = c.infinite
     report["dominant"] = c.dominant
@@ -218,7 +218,7 @@ def _cmd_check_ss(args, ma):
     report["levels"] = [list(lvl) for lvl in filt.levels]
     report["supersolvable"] = ok
     if ok:
-        report["exponents"] = list(supersolvable_exponents(ma, filt, seed=args.seed))
+        report["exponents"] = list(supersolvable_exponents(ma, filt))
     return report, 0 if ok else 1
 
 

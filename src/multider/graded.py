@@ -38,7 +38,8 @@ matrix for Bareiss, and one of two per-prime kernels (`solve_routes` counts them
   misses and is the reference the restriction is tested against.
 
 Cache state chooses the route, never the answer: every route returns the
-same primitive vectors in the same order.
+same primitive vectors in the same order.  An engine's one store is the LRU
+of its last `_BASIS_CACHE_LIMIT` bases; a dimension is the length of a basis.
 """
 
 from __future__ import annotations
@@ -208,14 +209,13 @@ def _template(form: LinearForm) -> _FormTemplate:
 
 
 class _Engine:
-    """Per-arrangement solver with dimension and basis caches."""
+    """Per-arrangement solver; its one cache `bases` is an LRU of solved (m, k) bases."""
 
     def __init__(self, arrangement: Arrangement):
         self.arrangement = arrangement
         self.nvars = arrangement.nvars
         self.templates = [_template(f) for f in arrangement.forms]
         self.prims = [f.primitive for f in arrangement.forms]
-        self.dims: dict[tuple[tuple[int, ...], int], int] = {}
         self.bases: OrderedDict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], ...]] = OrderedDict()
 
     # -- assembly ---------------------------------------------------------
@@ -330,21 +330,6 @@ class _Engine:
 
     # -- public -----------------------------------------------------------
 
-    def dimension(self, mult: tuple[int, ...], k: int) -> int:
-        if k < 0:
-            return 0
-        key = (mult, k)
-        hit = self.dims.get(key)
-        if hit is not None:
-            return hit
-        basis = self.bases.get(key)
-        if basis is None:
-            basis = self._solve(mult, k)
-            self._store_basis(key, basis)
-        dim = len(basis)
-        self.dims[key] = dim
-        return dim
-
     def basis(self, mult: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
         if k < 0:
             return ()
@@ -353,16 +338,10 @@ class _Engine:
         if hit is not None:
             self.bases.move_to_end(key)
             return hit
-        basis = self._solve(mult, k)
-        self._store_basis(key, basis)
-        self.dims[key] = len(basis)
-        return basis
-
-    def _store_basis(self, key, basis) -> None:
-        self.bases[key] = basis
-        self.bases.move_to_end(key)
+        basis = self.bases[key] = self._solve(mult, k)
         while len(self.bases) > _BASIS_CACHE_LIMIT:
             self.bases.popitem(last=False)
+        return basis
 
 
 @lru_cache(maxsize=_ENGINE_CACHE_LIMIT)
@@ -372,7 +351,7 @@ def _engine(arrangement: Arrangement) -> _Engine:
 
 def graded_dimension(ma: Multiarrangement, k: int) -> int:
     """dim D(A, m)_k, exact."""
-    return _engine(ma.arrangement).dimension(ma.mult, k)
+    return len(_engine(ma.arrangement).basis(ma.mult, k))
 
 
 def graded_basis_vectors(ma: Multiarrangement, k: int) -> tuple[tuple[int, ...], ...]:
@@ -396,8 +375,6 @@ def graded_member(ma: Multiarrangement, k: int, vector: Sequence[int]) -> bool:
 
 def hilbert_dims(ma: Multiarrangement, max_degree: int) -> tuple[int, ...]:
     """dim D(A, m)_k for k = 0..max_degree."""
-    if max_degree < 0:
-        return ()
     return tuple(graded_dimension(ma, k) for k in range(max_degree + 1))
 
 

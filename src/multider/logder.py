@@ -40,6 +40,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .arrangement import (
     Multiarrangement,
+    _scalar_from_json,
     defining_polynomial,
     irreducible_component_count,
     is_essential,
@@ -59,6 +60,7 @@ from .polyring import (
     determinant,
     divides_power,
     monomial_count,
+    monomial_exponents,
     variable_names,
 )
 
@@ -396,6 +398,23 @@ def _random_point(rng: random.Random, l: int, avoid: Sequence[LinearForm] = ()) 
             return pt
 
 
+def _monomial_values(point: Sequence[int], degree: int) -> list[int]:
+    """The degree-`degree` monomials at an integer point, in graded lex order."""
+    return [math.prod(p**e for p, e in zip(point, mono))
+            for mono in monomial_exponents(len(point), degree)]
+
+
+def _blocks_at(vec: Sequence[int], values: Sequence[int]) -> list[int]:
+    """Each coefficient block of a stacked vector dotted with `values`, such as monomials at a point."""
+    n = len(values)
+    return [sum(a * v for a, v in zip(vec[i:i + n], values) if a) for i in range(0, len(vec), n)]
+
+
+def _combine(vectors: Sequence[Sequence[int]], weights: Sequence[int]) -> list[int]:
+    """sum_j weights[j] * vectors[j], entrywise over the integers."""
+    return [sum(w * v for w, v in zip(weights, column) if w) for column in zip(*vectors)]
+
+
 def _not_free(log: list[str], reason: str) -> FreenessCertificate:
     log.append(f"not free: {reason}")
     return FreenessCertificate(False, (), None, None, tuple(log), reason)
@@ -409,11 +428,13 @@ def find_free_basis(ma: Multiarrangement, seed: int = DEFAULT_SEED) -> FreenessC
     numerator to be a sum of l monomials t^{d_i} with Sum d_i = |m|, so any
     negative c_k, more than l slots, or weight overflow refutes freeness
     outright; otherwise the scan pins down the unique candidate exponent
-    tuple.  Candidates from the certified graded pieces then have det = c * Q,
-    so one evaluation at an integer point gives c: seeded random combinations
+    tuple.  Candidates from the certified graded pieces have det = c * Q, so
+    one evaluation at an integer point gives c: seeded random combinations
     first, then every pure basis selection at one point off the hyperplanes,
-    whose total vanishing certifies non-freeness because the determinant is
-    multilinear in the basis slots.  `saito_check` is not called here.
+    whose total vanishing certifies non-freeness as det is multilinear in the
+    slots.  All of it is integer arithmetic on the graded solver's vectors: dot
+    products with monomial values, det the signed last pivot of `echelon`.
+    Only the l returned derivations become polynomials; no `saito_check`.
     """
     if not is_essential(ma.arrangement):
         raise ArrangementError("find_free_basis needs an essential arrangement")
@@ -451,17 +472,18 @@ def find_free_basis(ma: Multiarrangement, seed: int = DEFAULT_SEED) -> FreenessC
 
     degrees = tuple(sorted(d for d, c in counts.items() for _ in range(c)))
     log.append(f"candidate exponents {degrees}")
-    pieces = {d: graded_piece(ma, d) for d in counts}
+    vectors = {d: graded_basis_vectors(ma, d) for d in counts}
 
     rng = random.Random(seed)
 
     def _evaluate(point: list[int]) -> dict:
-        return {d: [[p.evaluate(point) for p in theta.coeffs] for theta in piece] for d, piece in pieces.items()}
+        values = {d: _monomial_values(point, d) for d in vectors}
+        return {d: [_blocks_at(vec, values[d]) for vec in vecs] for d, vecs in vectors.items()}
 
     def _candidates() -> Iterator[tuple[list[int], dict, list[list[int]], str]]:
         for rep in range(RANDOM_REPS):
             point = _random_point(rng, l)
-            weights = [[rng.randint(-9, 9) for _ in pieces[d]] for d in degrees]
+            weights = [[rng.randint(-9, 9) for _ in vectors[d]] for d in degrees]
             note = f"free: randomized combination succeeded at repetition {rep + 1}"
             yield point, _evaluate(point), weights, note
         log.append(f"randomized test vanished for {RANDOM_REPS} repetitions; expanding all selections")
@@ -469,25 +491,21 @@ def find_free_basis(ma: Multiarrangement, seed: int = DEFAULT_SEED) -> FreenessC
         # selection evaluates to zero exactly when its c is zero
         point = _random_point(rng, l, [f for f, m in zip(ma.forms, ma.mult) if m])
         evaluated = _evaluate(point)
-        for selection in itertools.product(*(range(len(pieces[d])) for d in degrees)):
-            units = [[int(i == j) for i in range(len(pieces[d]))] for d, j in zip(degrees, selection)]
+        for selection in itertools.product(*(range(len(vectors[d])) for d in degrees)):
+            units = [[int(i == j) for i in range(len(vectors[d]))] for d, j in zip(degrees, selection)]
             yield point, evaluated, units, f"free: pure selection {selection} has nonzero determinant"
 
     # det = c * Q because the degrees sum to |m|, so c = det(p) / Q(p)
     for point, evaluated, weights, note in _candidates():
-        rows = [
-            [sum(wj * vec[i] for wj, vec in zip(w, evaluated[d]) if wj) for i in range(l)]
-            for d, w in zip(degrees, weights)
-        ]
-        # det(rows) = det(D * rows) / D^l, the signed last pivot at full rank
-        denom = math.lcm(*(v.denominator for row in rows for v in row))
-        ech, pivots, sign = echelon([[int(v * denom) for v in row] for row in rows])
+        rows = [_combine(evaluated[d], w) for d, w in zip(degrees, weights)]
+        # the determinant of integer rows is the signed last pivot at full rank
+        ech, pivots, sign = echelon(rows)
         if len(pivots) == l:
-            det = Fraction(sign * ech[-1][-1], denom**l)
             q = math.prod(f.evaluate(point) ** m for f, m in zip(ma.forms, ma.mult))
-            basis = tuple(pieces[d].element(w) for d, w in zip(degrees, weights))
+            basis = tuple(derivation_from_vector(l, d, _combine(vectors[d], w))
+                          for d, w in zip(degrees, weights))
             log.append(note)
-            return FreenessCertificate(True, basis, degrees, det / q, tuple(log), None)
+            return FreenessCertificate(True, basis, degrees, sign * ech[-1][-1] / q, tuple(log), None)
     return _not_free(
         log,
         "determinant vanishes identically "
@@ -544,8 +562,13 @@ def is_universal(theta: Derivation, ma_base: Multiarrangement) -> bool:
     weighted = [f for f, m in zip(ma_base.forms, ma_base.mult) if m]
     point = _random_point(random.Random(DEFAULT_SEED), l, weighted)
     # row i holds the coefficients of nabla_{d/dx_i} theta = sum_j d_i(f_j) d/dx_j
-    rows = [[f.partial(i).evaluate(point) for f in theta.coeffs] for i in range(l)]
-    return rank([primitive_integer_vector(row) for row in rows]) == l
+    # at the point, with d_i x^e = e_i x^(e - 1_i); theta is rescaled to a
+    # primitive integer vector, which keeps the rank
+    vec = primitive_integer_vector(theta.coefficient_vector(deg))
+    lower = dict(zip(monomial_exponents(l, deg - 1), _monomial_values(point, deg - 1)))
+    rows = [_blocks_at(vec, [e[i] and e[i] * lower[e[:i] + (e[i] - 1,) + e[i + 1:]]
+                             for e in monomial_exponents(l, deg)]) for i in range(l)]
+    return rank(rows) == l
 
 
 def find_universal(ma_base: Multiarrangement, seed: int = DEFAULT_SEED) -> Derivation | None:
@@ -585,12 +608,12 @@ def _find_universal(ma_base: Multiarrangement, seed: int,
     lifted = ma_base.plus_ones()
     if not is_k_critical(lifted, d + 1):
         return None
-    piece = graded_piece(lifted, d + 1)
+    vectors = graded_basis_vectors(lifted, d + 1)
     context = (f"for forms {[f.primitive for f in ma_base.forms]} with multiplicity "
                f"{ma_base.mult}, degree {d + 1}, seed {seed}")
-    if not piece.basis:
+    if not vectors:
         raise InternalCheckError(f"critical degree lost its nonzero element {context}")
-    theta = piece.basis[0]
+    theta = derivation_from_vector(l, d + 1, vectors[0])
     if not is_universal(theta, ma_base):
         raise InternalCheckError(
             f"criticality route disagrees with the direct characterization {context}")
@@ -630,6 +653,6 @@ def derivation_from_dict(data: dict) -> Derivation:
             exp = tuple(int(v) for v in str(key).split(","))
             if len(exp) != nvars:
                 raise ValueError(f"exponent key {key!r} does not have {nvars} entries")
-            terms[exp] = Fraction(value)
+            terms[exp] = _scalar_from_json(value)
         polys.append(Poly(nvars, terms))
     return Derivation(polys)

@@ -149,6 +149,8 @@ def filtration_from_dict(arrangement: Arrangement, data: dict) -> Filtration:
         raise FiltrationError("expected a 'filtration' key with index lists") from exc
     if not isinstance(levels, list) or not all(isinstance(lvl, list) for lvl in levels):
         raise FiltrationError("'filtration' must be a list of index lists")
+    if any(type(i) is not int for lvl in levels for i in lvl):
+        raise FiltrationError("filtration indices must be integers")
     return Filtration(arrangement, tuple(tuple(lvl) for lvl in levels))
 
 
@@ -391,8 +393,7 @@ def check_supersolvable(ma: Multiarrangement, filt: Filtration) -> bool:
     return True
 
 
-def supersolvable_exponents(ma: Multiarrangement, filt: Filtration,
-                            seed: int = DEFAULT_SEED) -> tuple[int, ...]:
+def supersolvable_exponents(ma: Multiarrangement, filt: Filtration) -> tuple[int, ...]:
     """Exponents read off a supersolvable filtration without a Saito search.
 
     The rank-2 level contributes its exponent pair; every later level
@@ -403,7 +404,7 @@ def supersolvable_exponents(ma: Multiarrangement, filt: Filtration,
         raise HypothesisError("the exponent formula needs rank at least 2")
     if not check_supersolvable(ma, filt):
         raise FiltrationError("the multiplicity fails the supersolvable inequalities")
-    dv = delta(filt.sub_multiarrangement(ma, 2), seed=seed)
+    dv = delta(filt.sub_multiarrangement(ma, 2))
     exps = [dv.d1, dv.d2]
     for depth in range(3, filt.rank + 1):
         exps.append(filt.level_order(ma, depth) - filt.level_order(ma, depth - 1))
@@ -465,7 +466,7 @@ def universal_obstruction_report(ma: Multiarrangement, filt: Filtration,
     lift_balanced = is_balanced(lift2)
     base2_order = base2.order()
     base_order_even = base2_order % 2 == 0
-    dv = delta(base2, seed=seed)
+    dv = delta(base2)
     rank2_exps = dv.pair
     half = base2_order // 2
     rank2_equal = base_order_even and rank2_exps == (half, half)

@@ -31,7 +31,7 @@ from .errors import (
     MembershipError,
 )
 from .graded import graded_dimension
-from .logder import DEFAULT_SEED, Derivation, _member
+from .logder import Derivation, _member
 
 __all__ = [
     "DeltaValue",
@@ -100,7 +100,7 @@ def _essential_rank2(ma: Multiarrangement) -> Multiarrangement:
     return ess
 
 
-def delta(ma: Multiarrangement, seed: int = DEFAULT_SEED) -> DeltaValue:
+def delta(ma: Multiarrangement) -> DeltaValue:
     """Exponent pair and gap of a rank-2 multiarrangement, from one dimension.
 
     D(A, m) is free with exponents d1 <= d2 summing to |m|, so
@@ -109,9 +109,7 @@ def delta(ma: Multiarrangement, seed: int = DEFAULT_SEED) -> DeltaValue:
     ceil(|m|/2) - d1, so the single exact dimension dim D(A, m)_k gives
     d1 = ceil(|m|/2) - dim and d2 = |m| - d1.  No basis, determinant or
     Q(A, m) is built.  Since 0 <= d1 <= floor(|m|/2), the dimension must lie
-    in [|m| mod 2, ceil(|m|/2)]; anything else is an internal error.  `seed`
-    is accepted so callers can pass the report seed through, but the result
-    does not depend on it.
+    in [|m| mod 2, ceil(|m|/2)]; anything else is an internal error.
     """
     ess = _essential_rank2(ma)
     total = ess.order()
@@ -152,7 +150,7 @@ def lattice_distance(m: Multiplicity, m2: Multiplicity) -> int:
     return sum(abs(a - b) for a, b in zip(m, m2))
 
 
-def classify_component(ma: Multiarrangement, seed: int = DEFAULT_SEED) -> ComponentClassification:
+def classify_component(ma: Multiarrangement) -> ComponentClassification:
     """Classify the lattice component of a rank-2 multiplicity with gap >= 1.
 
     Unbalanced multiplicities lie on the infinite ray of their dominating
@@ -163,7 +161,7 @@ def classify_component(ma: Multiarrangement, seed: int = DEFAULT_SEED) -> Compon
     """
     ess = _essential_rank2(ma)
     start = ess.mult
-    dv = delta(ess, seed=seed)
+    dv = delta(ess)
     if dv.delta == 0:
         raise HypothesisError("a zero gap lies outside every component")
     total = ess.order()
@@ -185,7 +183,7 @@ def classify_component(ma: Multiarrangement, seed: int = DEFAULT_SEED) -> Compon
                 cand_ma = ess.with_mult(cand)
                 if not is_balanced(cand_ma):
                     continue
-                cand_delta = delta(cand_ma, seed=seed).delta
+                cand_delta = delta(cand_ma).delta
                 if cand_delta > current_delta:
                     if cand_delta != current_delta + 1:
                         raise InternalCheckError(
@@ -209,8 +207,7 @@ def classify_component(ma: Multiarrangement, seed: int = DEFAULT_SEED) -> Compon
     )
 
 
-def classify_universal_rank2(ma_base: Multiarrangement, theta: Derivation,
-                             seed: int = DEFAULT_SEED) -> bool:
+def classify_universal_rank2(ma_base: Multiarrangement, theta: Derivation) -> bool:
     """Exponent-gap test for universality over a rank-2 base multiplicity m.
 
     With n hyperplanes, a homogeneous theta in D(A, m+1) is m-universal
@@ -235,5 +232,5 @@ def classify_universal_rank2(ma_base: Multiarrangement, theta: Derivation,
         raise MembershipError("the derivation does not lie in D(A, m+1)")
     deg = theta.homogeneous_degree()
     assert deg is not None
-    dv = delta(lifted, seed=seed)
+    dv = delta(lifted)
     return is_balanced(lifted) and dv.pair == (deg, deg + n - 2)

@@ -97,7 +97,7 @@ def gap_jumps(monkeypatch):
 
     def plant(start):
         monkeypatch.setattr(multider.rank2, "delta",
-                            lambda ma, seed=0: real(ma, seed) if ma.mult == start else DeltaValue(0, 5))
+                            lambda ma: real(ma) if ma.mult == start else DeltaValue(0, 5))
 
     return plant
 

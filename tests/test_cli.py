@@ -224,6 +224,30 @@ def test_malformed_hyperplanes_exit_2(capsys, data):
     assert "input error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", [None, [1], 0.1, True])
+def test_malformed_theta_scalars_exit_2(capsys, value):
+    theta = json.dumps({"coefficients": [{"1,0": value}, {"0,1": 1}]})
+    code, out, err = run_cli(capsys, "is-universal", "catalog:A2", "--mult", "1,1,2", "--theta", theta)
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("levels", [
+    [[None], [0, 1, 3], [0, 1, 2, 3, 4, 5]],
+    [[0.9], [0, 1, 3.2], [0, 1, 2, 3, 4, 5]],
+    [[True], [0, 1, 3], [0, 1, 2, 3, 4, 5]],
+    [["0"], [0, 1, 3], [0, 1, 2, 3, 4, 5]],
+])
+def test_malformed_filtration_indices_exit_2(capsys, levels):
+    filt = json.dumps({"filtration": levels})
+    code, out, err = run_cli(capsys, "check-ss", "catalog:A3", "--mult", "2,2,2,1,1,1",
+                             "--filtration", filt)
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "Traceback" not in err
+
+
 def test_boolean_multiplicity_exit_2(capsys):
     data = {"variables": ["x", "y"],
             "hyperplanes": [{"form": [1, 0], "multiplicity": True}, {"form": [0, 1]}]}

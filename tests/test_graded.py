@@ -1,5 +1,6 @@
 """Graded dimensions and bases against the from-scratch oracle in conftest."""
 
+import itertools
 import math
 
 import numpy as np
@@ -149,6 +150,33 @@ def test_engine_and_template_caches_stay_bounded():
     assert [graded_basis_vectors(first, k) for k in range(6)] == bases
     clear_caches()
     assert _engine.cache_info().currsize == _template.cache_info().currsize == 0
+
+
+def test_basis_cache_stays_bounded_and_is_the_only_store(monkeypatch):
+    # a B2 grid walk with room for 12 bases: pieces are evicted and solved again
+    limit = 12
+    monkeypatch.setattr("multider.graded._BASIS_CACHE_LIMIT", limit)
+    clear_caches()
+    eng = _engine(catalog("B2").arrangement)
+    grid = [m for m in itertools.product(range(3), repeat=4) if sum(m) <= 5]
+    first = {}
+    for m in grid:
+        ma = catalog("B2", m)
+        for k in range(4):
+            first[m, k] = (graded_dimension(ma, k), graded_basis_vectors(ma, k))
+            assert len(eng.bases) <= limit
+    assert len(eng.bases) == limit
+    assert set(vars(eng)) == {"arrangement", "nvars", "templates", "prims", "bases"}
+    assert all(isinstance(v, list) and len(v) == 4 for v in (eng.templates, eng.prims))
+    solves = sum(solve_routes().values())
+    for (m, k), (dim, basis) in first.items():
+        ma = catalog("B2", m)
+        assert graded_dimension(ma, k) == dim == len(basis)
+        assert graded_basis_vectors(ma, k) == basis
+        assert len(eng.bases) <= limit
+    # the evicted pieces were solved again, not remembered elsewhere
+    assert sum(solve_routes().values()) > solves
+    clear_caches()
 
 
 def test_non_catalog_fraction_coefficients():

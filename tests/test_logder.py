@@ -31,14 +31,18 @@ from multider import (
     hilbert_dims,
     is_k_critical,
     is_universal,
+    localize,
     membership,
+    rank2_flats,
     saito_check,
     saito_determinant,
 )
-from multider.graded import _template
-from multider.linalg import _INT64_SAFE
-from multider.logder import _member
+from multider import logder
+from multider.graded import _template, graded_basis_vectors
+from multider.linalg import _INT64_SAFE, echelon, primitive_integer_vector, rank
+from multider.logder import FreenessCertificate, GradedPiece, _member
 from multider.polyring import monomial_exponents
+from multider.rank2 import delta
 
 scalars = st.integers(-3, 3).map(Fraction)
 
@@ -300,20 +304,20 @@ def test_free_certificates_verify_saito(name, mult):
     assert any(line.startswith("degree ") for line in cert.search_log)
 
 
-@pytest.mark.parametrize(
-    "name,mult",
-    [
-        ("A2", (3, 2, 2)),
-        ("B2", (3, 5, 2, 2)),
-        ("A3", (1, 1, 1, 1, 1, 1)),
-        ("A3", (2, 2, 2, 2, 2, 2)),
-        ("deletedA3", (2, 2, 3, 2, 2)),
-        ("X3", (2, 2, 2, 1, 1, 1)),
-        ("X3", (4, 4, 4, 1, 1, 1)),
-        ("B3", (1, 1, 1, 1, 1, 1, 1, 1, 1)),
-        ("B3", (1, 1, 1, 1, 2, 1, 1, 1, 1)),
-    ],
-)
+PURE_SELECTION_CASES = [
+    ("A2", (3, 2, 2)),
+    ("B2", (3, 5, 2, 2)),
+    ("A3", (1, 1, 1, 1, 1, 1)),
+    ("A3", (2, 2, 2, 2, 2, 2)),
+    ("deletedA3", (2, 2, 3, 2, 2)),
+    ("X3", (2, 2, 2, 1, 1, 1)),
+    ("X3", (4, 4, 4, 1, 1, 1)),
+    ("B3", (1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    ("B3", (1, 1, 1, 1, 2, 1, 1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("name,mult", PURE_SELECTION_CASES)
 def test_pure_selection_certificates_verify_saito(monkeypatch, name, mult):
     ma = catalog(name, mult)
     randomized = find_free_basis(ma)
@@ -328,17 +332,139 @@ def test_pure_selection_certificates_verify_saito(monkeypatch, name, mult):
     assert saito_determinant(cert.basis) == defining_polynomial(ma) * cert.constant
 
 
+def fraction_find_free_basis(ma, seed=logder.DEFAULT_SEED):
+    """The rational route of `find_free_basis`: the oracle for its integer one.
+
+    The same Hilbert scan and random draws, but every candidate is built from
+    `graded_piece`, evaluated by `Poly.evaluate` in `Fraction`s and combined by
+    `GradedPiece.element`; the determinant clears one common denominator D and
+    reads det = sign * last pivot / D^l off `echelon`.
+    """
+    l = ma.nvars
+    total = ma.order()
+    log, hist, counts, found, weight = [], [], {}, 0, 0
+    for k in range(total + 1):
+        h = graded_dimension(ma, k)
+        hist.append(h)
+        c = sum((-1) ** j * math.comb(l, j) * hist[k - j] for j in range(min(k, l) + 1))
+        log.append(f"degree {k}: dim {h}, numerator coefficient {c}")
+        if c < 0:
+            return logder._not_free(log, f"Hilbert numerator negative at degree {k}")
+        if c:
+            counts[k] = c
+            found += c
+            weight += c * k
+            if found > l:
+                return logder._not_free(log, f"more than {l} generator slots by degree {k}")
+            if weight > total:
+                return logder._not_free(log, f"generator degrees exceed |m| by degree {k}")
+        if found == l:
+            if weight < total:
+                return logder._not_free(log, "generator degrees sum below |m|")
+            break
+    else:
+        return logder._not_free(log, f"fewer than {l} generator slots up to degree |m|")
+    degrees = tuple(sorted(d for d, c in counts.items() for _ in range(c)))
+    log.append(f"candidate exponents {degrees}")
+    pieces = {d: graded_piece(ma, d) for d in counts}
+    rng = random.Random(seed)
+    reps = logder.RANDOM_REPS
+
+    def evaluate(point):
+        return {d: [[p.evaluate(point) for p in theta.coeffs] for theta in piece]
+                for d, piece in pieces.items()}
+
+    def candidates():
+        for rep in range(reps):
+            point = logder._random_point(rng, l)
+            weights = [[rng.randint(-9, 9) for _ in pieces[d]] for d in degrees]
+            yield point, evaluate(point), weights, f"free: randomized combination succeeded at repetition {rep + 1}"
+        log.append(f"randomized test vanished for {reps} repetitions; expanding all selections")
+        point = logder._random_point(rng, l, [f for f, m in zip(ma.forms, ma.mult) if m])
+        evaluated = evaluate(point)
+        for selection in itertools.product(*(range(len(pieces[d])) for d in degrees)):
+            units = [[int(i == j) for i in range(len(pieces[d]))] for d, j in zip(degrees, selection)]
+            yield point, evaluated, units, f"free: pure selection {selection} has nonzero determinant"
+
+    for point, evaluated, weights, note in candidates():
+        rows = [[sum(wj * vec[i] for wj, vec in zip(w, evaluated[d]) if wj) for i in range(l)]
+                for d, w in zip(degrees, weights)]
+        denom = math.lcm(*(v.denominator for row in rows for v in row))
+        ech, pivots, sign = echelon([[int(v * denom) for v in row] for row in rows])
+        if len(pivots) == l:
+            det = Fraction(sign * ech[-1][-1], denom**l)
+            q = math.prod(f.evaluate(point) ** m for f, m in zip(ma.forms, ma.mult))
+            basis = tuple(pieces[d].element(w) for d, w in zip(degrees, weights))
+            log.append(note)
+            return FreenessCertificate(True, basis, degrees, det / q, tuple(log), None)
+    return logder._not_free(
+        log, f"determinant vanishes identically ({reps} randomized repetitions, then every pure basis selection)")
+
+
+@pytest.mark.parametrize("name,mult", SAITO_CASES)
+def test_integer_certificates_equal_the_fraction_route(name, mult):
+    ma = catalog(name, mult)
+    for seed in (logder.DEFAULT_SEED, 5):
+        assert find_free_basis(ma, seed=seed) == fraction_find_free_basis(ma, seed=seed)
+
+
+@pytest.mark.parametrize("name,mult", PURE_SELECTION_CASES)
+def test_pure_selection_certificates_equal_the_fraction_route(monkeypatch, name, mult):
+    monkeypatch.setattr("multider.logder.RANDOM_REPS", 0)
+    ma = catalog(name, mult)
+    assert find_free_basis(ma) == fraction_find_free_basis(ma)
+
+
+def fraction_is_universal(theta, ma_base):
+    """`is_universal` with the gradients evaluated by `Poly.evaluate`; its oracle."""
+    l = ma_base.nvars
+    deg = theta.homogeneous_degree()
+    if not theta or l * (deg - 1) != ma_base.order() or not membership(theta, ma_base.plus_ones()):
+        return False
+    weighted = [f for f, m in zip(ma_base.forms, ma_base.mult) if m]
+    point = logder._random_point(random.Random(logder.DEFAULT_SEED), l, weighted)
+    rows = [[f.partial(i).evaluate(point) for f in theta.coeffs] for i in range(l)]
+    return rank([primitive_integer_vector(row) for row in rows]) == l
+
+
+@pytest.mark.parametrize("name,mult,universal", [
+    ("A2", (1, 1, 2), True),
+    ("A2", (2, 2, 2), True),
+    ("B2", (2, 4, 1, 1), True),
+    ("A3", (2, 2, 2, 2, 2, 2), True),
+    # exponents (2, 4): a degree-4 member of D(A, m + 1) whose gradients drop rank
+    ("A2", (1, 1, 4), False),
+])
+def test_is_universal_agrees_with_the_fraction_route(name, mult, universal):
+    base = catalog(name, mult)
+    l = base.nvars
+    deg = base.order() // l + 1
+    members = [derivation_from_vector(l, deg, v) for v in graded_basis_vectors(base.plus_ones(), deg)]
+    x0 = Poly.variable(l, 0)
+    candidates = members + [theta * Fraction(-2, 3) for theta in members]
+    candidates += [sum(members[1:], members[0]), euler_derivation(l) * x0 ** (deg - 1)]
+    verdicts = [is_universal(theta, base) for theta in candidates]
+    assert verdicts == [fraction_is_universal(theta, base) for theta in candidates]
+    assert any(verdicts) == universal == (find_universal(base) is not None)
+
+
 @pytest.mark.parametrize("reps", [None, 0])
 def test_find_free_basis_does_not_call_the_symbolic_oracle(monkeypatch, reps):
     def oracle_called(*args):
-        raise AssertionError("find_free_basis used the symbolic Saito route")
+        raise AssertionError("a certificate used the symbolic Saito route or Fraction polynomials")
 
-    for name in ("saito_check", "saito_determinant", "membership", "defining_polynomial"):
+    for name in ("saito_check", "saito_determinant", "membership", "defining_polynomial",
+                 "graded_piece"):
         monkeypatch.setattr(f"multider.logder.{name}", oracle_called)
+    monkeypatch.setattr(GradedPiece, "element", oracle_called)
+    monkeypatch.setattr(Poly, "evaluate", oracle_called)
     if reps is not None:
         monkeypatch.setattr("multider.logder.RANDOM_REPS", reps)
     assert find_free_basis(catalog("A3", (2, 2, 2, 2, 2, 2))).free
     assert not find_free_basis(catalog("X3", (1, 1, 1, 0, 4, 2))).free
+    assert find_universal(catalog("B2", (2, 4, 1, 1))) is not None
+    assert find_universal(catalog("A2", (2, 2, 2))) is not None
+    assert find_universal(catalog("B2", (1, 3, 1, 1))) is None
 
 
 def test_vanishing_determinant_refutation_matches_symbolic_determinants():
@@ -354,6 +480,35 @@ def test_vanishing_determinant_refutation_matches_symbolic_determinants():
     for selection in selections:
         basis = [pieces[d].basis[j] for d, j in zip(degrees, selection)]
         assert saito_determinant(basis) == Poly.zero(3)
+
+
+RANK3_SIZES = {"A3": 6, "X3": 6, "deletedA3": 5, "B3": 9}
+
+
+@st.composite
+def rank3_multiplicities(draw):
+    name = draw(st.sampled_from(sorted(RANK3_SIZES)))
+    top = 2 if name == "B3" else 3
+    size = RANK3_SIZES[name]
+    return name, tuple(draw(st.lists(st.integers(0, top), min_size=size, max_size=size)))
+
+
+def local_exponent_sum(ma):
+    """Sum over the rank-2 flats X of d1^X * d2^X, the localizations' exponent products."""
+    return sum(math.prod(delta(localize(ma, x)).pair) for x in rank2_flats(ma.arrangement))
+
+
+@given(rank3_multiplicities())
+@settings(max_examples=120, deadline=None)
+def test_free_rank3_certificates_satisfy_the_local_exponent_identity(case):
+    # Abe, Terao and Wakefield (Adv. Math. 2007): a free 3-multiarrangement
+    # with exponents (d1, d2, d3) has d1 d2 + d1 d3 + d2 d3 equal to the sum of
+    # d1^X d2^X over its rank-2 flats X; nothing is shared with the determinant
+    ma = catalog(*case)
+    cert = find_free_basis(ma)
+    if cert.free:
+        d1, d2, d3 = cert.exponents
+        assert d1 * d2 + d1 * d3 + d2 * d3 == local_exponent_sum(ma), case
 
 
 def test_known_exponents():
