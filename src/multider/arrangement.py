@@ -263,6 +263,8 @@ def irreducible_component_count(a: Arrangement) -> int:
 # -- catalog ---------------------------------------------------------------
 
 _CATALOG_CACHE_LIMIT = 32
+# the parameters each catalog entry takes; the others take none
+_CATALOG_PARAMS = {"fan2d": ("h", "slopes"), "maehara4": ("t",)}
 
 
 def _forms(nvars: int, *rows: Sequence[Scalar]) -> Arrangement:
@@ -272,16 +274,41 @@ def _forms(nvars: int, *rows: Sequence[Scalar]) -> Arrangement:
 def catalog(name: str, mult: Sequence[int] | None = None, **params) -> Multiarrangement:
     """Named arrangements; multiplicities default to all ones.
 
-    fan2d takes `h` and `slopes` (len h, distinct, nonzero allowed); maehara4
-    takes a rational slope `t` (default 7/3) standing in for a generic slope.
+    fan2d takes a positive integer `h` and `slopes` (h distinct rationals, a
+    single one as a bare value); maehara4 takes a rational slope `t` (default
+    7/3) standing in for a generic slope.  A rational is any non-bool value
+    `Fraction` takes, such as 2 or "7/3"; any other key or value raises
+    ArrangementError.
     Equal (name, params) share one `Arrangement`, so repeated calls reuse its
     cached rank and hash and find its graded engine by identity.
     """
-    frozen = tuple(sorted((k, tuple(v) if isinstance(v, list) else v) for k, v in params.items()))
-    arr = _catalog_arrangement(name, frozen)
+    arr = _catalog_arrangement(name, _freeze_params(name, params))
     if mult is None:
         mult = ones(len(arr))
     return arr.with_multiplicity(mult)
+
+
+def _rational_param(key: str, value) -> Fraction:
+    if not isinstance(value, bool):
+        try:
+            return _frac(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise ArrangementError(f"catalog parameter {key} must be a rational number, got {value!r}")
+
+
+def _freeze_params(name: str, params: dict) -> tuple:
+    """The parameters as sorted (key, Fraction or tuple of Fractions) pairs."""
+    frozen = []
+    for key, value in sorted(params.items()):
+        if key not in _CATALOG_PARAMS.get(name, ()):
+            raise ArrangementError(f"catalog entry {name!r} takes no parameter {key!r}")
+        if key == "slopes":
+            values = value if isinstance(value, (tuple, list)) else (value,)
+            frozen.append((key, tuple(_rational_param(key, v) for v in values)))
+        else:
+            frozen.append((key, _rational_param(key, value)))
+    return tuple(frozen)
 
 
 @lru_cache(maxsize=_CATALOG_CACHE_LIMIT)
@@ -306,17 +333,17 @@ def _catalog_arrangement(name: str, frozen_params: tuple) -> Arrangement:
     elif name == "X3":
         arr = _forms(3, (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1))
     elif name == "fan2d":
-        h = int(params.get("h", 0))
-        slopes = [_frac(s) for s in params.get("slopes", ())]
-        if h <= 0 or len(slopes) != h:
-            raise ArrangementError("fan2d needs h and exactly h slopes")
+        h = params.get("h", 0)
+        slopes = params.get("slopes", ())
+        if h <= 0 or h.denominator != 1 or len(slopes) != h:
+            raise ArrangementError("fan2d needs a positive integer h and exactly h slopes")
         if len(set(slopes)) != h:
             raise ArrangementError("fan2d slopes must be distinct")
         rows: list[tuple[Scalar, ...]] = [(1, 0, 0), (0, 1, 0), (1, -1, 0)]
         rows += [(-s, 0, 1) for s in slopes]
         arr = _forms(3, *rows)
     elif name == "maehara4":
-        t = _frac(params.get("t", Fraction(7, 3)))
+        t = params.get("t", Fraction(7, 3))
         if t == 0 or t == 1:
             raise ArrangementError("maehara4 slope must avoid 0 and 1")
         arr = _forms(2, (1, 0), (0, 1), (1, -1), (1, -t))
@@ -340,10 +367,7 @@ def catalog_filtration(name: str, **params):
     elif name == "B3":
         levels = ((0,), (0, 1, 2, 3), tuple(range(9)))
     elif name == "fan2d":
-        h = int(params.get("h", 0))
-        if h <= 0:
-            raise ArrangementError("fan2d filtration needs h")
-        levels = ((0,), (0, 1, 2), tuple(range(3 + h)))
+        levels = ((0,), (0, 1, 2), tuple(range(len(catalog(name, **params).forms))))
     else:
         raise ArrangementError(f"no filtration shipped for catalog name {name!r}")
     ma = catalog(name, **params) if name != "deletedA3-alt" else catalog("deletedA3")

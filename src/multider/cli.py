@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .arrangement import (
     Multiarrangement,
@@ -45,15 +44,6 @@ from .sweep import format_tsv, parse_ranges, run_sweep
 __all__ = ["main"]
 
 
-def _parse_param(value: str):
-    if "," in value:
-        return tuple(Fraction(v) for v in value.split(","))
-    try:
-        return int(value)
-    except ValueError:
-        return Fraction(value)
-
-
 def _positive_int(value: str) -> int:
     try:
         n = int(value)
@@ -70,7 +60,9 @@ def _catalog_params(args) -> dict:
         key, _, value = entry.partition("=")
         if not key or not value:
             raise ArrangementError(f"bad --param entry {entry!r}; expected KEY=VALUE")
-        params[key.strip()] = _parse_param(value.strip())
+        # `catalog` parses and checks the values; a comma makes a list
+        value = value.strip()
+        params[key.strip()] = tuple(value.split(",")) if "," in value else value
     return params
 
 

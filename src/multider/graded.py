@@ -8,10 +8,10 @@ first new variable, divisibility means "all coefficients with first-variable
 exponent below m(H) vanish".  Those vanishing conditions are the rows of the
 divisibility matrix (`_Engine._matrix`); the graded piece is its rational kernel.
 
-The per-hyperplane substitution rows depend only on (form, degree), so they
-are built once per form by an incremental product expansion and reused across
-every multiplicity, degree and sweep case; the rows for every multiplicity
-are prefixes of one stored matrix per degree.  The same exact residual that
+The per-hyperplane substitution rows depend only on (form, degree), so
+`_template` builds them in closed form, one matrix per (form, degree) in a
+bounded LRU, reused across every multiplicity and sweep case; the rows for
+every multiplicity are prefixes of that matrix.  The same exact residual that
 certifies solved vectors decides membership of any one coefficient vector
 (`graded_member`).  A multiplicity with no positive entry yields no rows and
 so the whole space of degree-k derivations.
@@ -45,6 +45,7 @@ of its last `_BASIS_CACHE_LIMIT` bases; a dimension is the length of a basis.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter, OrderedDict
 from functools import lru_cache, partial
 from typing import Sequence
@@ -54,131 +55,85 @@ import numpy as np
 from .arrangement import Arrangement, Multiarrangement
 from .errors import InternalCheckError
 from .linalg import _INT64_SAFE, certified_kernel, kernel_mod, rref_mod
-from .polyring import LinearForm, monomial_count, monomial_exponents
+from .polyring import monomial_count, monomial_exponents
 
 _BASIS_CACHE_LIMIT = 2048
 _ENGINE_CACHE_LIMIT = 64
-_TEMPLATE_CACHE_LIMIT = 128
+_TEMPLATE_CACHE_LIMIT = 1024
 
 # how each graded solve was answered; see `solve_routes`
 _routes: Counter = Counter()
 
 
-class _FormTemplate:
-    """Divisibility-condition row blocks for one linear form.
+@lru_cache(maxsize=_TEMPLATE_CACHE_LIMIT)
+def _template(primitive: tuple[int, ...], k: int) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+    """Divisibility rows of degree k for the form with these primitive coordinates.
 
-    Block e of degree k is the integer matrix taking the coefficient vector
-    of a degree-k polynomial to the coefficients whose transformed
-    first-variable exponent equals e.  The blocks of one degree are stored
-    one after another in a single matrix (int64 when every entry fits, object
-    otherwise), so the "divisible by form^m" rows, blocks e < m, are a prefix
-    view of it.
+    With p the first nonzero coordinate, lead = a_p and c numbering the other
+    coordinates 1, 2, ..., the substitution x_p = y_0 - sum_{j != p} a_j y_c(j),
+    x_j = lead * y_c(j) sends the form to lead * y_0 and x^a to
+    lead^(k - a_p) * prod_{j != p} y_c(j)^a_j * (y_0 - sum_{j != p} a_j y_c(j))^a_p.
+    Row block e takes the coefficient vector of a degree-k polynomial to the
+    coefficients of its image whose y_0 exponent is e, in graded lex order.
+    Returns the blocks e = 0..k stacked in one matrix (int64 when every entry
+    fits, object otherwise), the row where each block starts (and the end),
+    and each block's largest |entry|; "divisible by form^m" is the prefix of
+    blocks e < m.
     """
+    nvars = len(primitive)
+    p = next(i for i, a in enumerate(primitive) if a)
+    lead = primitive[p]
+    others = [j for j in range(nvars) if j != p]
+    # a y-monomial's code: its exponents as digits in base k + 1, y_0 lowest
+    radix = [(k + 1) ** i for i in range(nvars)]
+    moved = [(radix[i + 1], -primitive[j]) for i, j in enumerate(others) if primitive[j]]
+    fact = list(itertools.accumulate(range(1, k + 1), operator.mul, initial=1))
+    # (y_0 - sum a_j y_c(j))^s for s = 0..k: (code, y_0 exponent, coefficient) per term
+    powers = []
+    for s in range(k + 1):
+        terms = []
+        for split in monomial_exponents(len(moved) + 1, s):
+            code, coef = split[0], fact[s] // fact[split[0]]
+            for i, (weight, neg) in zip(split[1:], moved):
+                code += i * weight
+                coef = coef // fact[i] * neg ** i
+            terms.append((code, split[0], coef))
+        powers.append(terms)
+    monos = monomial_exponents(nvars, k)
+    sizes = [0] * (k + 1)
+    for y in monos:
+        sizes[y[0]] += 1
+    starts = (0, *itertools.accumulate(sizes))
+    fill = list(starts[:-1])
+    row_of = {}
+    for y in monos:
+        row_of[sum(map(operator.mul, y, radix))] = fill[y[0]]
+        fill[y[0]] += 1
+    at_row: list[int] = []
+    at_col: list[int] = []
+    coefs: list[int] = []
+    maxes = [0] * (k + 1)
+    for col, a in enumerate(monos):
+        s = a[p]
+        base = sum(a[j] * radix[i + 1] for i, j in enumerate(others))
+        scale = lead ** (k - s)
+        for code, e, coef in powers[s]:
+            value = scale * coef
+            at_row.append(row_of[base + code])
+            at_col.append(col)
+            coefs.append(value)
+            maxes[e] = max(maxes[e], abs(value))
+    dtype = np.int64 if max(maxes) < _INT64_SAFE else object
+    rows = np.zeros((len(monos), len(monos)), dtype=dtype)
+    rows[at_row, at_col] = np.array(coefs, dtype=dtype)
+    return rows, starts, tuple(maxes)
 
-    def __init__(self, nvars: int, primitive: tuple[int, ...]):
-        self.nvars = nvars
-        self.primitive = primitive
-        pivot = next(i for i, a in enumerate(primitive) if a)
-        self.pivot = pivot
-        lead = primitive[pivot]
-        # x_pivot = y_0 - sum_{j != pivot} a_j y_{col(j)};  x_j = lead * y_{col(j)}
-        cols = {}
-        nxt = 1
-        for j in range(nvars):
-            if j != pivot:
-                cols[j] = nxt
-                nxt += 1
-        images: list[list[tuple[int, int]]] = []
-        for j in range(nvars):
-            if j == pivot:
-                row = [(0, 1)]
-                row += [(cols[t], -primitive[t]) for t in range(nvars) if t != pivot and primitive[t]]
-            else:
-                row = [(cols[j], lead)]
-            images.append(row)
-        self.images = images
-        self._rows: dict[int, np.ndarray] = {}
-        self._starts: dict[int, list[int]] = {}
-        self._blocks: dict[int, list[np.ndarray]] = {}
-        self._block_maxes: dict[int, list[int]] = {}
-        self._expansion: dict[tuple[int, ...], dict[tuple[int, ...], int]] | None = None
-        self._expansion_degree = -1
 
-    def _expand_to(self, degree: int) -> None:
-        if self._expansion_degree >= degree and self._expansion is not None:
-            return
-        if self._expansion is None or self._expansion_degree < 0:
-            zero = (0,) * self.nvars
-            self._expansion = {zero: {zero: 1}}
-            self._expansion_degree = 0
-            self._extract_blocks(0)
-        while self._expansion_degree < degree:
-            k = self._expansion_degree + 1
-            prev = self._expansion
-            nxt: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-            for mono in monomial_exponents(self.nvars, k):
-                j = next(i for i, e in enumerate(mono) if e)
-                parent = list(mono)
-                parent[j] -= 1
-                base = prev[tuple(parent)]
-                acc: dict[tuple[int, ...], int] = {}
-                for t, c in self.images[j]:
-                    for ymono, coef in base.items():
-                        lifted = list(ymono)
-                        lifted[t] += 1
-                        key = tuple(lifted)
-                        acc[key] = acc.get(key, 0) + coef * c
-                nxt[mono] = {key: v for key, v in acc.items() if v}
-            self._expansion = nxt
-            self._expansion_degree = k
-            self._extract_blocks(k)
-
-    def _extract_blocks(self, k: int) -> None:
-        monos = monomial_exponents(self.nvars, k)
-        # a transformed monomial's row lies in block e = its first exponent
-        sizes = [0] * (k + 1)
-        for ymono in monos:
-            sizes[ymono[0]] += 1
-        starts = [0, *itertools.accumulate(sizes)]
-        fill = starts[:-1]
-        row_index: dict[tuple[int, ...], int] = {}
-        for ymono in monos:
-            row_index[ymono] = fill[ymono[0]]
-            fill[ymono[0]] += 1
-        at_row: list[int] = []
-        at_col: list[int] = []
-        coefs: list[int] = []
-        maxes = [0] * (k + 1)
-        assert self._expansion is not None
-        for col, mono in enumerate(monos):
-            for ymono, coef in self._expansion[mono].items():
-                e = ymono[0]
-                at_row.append(row_index[ymono])
-                at_col.append(col)
-                coefs.append(coef)
-                maxes[e] = max(maxes[e], abs(coef))
-        dtype = np.int64 if max(maxes) < _INT64_SAFE else object
-        rows = np.zeros((len(monos), len(monos)), dtype=dtype)
-        rows[at_row, at_col] = np.array(coefs, dtype=dtype)
-        self._rows[k] = rows
-        self._starts[k] = starts
-        self._blocks[k] = [rows[starts[e]:starts[e + 1]] for e in range(k + 1)]
-        self._block_maxes[k] = maxes
-
-    def rows_exact(self, k: int, cap: int) -> tuple[np.ndarray, int]:
-        """The degree-k "divisible by form^cap" rows and their largest |entry|.
-
-        The rows are a view of the stored matrix of degree k; nothing is
-        stacked or cast.
-        """
-        self._expand_to(k)
-        cap = min(cap, k + 1)
-        return self._rows[k][:self._starts[k][cap]], max(self._block_maxes[k][:cap], default=0)
-
-    def block(self, k: int, e: int) -> tuple[np.ndarray, int]:
-        """Block e of degree k (a view) and its largest |entry|."""
-        self._expand_to(k)
-        return self._blocks[k][e], self._block_maxes[k][e]
+def _divisible_rows(primitive: tuple[int, ...], k: int, m: int) -> tuple[np.ndarray, int]:
+    """The degree-k "divisible by form^m" rows (a view) and their largest |entry|."""
+    rows, starts, maxes = _template(primitive, k)
+    m = min(m, k + 1)
+    return rows[:starts[m]], max(maxes[:m], default=0)
 
 
 def _full_kernel(matrix: np.ndarray, p: int):
@@ -203,18 +158,12 @@ def _restricted_kernel(parent: Sequence[Sequence[int]], image: np.ndarray, p: in
     return rref[::-1, ::-1], [last - c for c in reversed(pivots)]
 
 
-@lru_cache(maxsize=_TEMPLATE_CACHE_LIMIT)
-def _template(form: LinearForm) -> _FormTemplate:
-    return _FormTemplate(form.nvars, form.primitive)
-
-
 class _Engine:
     """Per-arrangement solver; its one cache `bases` is an LRU of solved (m, k) bases."""
 
     def __init__(self, arrangement: Arrangement):
         self.arrangement = arrangement
         self.nvars = arrangement.nvars
-        self.templates = [_template(f) for f in arrangement.forms]
         self.prims = [f.primitive for f in arrangement.forms]
         self.bases: OrderedDict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], ...]] = OrderedDict()
 
@@ -230,7 +179,7 @@ class _Engine:
         scaled by coordinate i of alpha_H: int64 when max |template entry| *
         max |coordinate| < 2**62, Python integers otherwise.
         """
-        parts = [(*self.templates[idx].rows_exact(k, mult[idx]), self.prims[idx])
+        parts = [(*_divisible_rows(self.prims[idx], k, mult[idx]), self.prims[idx])
                  for idx in support]
         fits = all(max_abs * max(map(abs, prim)) < _INT64_SAFE for _, max_abs, prim in parts)
         dtype = np.int64 if fits else object
@@ -278,7 +227,7 @@ class _Engine:
             return True
         image = self._images(k, vectors)
         for idx in support:
-            rows, max_abs = self.templates[idx].rows_exact(k, mult[idx])
+            rows, max_abs = _divisible_rows(self.prims[idx], k, mult[idx])
             if rows.shape[0] and (image(idx, rows, max_abs) != 0).any():
                 return False
         return True
@@ -324,8 +273,8 @@ class _Engine:
         e = mult[idx] - 1
         if not parent or e > k:
             return parent, None
-        block, max_abs = self.templates[idx].block(k, e)
-        image = self._images(k, parent)(idx, block, max_abs)
+        rows, starts, maxes = _template(self.prims[idx], k)
+        image = self._images(k, parent)(idx, rows[starts[e]:starts[e + 1]], maxes[e])
         return parent, (image if (image != 0).any() else None)
 
     # -- public -----------------------------------------------------------

@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -636,6 +637,10 @@ def derivation_to_dict(theta: Derivation) -> dict:
     return {"coefficients": coeffs}
 
 
+# ASCII digits only: int() would also take "1_0" as 10 and " 1 " as 1
+_EXPONENT_KEY = re.compile(r"[0-9]+(,[0-9]+)*")
+
+
 def derivation_from_dict(data: dict) -> Derivation:
     try:
         raw = data["coefficients"]
@@ -650,9 +655,13 @@ def derivation_from_dict(data: dict) -> Derivation:
             raise ValueError("each coefficient must be a map from exponents to rationals")
         terms: dict[tuple[int, ...], Fraction] = {}
         for key, value in entry.items():
+            if not _EXPONENT_KEY.fullmatch(str(key)):
+                raise ValueError(f"exponent key {key!r} is not comma-separated digits")
             exp = tuple(int(v) for v in str(key).split(","))
             if len(exp) != nvars:
                 raise ValueError(f"exponent key {key!r} does not have {nvars} entries")
+            if exp in terms:
+                raise ValueError(f"exponent key {key!r} repeats the exponent of an earlier key")
             terms[exp] = _scalar_from_json(value)
         polys.append(Poly(nvars, terms))
     return Derivation(polys)

@@ -65,6 +65,19 @@ def test_catalog_parameterized_entries():
         catalog("maehara4", t=1)
     with pytest.raises(ArrangementError):
         catalog("nosuch")
+    # one slope may be given bare; values are parsed before the cache lookup
+    assert catalog("fan2d", h=1, slopes=1).arrangement is catalog("fan2d", h=1, slopes=(1,)).arrangement
+    assert catalog("maehara4", t="7/3").arrangement is catalog("maehara4", t=Fraction(7, 3)).arrangement
+    assert catalog("maehara4", t="7/3").arrangement == mae.arrangement
+    for name, params in [("fan2d", {"h": Fraction(5, 2), "slopes": (1, 2)}),
+                         ("fan2d", {"h": True, "slopes": 1}),
+                         ("fan2d", {"h": 1, "slopes": (None,)}),
+                         ("maehara4", {"t": (1, 2)}),
+                         ("maehara4", {"t": "2/0"}),
+                         ("maehara4", {"h": 4}),
+                         ("A2", {"t": 2})]:
+        with pytest.raises(ArrangementError):
+            catalog(name, **params)
 
 
 def test_catalog_multiplicity_argument():

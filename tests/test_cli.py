@@ -233,6 +233,40 @@ def test_malformed_theta_scalars_exit_2(capsys, value):
     assert "input error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["1_0,0", " 1,0", "1,0 ", "1, 0", "+1,0", "1,0,", "\uff11,0"])
+def test_malformed_theta_exponent_keys_exit_2(capsys, key):
+    # int() would read "1_0" as 10, and accept signs, spaces and non-ASCII digits
+    theta = json.dumps({"coefficients": [{key: 1}, {"0,1": 1}]})
+    code, out, err = run_cli(capsys, "is-universal", "catalog:A2", "--mult", "1,1,2", "--theta", theta)
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "exponent key" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("delta", "catalog:maehara4", "--param", "t=1,2"),
+    ("delta", "catalog:maehara4", "--param", "t=2/0"),
+    ("delta", "catalog:maehara4", "--param", "t=seven"),
+    ("delta", "catalog:maehara4", "--param", "h=4"),
+    ("is-free", "catalog:fan2d", "--param", "h=2.5", "--param", "slopes=1,2"),
+    ("is-free", "catalog:fan2d", "--param", "h=1,2", "--param", "slopes=1"),
+    ("is-free", "catalog:fan2d", "--param", "h=1", "--param", "slopes=1/0"),
+    ("is-free", "catalog:fan2d", "--param", "h=1", "--param", "slopes=1", "--param", "t=2"),
+    ("exponents", "catalog:A2", "--param", "t=2"),
+    ("sweep", "catalog:maehara4", "--range", "a=1..1,b=1..1,c=1..1,d=1..1", "--param", "t=2/0"),
+])
+def test_malformed_catalog_params_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "Traceback" not in err
+
+
+def test_single_slope_fan_param(capsys):
+    code, report, _ = run_json(capsys, "is-free", "catalog:fan2d", "--param", "h=1", "--param", "slopes=1")
+    assert code == 0 and report["free"] is True and report["exponents"] == [1, 1, 2]
+
+
 @pytest.mark.parametrize("levels", [
     [[None], [0, 1, 3], [0, 1, 2, 3, 4, 5]],
     [[0.9], [0, 1, 3.2], [0, 1, 2, 3, 4, 5]],

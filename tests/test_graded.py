@@ -21,7 +21,15 @@ from multider import (
     membership,
     solve_routes,
 )
-from multider.graded import _ENGINE_CACHE_LIMIT, _TEMPLATE_CACHE_LIMIT, _engine, _template
+from multider.graded import (
+    _ENGINE_CACHE_LIMIT,
+    _TEMPLATE_CACHE_LIMIT,
+    _divisible_rows,
+    _engine,
+    _template,
+)
+from multider.linalg import _INT64_SAFE
+from multider.polyring import LinearForm, Poly, monomial_exponents
 
 from conftest import oracle_graded_dimension
 
@@ -132,20 +140,25 @@ def test_equal_value_arrangements_share_results():
 
 
 def test_engine_and_template_caches_stay_bounded():
-    # one engine per slope, and one new form x - t y per slope
+    # one engine per slope, and six (x - t y, degree) templates per slope
     clear_caches()
     first = catalog("maehara4", (2, 1, 1, 2), t=2)
     evicted = _engine(first.arrangement)
     dims = hilbert_dims(first, 5)
     bases = [graded_basis_vectors(first, k) for k in range(6)]
+    slope_form = first.forms[3].primitive
+    template = _template(slope_form, 5)
     for t in range(3, 203):
-        graded_dimension(catalog("maehara4", (2, 1, 1, 2), t=t), 3)
+        hilbert_dims(catalog("maehara4", (2, 1, 1, 2), t=t), 5)
         assert _engine.cache_info().currsize <= _ENGINE_CACHE_LIMIT
         assert _template.cache_info().currsize <= _TEMPLATE_CACHE_LIMIT
     assert _engine.cache_info().currsize == _ENGINE_CACHE_LIMIT
     assert _template.cache_info().currsize == _TEMPLATE_CACHE_LIMIT
-    # the first engine was dropped; its rebuild answers the same
+    # the first engine and its slope's templates were dropped; rebuilds answer the same
     assert _engine(first.arrangement) is not evicted
+    assert _template(slope_form, 5) is not template
+    rows, starts, maxes = _template(slope_form, 5)
+    assert (rows == template[0]).all() and (starts, maxes) == template[1:]
     assert hilbert_dims(first, 5) == dims
     assert [graded_basis_vectors(first, k) for k in range(6)] == bases
     clear_caches()
@@ -166,8 +179,8 @@ def test_basis_cache_stays_bounded_and_is_the_only_store(monkeypatch):
             first[m, k] = (graded_dimension(ma, k), graded_basis_vectors(ma, k))
             assert len(eng.bases) <= limit
     assert len(eng.bases) == limit
-    assert set(vars(eng)) == {"arrangement", "nvars", "templates", "prims", "bases"}
-    assert all(isinstance(v, list) and len(v) == 4 for v in (eng.templates, eng.prims))
+    assert set(vars(eng)) == {"arrangement", "nvars", "prims", "bases"}
+    assert isinstance(eng.prims, list) and len(eng.prims) == 4
     solves = sum(solve_routes().values())
     for (m, k), (dim, basis) in first.items():
         ma = catalog("B2", m)
@@ -264,37 +277,52 @@ def test_escalation_routes_give_identical_bases(monkeypatch):
     assert any(one_prime) and not all(one_prime)
 
 
-def _blocks_one_e_at_a_time(tmpl, k):
-    """Divisibility blocks rebuilt from a degree-k expansion, one walk per e."""
-    from multider.polyring import monomial_exponents
-
-    monos = monomial_exponents(tmpl.nvars, k)
-    blocks = []
+def _template_by_substitution(primitive, k):
+    """`_template`'s rows, starts and block maxima from `Poly.substitute`, one block per e."""
+    n = len(primitive)
+    pivot = next(i for i, a in enumerate(primitive) if a)
+    # x_pivot -> y_0 - sum a_j y_c(j) and x_j -> lead * y_c(j), c numbering j != pivot from 1
+    matrix = [[0] * n for _ in range(n)]
+    matrix[pivot][0] = 1
+    for c, j in enumerate((j for j in range(n) if j != pivot), 1):
+        matrix[pivot][c] = -primitive[j]
+        matrix[j][c] = primitive[pivot]
+    monos = monomial_exponents(n, k)
+    images = [Poly.monomial(n, a).substitute(matrix) for a in monos]
+    rows, starts, maxes = [], [0], []
     for e in range(k + 1):
-        rows = [m for m in monos if m[0] == e]
-        mat = np.zeros((len(rows), len(monos)), dtype=object)
-        for col, mono in enumerate(monos):
-            for ymono, coef in tmpl._expansion[mono].items():
-                if ymono[0] == e:
-                    mat[rows.index(ymono), col] = coef
-        blocks.append(mat)
-    return blocks
+        block = [[int(image.terms.get(y, 0)) for image in images] for y in monos if y[0] == e]
+        rows += block
+        starts.append(len(rows))
+        maxes.append(max((abs(v) for row in block for v in row), default=0))
+    return rows, tuple(starts), tuple(maxes)
+
+
+def _assert_template_matches_substitution(primitive, k):
+    rows, starts, maxes = _template(primitive, k)
+    want_rows, want_starts, want_maxes = _template_by_substitution(primitive, k)
+    assert rows.tolist() == want_rows
+    assert (starts, maxes) == (want_starts, want_maxes)
+    assert rows.dtype == (np.int64 if max(want_maxes) < _INT64_SAFE else object)
 
 
 def test_template_blocks_and_maxima_match_a_per_block_rebuild():
-    from multider.graded import _FormTemplate
-
     forms = {f.primitive for name in ("A3", "B3", "X3") for f in catalog(name).forms}
+    # degree-1 entries just below and at the int64 bound
+    forms |= {(1, _INT64_SAFE - 1, 0), (1, 0, _INT64_SAFE)}
     for primitive in sorted(forms):
         for k in range(9):
-            tmpl = _FormTemplate(3, primitive)
-            tmpl._expand_to(k)
-            expected = _blocks_one_e_at_a_time(tmpl, k)
-            got = tmpl._blocks[k]
-            assert [b.shape for b in got] == [b.shape for b in expected]
-            assert all((g == x).all() for g, x in zip(got, expected))
-            assert tmpl._block_maxes[k] == [max((abs(v) for v in b.flat), default=0)
-                                            for b in expected]
+            _assert_template_matches_substitution(primitive, k)
+
+
+@given(
+    st.lists(st.integers(-6, 6) | st.just(2**40), min_size=1, max_size=4)
+    .filter(lambda coeffs: any(coeffs) and coeffs.count(2**40) <= 1),
+    st.integers(0, 8),
+)
+@settings(max_examples=40, deadline=None)
+def test_template_matches_substitution_on_random_forms(coeffs, k):
+    _assert_template_matches_substitution(LinearForm(coeffs).primitive, k)
 
 
 def test_multiplicity_rows_are_prefix_views_of_one_matrix_per_degree():
@@ -303,16 +331,16 @@ def test_multiplicity_rows_are_prefix_views_of_one_matrix_per_degree():
     for primitive, fits in [((1, -1, 2), True), ((1, 2**40, 0), False)]:
         clear_caches()
         eng = _engine(Arrangement(3, [primitive]))
-        tmpl = eng.templates[0]
         for k in range(5):
+            matrix_k, starts, maxes = _template(primitive, k)
             for cap in range(1, k + 3):
-                rows, max_abs = tmpl.rows_exact(k, cap)
-                blocks = tmpl._blocks[k][:min(cap, k + 1)]
+                rows, max_abs = _divisible_rows(primitive, k, cap)
+                blocks = [matrix_k[starts[e]:starts[e + 1]] for e in range(min(cap, k + 1))]
                 assert (rows == np.concatenate(blocks, axis=0)).all()
-                assert max_abs == max(tmpl._block_maxes[k][:min(cap, k + 1)])
+                assert max_abs == max(maxes[:min(cap, k + 1)])
                 # no copy: a view of the degree's matrix, stored as int64
                 # unless an entry outgrows it (from degree 2 on for 2**40)
-                assert np.shares_memory(rows, tmpl._rows[k])
+                assert np.shares_memory(rows, matrix_k)
                 assert (rows.dtype == np.int64) == (fits or k < 2)
                 # the solve's one exact matrix: column block i is the rows
                 # times coordinate i, int64 while entry times coordinate fits

@@ -38,7 +38,7 @@ from multider import (
     saito_determinant,
 )
 from multider import logder
-from multider.graded import _template, graded_basis_vectors
+from multider.graded import _divisible_rows, graded_basis_vectors
 from multider.linalg import _INT64_SAFE, echelon, primitive_integer_vector, rank
 from multider.logder import FreenessCertificate, GradedPiece, _member
 from multider.polyring import monomial_exponents
@@ -227,7 +227,7 @@ def test_member_edge_cases_agree_with_division_membership():
         expected = mult[0] <= 1 and mult[2] == mult[3] == 0
         assert _member(outsider, ma) == membership(outsider, ma) == expected
     # the rows of the (1, 2**40) form no longer fit int64 at degree 2
-    assert _template(HUGE.forms[2]).rows_exact(2, 3)[1] >= _INT64_SAFE
+    assert _divisible_rows(HUGE.forms[2].primitive, 2, 3)[1] >= _INT64_SAFE
     # a non-homogeneous member with huge rational coefficients and a term of
     # every degree 1..4 (vector entries far beyond int64)
     ma = HUGE.with_multiplicity((1, 1, 1, 1))
@@ -689,6 +689,9 @@ def test_derivation_dict_rejects_malformed():
         derivation_from_dict({"coefficients": [{"0,0": "x"}, {}]})
     with pytest.raises(ValueError):
         derivation_from_dict({"coefficients": [{"0": 1}, {"0,0": 1}]})
+    # "01,0" is x too; reading both would silently drop one coefficient
+    with pytest.raises(ValueError):
+        derivation_from_dict({"coefficients": [{"1,0": 1, "01,0": 2}, {"0,1": 1}]})
 
 
 def test_derivation_vector_round_trip():
