@@ -33,7 +33,6 @@ from .errors import (
     InternalCheckError,
     MembershipError,
     MultiderError,
-    UndefinedExponentError,
 )
 from .graded import clear_caches, graded_basis_vectors, graded_dimension, hilbert_dims, solve_routes
 from .logder import (

@@ -32,9 +32,5 @@ class FiltrationError(MultiderError):
     """A hyperplane filtration violates the structural conditions."""
 
 
-class UndefinedExponentError(MultiderError):
-    """The exponent comparison defining a boundary-polynomial factor has no unique answer."""
-
-
 class InternalCheckError(RuntimeError):
     """An internal certification step failed; indicates a bug, not bad input."""

@@ -1,13 +1,13 @@
 """Euler restrictions, boundary polynomials, and supersolvable filtrations.
 
-Restricting a multiarrangement to one of its hyperplanes H0 assigns every
-rank-2 flat through H0 an Euler multiplicity: the degree of the basis element
-theta_Y of the local rank-2 module that survives away from H0, its partner
-psi_Y having all coefficients divisible by alpha_0.  The existence of such a
-special basis is a standard fact (every rank-2 localization is free, and one
-basis element can always be pushed into alpha_0 * Der by column operations);
-here it is reconstructed from residues on the line alpha_0 = 0 and certified
-by exact division.
+Restricting a multiarrangement to a hyperplane H0 with m(H0) >= 1 assigns
+every rank-2 flat X through H0 an Euler multiplicity mu*(X) = deg theta, where
+(theta, psi) is a special basis of the free local module: psi lies in
+alpha_0 * Der and theta does not.  (theta, alpha_0 * phi) is such a basis
+exactly when (theta, phi) is one for m_X - delta_0, so mu*(X) = |m_X| - deg psi
+with deg psi the one exponent gained from m_X - delta_0 to m_X: two
+`rank2.delta` calls.  `special_rank2_basis` builds the witnesses from residues
+on the line alpha_0 = 0, certified by exact division, as an independent oracle.
 
 On top of the restriction sit the boundary polynomial B (a gate on theta(
 alpha_0) for members of the module), the resulting non-criticality test, and
@@ -38,7 +38,6 @@ from .errors import (
     HypothesisError,
     InternalCheckError,
     MultiderError,
-    UndefinedExponentError,
 )
 from .linalg import rank
 from .logder import (
@@ -188,6 +187,8 @@ def special_rank2_basis(ma: Multiarrangement, alpha0: LinearForm) -> tuple[Deriv
     """
     if alpha0 not in ma.forms:
         raise ArrangementError("alpha0 must be one of the localization's forms")
+    if not ma.mult[ma.forms.index(alpha0)]:
+        raise HypothesisError("a special basis needs positive multiplicity on alpha0")
     ess, change = essentialize(ma)
     if ess.nvars != 2:
         raise ArrangementError("special basis needs a rank-2 localization")
@@ -225,12 +226,11 @@ def special_rank2_basis(ma: Multiarrangement, alpha0: LinearForm) -> tuple[Deriv
 
 @dataclass(frozen=True)
 class FlatRestriction:
-    """One point of the restricted arrangement with its witnesses."""
+    """One point of the restricted arrangement; its witnesses (theta, psi),
+    deg theta == mu, are `special_rank2_basis(localize(ma, flat), ma.forms[h0])`."""
 
     flat: Flat
     mu: int
-    theta: Derivation
-    psi: Derivation
     local_order: int
 
 
@@ -254,23 +254,29 @@ def euler_multiplicity(ma: Multiarrangement, h0: int) -> EulerRestriction:
     """Euler multiplicity of every flat of the restriction to hyperplane h0.
 
     Flats are the rank-2 intersections through h0, ordered by their index
-    lists; each is localized and handed to `special_rank2_basis`, and mu* is
-    the degree of the returned theta.
+    lists.  Lowering m(h0) by one lowers exactly one exponent of each
+    localization, deg psi of its special basis, so mu* = |m_X| - deg psi is
+    read off the two exponent pairs; a gained multiset other than one
+    exponent breaks the rank-2 step law and is an internal error.
     """
     if not 0 <= h0 < len(ma.forms):
         raise ArrangementError(f"hyperplane index {h0} out of range")
-    alpha0 = ma.forms[h0]
+    if not ma.mult[h0]:
+        raise HypothesisError(f"Euler multiplicity needs m(H{h0}) >= 1")
+    lowered = ma.with_mult(ma.mult[:h0] + (ma.mult[h0] - 1,) + ma.mult[h0 + 1:])
     records = []
     for fl in rank2_flats(ma.arrangement):
         if h0 not in fl.indices:
             continue
         local = localize(ma, fl)
-        theta, psi = special_rank2_basis(local, alpha0)
-        mu = theta.homogeneous_degree()
-        if mu is None:
-            raise InternalCheckError(f"special basis element lost homogeneity at h0 {h0} for forms "
-                                     f"{[f.primitive for f in local.forms]}, multiplicity {local.mult}")
-        records.append(FlatRestriction(fl, mu, theta, psi, local.order()))
+        before = delta(localize(lowered, fl)).pair
+        after = delta(local).pair
+        gained = list((Counter(after) - Counter(before)).elements())
+        if len(gained) != 1:
+            raise InternalCheckError(
+                f"exponents {before} -> {after} break the step law at flat {fl.indices}, h0 {h0}, "
+                f"for forms {[f.primitive for f in ma.forms]} with multiplicity {ma.mult}")
+        records.append(FlatRestriction(fl, local.order() - gained[0], local.order()))
     return EulerRestriction(ma, h0, tuple(records))
 
 
@@ -300,43 +306,29 @@ class BPolynomialData:
         return (self.m0 - 1) + sum(f.d_x - self.m0 for f in self.factors)
 
 
-def _local_exponents(ma: Multiarrangement, fl: Flat) -> tuple[int, int]:
-    return delta(localize(ma, fl)).pair
-
-
 def b_polynomial(ma: Multiarrangement, h0: int) -> BPolynomialData:
     """Assemble the boundary polynomial gating theta(alpha_0) at h0.
 
     The input multiplicity plays the role of m+1, so m0 is the input value at
-    h0 plus one.  Each flat X through h0 contributes the exponent d_X that
-    appears in the localization's pair after raising h0 and not before; the
-    chosen representative H_X is the lowest-index hyperplane of the flat
+    h0 plus one.  Each flat X through h0 contributes the exponent d_X its
+    localization gains when h0 is raised, i.e. the raised local order minus
+    the Euler multiplicity of `euler_multiplicity(ma.plus_delta(h0), h0)`;
+    the chosen representative H_X is the lowest-index hyperplane of the flat
     other than h0.  Negative factor exponents d_X - m0 are rejected.
     """
     if not 0 <= h0 < len(ma.forms):
         raise ArrangementError(f"hyperplane index {h0} out of range")
     m0 = ma.mult[h0] + 1
-    bumped = ma.plus_delta(h0)
     factors: list[BFactor] = []
     powers: list[tuple[LinearForm, int]] = [(ma.forms[h0], m0 - 1)]
-    for fl in rank2_flats(ma.arrangement):
-        if h0 not in fl.indices:
-            continue
-        before = _local_exponents(ma, fl)
-        after = _local_exponents(bumped, fl)
-        diff = Counter(after) - Counter(before)
-        if sum(diff.values()) != 1:
-            raise UndefinedExponentError(
-                f"no unique non-shared exponent at flat {fl.indices}: "
-                f"{before} versus {after}"
-            )
-        d_x = next(iter(diff))
+    for fr in euler_multiplicity(ma.plus_delta(h0), h0).flats:
+        d_x = fr.local_order - fr.mu
         if d_x < m0:
             raise MultiderError(
-                f"negative boundary factor exponent at flat {fl.indices}"
+                f"negative boundary factor exponent at flat {fr.flat.indices}"
             )
-        chosen = next(i for i in fl.indices if i != h0)
-        factors.append(BFactor(fl, chosen, d_x))
+        chosen = next(i for i in fr.flat.indices if i != h0)
+        factors.append(BFactor(fr.flat, chosen, d_x))
         powers.append((ma.forms[chosen], d_x - m0))
     return BPolynomialData(ma, h0, m0, tuple(factors), product_of_forms(powers))
 

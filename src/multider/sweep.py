@@ -226,9 +226,9 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Evaluate every grid point; rows come back in grid order.
 
-    With jobs > 1 the rows go to "spawn" workers, which start from a fresh
-    import (fork is unsafe in a process with threads), so a script calling
-    this must do so under `if __name__ == "__main__":`.
+    With jobs > 1 the rows go to min(jobs, rows) "spawn" workers, which start
+    from a fresh import (fork is unsafe in a process with threads), so a
+    script calling this must do so under `if __name__ == "__main__":`.
     """
     params = params or {}
     for p in predicates:
@@ -250,8 +250,9 @@ def run_sweep(
              for mult in grid]
     if jobs <= 1 or len(tasks) <= 1:
         return [_eval_task(t) for t in tasks]
-    chunk = max(1, len(tasks) // (jobs * 8))
-    with get_context("spawn").Pool(jobs) as pool:
+    workers = min(jobs, len(tasks))
+    chunk = max(1, len(tasks) // (workers * 8))
+    with get_context("spawn").Pool(workers) as pool:
         return list(pool.imap(_eval_task, tasks, chunksize=chunk))
 
 

@@ -204,6 +204,8 @@ def test_input_errors_exit_2(capsys):
         ("exponents", '{"forms": "junk"}'),
         ("exponents", "catalog:fan2d", "--param", "h"),
         ("is-universal", "catalog:A2", "--mult", "1,1,2", "--theta", '{"nope": 1}'),
+        # m(H0) = 0 lies outside the restriction's hypotheses
+        ("euler-restrict", "catalog:A2", "--mult", "0,1,1", "--hyperplane", "0"),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)

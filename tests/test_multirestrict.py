@@ -4,10 +4,13 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multider.multirestrict as multirestrict_module
 from multider import (
     ArrangementError,
+    DeltaValue,
     Filtration,
     FiltrationError,
     FreenessCertificate,
@@ -163,15 +166,81 @@ def test_euler_multiplicity_a3_example():
     assert [fr.flat.indices for fr in out.flats] == [(0, 2, 4), (1, 2, 5), (2, 3)]
 
 
-def test_euler_multiplicity_witness_invariants():
-    ma = catalog("deletedA3", (2, 2, 3, 2, 2))
-    for h0 in range(5):
-        out = euler_multiplicity(ma, h0)
-        for fr in out.flats:
-            # rank-2 Saito: the two witness degrees split the local order
-            assert fr.theta.homogeneous_degree() + fr.psi.homogeneous_degree() == fr.local_order
-            assert fr.mu == fr.theta.homogeneous_degree()
-            assert fr.mu <= fr.local_order
+@st.composite
+def restriction_instances(draw):
+    name = draw(st.sampled_from(["A3", "X3", "deletedA3", "B3"]))
+    n = len(catalog(name).forms)
+    mult = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    h0 = draw(st.integers(0, n - 1))
+    mult[h0] = max(mult[h0], 1)
+    return catalog(name, tuple(mult)), h0
+
+
+@given(restriction_instances())
+@settings(max_examples=100, deadline=None)
+def test_euler_multiplicity_matches_special_basis_degrees(instance):
+    # the exponent-pair rule against the residue construction of the witnesses
+    ma, h0 = instance
+    out = euler_multiplicity(ma, h0)
+    assert [fr.flat.indices for fr in out.flats] == [
+        fl.indices for fl in rank2_flats(ma.arrangement) if h0 in fl.indices]
+    for fr in out.flats:
+        local = localize(ma, fr.flat)
+        theta, psi = special_rank2_basis(local, ma.forms[h0])
+        assert fr.local_order == local.order()
+        assert fr.mu == theta.homogeneous_degree()
+        assert fr.local_order - fr.mu == psi.homogeneous_degree()
+
+
+def test_zero_multiplicity_at_the_restriction_hyperplane_is_a_hypothesis_error():
+    # Q(A, m) is then nonzero on alpha0 = 0, so no basis element divides
+    ma = catalog("A2", (0, 1, 1))
+    with pytest.raises(HypothesisError):
+        euler_multiplicity(ma, 0)
+    with pytest.raises(HypothesisError):
+        special_rank2_basis(ma, ma.forms[0])
+    assert euler_multiplicity(ma, 1).mu_values() == (1,)
+
+
+def test_euler_multiplicity_step_law_violation_is_internal(monkeypatch):
+    # lowering m(h0) by one must lower exactly one exponent; a pair that
+    # moves both breaks the rank-2 step law
+    real = multirestrict_module.delta
+
+    def jumping(ma):
+        # the lowered localization at the first flat (0, 1, 3) claims (0, |m|)
+        return real(ma) if ma.mult[0] == 2 else DeltaValue(0, ma.order())
+
+    monkeypatch.setattr(multirestrict_module, "delta", jumping)
+    ma = catalog("A3", (2, 2, 2, 1, 1, 1))
+    expected = (r"break the step law at flat \(0, 1, 3\), h0 0, for forms .* "
+                r"with multiplicity \(2, 2, 2, 1, 1, 1\)")
+    with pytest.raises(InternalCheckError, match=expected):
+        euler_multiplicity(ma, 0)
+
+
+def test_restriction_paths_read_exponent_pairs_only(monkeypatch):
+    # the witnesses are an oracle: no restriction path builds them, and the
+    # criterion's only basis search is the rank-3 one for its exponents
+    def forbidden(*args, **kwargs):
+        raise AssertionError("special_rank2_basis called")
+
+    searches = []
+    real = multirestrict_module.find_free_basis
+
+    def counted(ma, *args, **kwargs):
+        searches.append(ma.mult)
+        return real(ma, *args, **kwargs)
+
+    monkeypatch.setattr(multirestrict_module, "special_rank2_basis", forbidden)
+    monkeypatch.setattr(multirestrict_module, "find_free_basis", counted)
+    ma = catalog("A3", (2, 2, 2, 1, 1, 1))
+    assert euler_multiplicity(ma.plus_delta(2), 2).mu_values() == (3, 3, 1)
+    assert b_polynomial(ma, 2).m0 == 3
+    assert searches == []
+    fan = catalog("fan2d", (4, 2, 1, 1, 1, 1, 1), h=4, slopes=(1, 2, 3, 4))
+    assert noncritical_criterion(fan, 3)
+    assert searches == [fan.mult]
 
 
 def test_euler_multiplicity_index_validation():
@@ -252,32 +321,30 @@ def test_boundary_degree_gate_forces_next_membership():
 
 
 def test_local_exponents_match_saito_search():
-    # b_polynomial reads each localization's pair off one graded dimension;
-    # the basis search on the essentialized localization must agree
-    from multider.multirestrict import _local_exponents
-
+    # the restriction reads each localization's pair off one graded
+    # dimension; the basis search on the essentialized localization must agree
     for name, mult in [("A3", (2, 2, 2, 1, 1, 1)), ("deletedA3", (1, 1, 2, 1, 1)),
                        ("B3", (1, 2, 3, 1, 0, 2, 1, 1, 1))]:
         ma = catalog(name, mult)
         for fl in rank2_flats(ma.arrangement):
             cert = find_free_basis(essentialize(localize(ma, fl))[0])
-            assert _local_exponents(ma, fl) == cert.exponents, (name, fl.indices)
+            assert delta(localize(ma, fl)).pair == cert.exponents, (name, fl.indices)
 
 
 def test_boundary_factor_identity():
-    # each factor exponent matches the raised local order minus the Euler
-    # multiplicity of the same flat: two independent computations
+    # each factor exponent is the degree of psi in the special basis of the
+    # raised localization, built independently from residues
     ma = catalog("A3", (2, 2, 2, 1, 1, 1))
     h0 = 2
     bdata = b_polynomial(ma, h0)
     bumped = ma.plus_delta(h0)
-    restriction = euler_multiplicity(bumped, h0)
-    mu_by_flat = {fr.flat.indices: fr for fr in restriction.flats}
-    assert len(bdata.factors) == len(restriction.flats)
+    flats = [fl for fl in rank2_flats(ma.arrangement) if h0 in fl.indices]
+    assert [f.flat for f in bdata.factors] == flats
     for factor in bdata.factors:
-        fr = mu_by_flat[factor.flat.indices]
+        theta, psi = special_rank2_basis(localize(bumped, factor.flat), ma.forms[h0])
+        assert factor.d_x == psi.homogeneous_degree()
         local_total = sum(bumped.mult[i] for i in factor.flat.indices)
-        assert factor.d_x + fr.mu == local_total
+        assert factor.d_x + theta.homogeneous_degree() == local_total
 
 
 # -- non-criticality -------------------------------------------------------

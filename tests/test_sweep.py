@@ -99,17 +99,28 @@ def test_run_sweep_requests_the_spawn_start_method(monkeypatch):
     from multider import sweep
 
     requested = []
+    sizes = []
     real = sweep.get_context
+
+    class Recording:
+        def __init__(self, method):
+            self.ctx = real(method)
+
+        def Pool(self, processes):
+            sizes.append(processes)
+            return self.ctx.Pool(processes)
 
     def recording(method=None):
         requested.append(method)
-        return real(method)
+        return Recording(method)
 
     monkeypatch.setattr(sweep, "get_context", recording)
-    ranges = parse_ranges("a=1..2,b=1..2,c=1")
-    assert run_sweep("A2", ranges, predicates=("free",), jobs=2) == run_sweep(
+    ranges = parse_ranges("a=1..2,b=1,c=1")
+    # more jobs than rows: one worker per row, no idle interpreters
+    assert run_sweep("A2", ranges, predicates=("free",), jobs=8) == run_sweep(
         "A2", ranges, predicates=("free",), jobs=1)
     assert requested == ["spawn"]
+    assert sizes == [2]
 
 
 def test_evaluate_point_runs_find_free_basis_once(monkeypatch):
