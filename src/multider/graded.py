@@ -9,12 +9,13 @@ exponent below m(H) vanish".  Those vanishing conditions are the rows of the
 divisibility matrix (`_Engine._matrix`); the graded piece is its rational kernel.
 
 The per-hyperplane substitution rows depend only on (form, degree), so
-`_template` builds them in closed form, one matrix per (form, degree) in a
-bounded LRU, reused across every multiplicity and sweep case; the rows for
-every multiplicity are prefixes of that matrix.  The same exact residual that
-certifies solved vectors decides membership of any one coefficient vector
-(`graded_member`).  A multiplicity with no positive entry yields no rows and
-so the whole space of degree-k derivations.
+`_build_template` builds them in closed form, one matrix per (form, degree),
+kept in an LRU bounded by bytes (`_template`) and reused across every
+multiplicity and sweep case; the rows for every multiplicity are prefixes of
+that matrix.  The same exact residual that certifies solved vectors decides
+membership of any one coefficient vector (`graded_member`).  A multiplicity
+with no positive entry yields no rows and so the whole space of degree-k
+derivations.
 
 Hyperplane H contributes the blocks e = 0..m(H) - 1 of first-variable
 exponents, so D(A, m + delta_H)_k is the set of theta in D(A, m)_k whose
@@ -59,14 +60,17 @@ from .polyring import monomial_count, monomial_exponents
 
 _BASIS_CACHE_LIMIT = 2048
 _ENGINE_CACHE_LIMIT = 64
-_TEMPLATE_CACHE_LIMIT = 1024
+# bytes of divisibility templates kept; an X3 exponents query at
+# m = (7, 7, 7, 6, 6, 6) holds 102 templates of 4.3 MiB in all
+_TEMPLATE_CACHE_BYTES = 64 * 2**20
+# an object entry: an 8-byte pointer and a Python integer of up to 240 bits
+_OBJECT_ENTRY_BYTES = 64
 
 # how each graded solve was answered; see `solve_routes`
 _routes: Counter = Counter()
 
 
-@lru_cache(maxsize=_TEMPLATE_CACHE_LIMIT)
-def _template(primitive: tuple[int, ...], k: int) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+def _build_template(primitive: tuple[int, ...], k: int) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
     """Divisibility rows of degree k for the form with these primitive coordinates.
 
     With p the first nonzero coordinate, lead = a_p and c numbering the other
@@ -127,6 +131,44 @@ def _template(primitive: tuple[int, ...], k: int) -> tuple[np.ndarray, tuple[int
     rows = np.zeros((len(monos), len(monos)), dtype=dtype)
     rows[at_row, at_col] = np.array(coefs, dtype=dtype)
     return rows, starts, tuple(maxes)
+
+
+def _template_bytes(rows: np.ndarray) -> int:
+    return rows.nbytes if rows.dtype != object else rows.size * _OBJECT_ENTRY_BYTES
+
+
+class _TemplateCache:
+    """`_build_template` by (form, degree), least recently used first.
+
+    The oldest templates are evicted while the total size is over
+    `_TEMPLATE_CACHE_BYTES`: an int64 template counts its `nbytes`, an object
+    one `_OBJECT_ENTRY_BYTES` per entry.
+    """
+
+    def __init__(self):
+        self.entries: OrderedDict = OrderedDict()
+        self.nbytes = 0
+
+    def __call__(self, primitive: tuple[int, ...], k: int
+                 ) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+        key = (primitive, k)
+        found = self.entries.get(key)
+        if found is not None:
+            self.entries.move_to_end(key)
+            return found
+        found = self.entries[key] = _build_template(primitive, k)
+        self.nbytes += _template_bytes(found[0])
+        while self.nbytes > _TEMPLATE_CACHE_BYTES:
+            _, (rows, _, _) = self.entries.popitem(last=False)
+            self.nbytes -= _template_bytes(rows)
+        return found
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.nbytes = 0
+
+
+_template = _TemplateCache()
 
 
 def _divisible_rows(primitive: tuple[int, ...], k: int, m: int) -> tuple[np.ndarray, int]:
@@ -339,5 +381,5 @@ def solve_routes() -> dict[str, int]:
 
 def clear_caches() -> None:
     _engine.cache_clear()
-    _template.cache_clear()
+    _template.clear()
     _routes.clear()

@@ -13,15 +13,18 @@ and chooses how the mod-p kernel is found: `kernel_mod` of the whole matrix,
 or the graded solver's restriction of a known larger kernel.  `kernel_mod`
 takes any exact integer matrix (int64 or Python integers) and reduces it mod
 p itself; it deletes singleton rows and the columns they force to zero, then
-row reduces the rest with vectorized numpy (`rref_mod`).  The loop tries:
+row reduces the rest with vectorized numpy (`rref_mod`, which updates only
+the live columns at and right of each pivot).  The loop tries:
 
 1. one 31-bit prime: `lift_residue_vector` lifts each standard kernel vector
    mod p straight to a primitive integer vector (rational reconstruction,
    Monagan 2004);
-2. three primes combined by CRT, when the caller's kernel fails for the
-   first prime, a one-prime vector fails to lift or the exact check rejects
-   it (the three primes must agree on the free columns; the first prime's
-   kernel is reused, not recomputed);
+2. the first two primes, then the first three, when the caller's kernel
+   fails for a prime, a vector fails to lift or the exact check rejects it.
+   Each rung adds one prime's kernel (computed once and reused by the next
+   rung) and combines the residues by Garner's mixed-radix method over the
+   whole kernel, one modular inverse per prime (Garner 1959); the primes
+   must agree on the free columns;
 3. `bareiss_kernel`, the kernel of `echelon`: slow but elementary, the
    reference implementation.
 
@@ -63,7 +66,10 @@ def rref_mod(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p of an integer matrix, with pivot columns.
 
     `np.mod` returns a new array, which is reduced in place; the input is left
-    unchanged.
+    unchanged.  A pivot step at column c touches only the live columns c and
+    after: left of c, the pivot row is zero (the rows not yet used as pivots
+    are zero on every column already passed), so the other rows would only
+    have zero subtracted there.
     """
     a = np.mod(matrix, p).astype(np.int64, copy=False)
     nrows, ncols = a.shape
@@ -80,11 +86,11 @@ def rref_mod(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if i != r:
             a[[r, i]] = a[[i, r]]
         inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
+        a[r, c:] = (a[r, c:] * inv) % p
         other = np.nonzero(a[:, c])[0]
         other = other[other != r]
         if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+            a[other, c:] = (a[other, c:] - np.outer(a[other, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return a[: len(pivots)], pivots
@@ -125,12 +131,6 @@ def kernel_mod(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[
     basis[free, np.arange(free.size)] = 1
     basis[live[sub_pivots], :] = (-rref[:, ~pivot[live]]) % p
     return basis, np.flatnonzero(pivot).tolist(), free.tolist()
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    inv = pow(m1 % m2, -1, m2)
-    t = ((r2 - r1) * inv) % m2
-    return r1 + m1 * t, m1 * m2
 
 
 def rational_reconstruction(a: int, modulus: int) -> tuple[int, int] | None:
@@ -276,11 +276,15 @@ def _modular_kernel(kernel_p: Callable[[int], tuple[np.ndarray, list[int]] | Non
     """Kernel mod the product of `primes`, lifted to primitive integer vectors.
 
     `kernels` holds the per-prime kernels computed so far and gains the new
-    ones.  None when `kernel_p` fails for a prime, two primes disagree on the
-    free columns, or a vector fails to lift.
+    ones.  The residues are combined by Garner's mixed-radix method over whole
+    kernels: with x the combination mod M so far, prime p adds the digit
+    (r_p - x) * (M^-1 mod p) mod p, and x becomes x + M * digit.  x stays
+    int64 while M * p < 2**62 and holds Python integers beyond.  None when
+    `kernel_p` fails for a prime, two primes disagree on the free columns, or
+    a vector fails to lift.
     """
     modulus = 1
-    rows = structure = None
+    combined = structure = None
     for p in primes:
         if p not in kernels:
             kernels[p] = kernel_p(p)
@@ -288,16 +292,17 @@ def _modular_kernel(kernel_p: Callable[[int], tuple[np.ndarray, list[int]] | Non
         if kernel is None:
             return None
         basis, free = kernel
-        residues = basis.tolist()
-        if rows is None:
-            rows, structure = residues, free
+        if combined is None:
+            combined, structure = basis, free
         elif free != structure:
             return None
         else:
-            rows = [[crt_pair(a, modulus, b, p)[0] for a, b in zip(old, new)]
-                    for old, new in zip(rows, residues)]
+            if modulus * p >= _INT64_SAFE:
+                combined = combined.astype(object)
+            digit = (basis - combined % p) * pow(modulus, -1, p) % p
+            combined = combined + modulus * digit
         modulus *= p
-    vectors = [lift_residue_vector(row, modulus) for row in rows]
+    vectors = [lift_residue_vector(row, modulus) for row in combined.tolist()]
     return None if any(v is None for v in vectors) else vectors
 
 
@@ -312,11 +317,12 @@ def certified_kernel(
     row (1 at its free column, 0 at the others, nothing after), with the free
     columns, or None when p is unlucky; at least null_Q(A) vectors.
     `verify(vectors)` decides A v = 0 over the integers for every vector, and
-    `assemble_exact()` returns A as a 2-D integer array.  Runs one prime, then
-    a three-prime CRT, then Bareiss; `kernel_p` runs at most once per prime.
+    `assemble_exact()` returns A as a 2-D integer array.  Tries one prime, then
+    two, then three, adding one prime at a time, then Bareiss; `kernel_p` runs
+    at most once per prime.
     """
     kernels: dict = {}
-    for prime_count in (1, 3):
+    for prime_count in (1, 2, 3):
         vectors = _modular_kernel(kernel_p, PRIMES[:prime_count], kernels)
         if vectors is not None and verify(vectors):
             return vectors

@@ -23,10 +23,11 @@ from multider import (
 )
 from multider.graded import (
     _ENGINE_CACHE_LIMIT,
-    _TEMPLATE_CACHE_LIMIT,
+    _OBJECT_ENTRY_BYTES,
     _divisible_rows,
     _engine,
     _template,
+    _template_bytes,
 )
 from multider.linalg import _INT64_SAFE
 from multider.polyring import LinearForm, Poly, monomial_exponents
@@ -139,8 +140,11 @@ def test_equal_value_arrangements_share_results():
     assert hilbert_dims(a, 5) == hilbert_dims(b, 5)
 
 
-def test_engine_and_template_caches_stay_bounded():
-    # one engine per slope, and six (x - t y, degree) templates per slope
+def test_engine_and_template_caches_stay_bounded(monkeypatch):
+    # one engine per slope, and six (x - t y, degree) templates per slope; the
+    # templates get room for 40 KB, far less than 200 slopes need
+    budget = 40_000
+    monkeypatch.setattr("multider.graded._TEMPLATE_CACHE_BYTES", budget)
     clear_caches()
     first = catalog("maehara4", (2, 1, 1, 2), t=2)
     evicted = _engine(first.arrangement)
@@ -151,18 +155,24 @@ def test_engine_and_template_caches_stay_bounded():
     for t in range(3, 203):
         hilbert_dims(catalog("maehara4", (2, 1, 1, 2), t=t), 5)
         assert _engine.cache_info().currsize <= _ENGINE_CACHE_LIMIT
-        assert _template.cache_info().currsize <= _TEMPLATE_CACHE_LIMIT
+        assert _template.nbytes <= budget
+        assert _template.nbytes == sum(_template_bytes(rows) for rows, _, _ in
+                                       _template.entries.values())
     assert _engine.cache_info().currsize == _ENGINE_CACHE_LIMIT
-    assert _template.cache_info().currsize == _TEMPLATE_CACHE_LIMIT
+    assert len(_template.entries) < 6 * 200
     # the first engine and its slope's templates were dropped; rebuilds answer the same
+    assert (slope_form, 5) not in _template.entries
     assert _engine(first.arrangement) is not evicted
     assert _template(slope_form, 5) is not template
     rows, starts, maxes = _template(slope_form, 5)
     assert (rows == template[0]).all() and (starts, maxes) == template[1:]
     assert hilbert_dims(first, 5) == dims
     assert [graded_basis_vectors(first, k) for k in range(6)] == bases
+    # an object template counts a fixed size per entry, not its pointers
+    big = _template((1, 2**40), 4)[0]
+    assert big.dtype == object and _template_bytes(big) == big.size * _OBJECT_ENTRY_BYTES
     clear_caches()
-    assert _engine.cache_info().currsize == _template.cache_info().currsize == 0
+    assert _engine.cache_info().currsize == len(_template.entries) == _template.nbytes == 0
 
 
 def test_basis_cache_stays_bounded_and_is_the_only_store(monkeypatch):
@@ -212,17 +222,17 @@ ROUTE_CASES = [
 def _bases_by_route(monkeypatch, failing_moduli):
     """Graded bases of ROUTE_CASES with the lift failing for the given moduli.
 
-    Returns the bases and how many mod-p eliminations and Bareiss runs the
-    solves took.
+    Returns the bases, how many mod-p eliminations and Bareiss runs the
+    solves took, and the moduli lifted.
     """
     with monkeypatch.context() as patch:
         calls = _count_kernel_calls(patch)
-        _fail_lift(patch, failing_moduli)
+        lifted = _fail_lift(patch, failing_moduli)
         clear_caches()
         bases = [graded_basis_vectors(catalog(name, mult), k)
                  for name, mult, kmax in ROUTE_CASES for k in range(kmax + 1)]
     clear_caches()
-    return bases, calls
+    return bases, calls, lifted
 
 
 def _count_kernel_calls(patch):
@@ -249,31 +259,46 @@ def _count_kernel_calls(patch):
 def _fail_lift(patch, failing_moduli):
     """Make the residue lift fail for the moduli the predicate picks.
 
-    The lift is patched in every module that imports it; graded must not.
+    Returns the set of moduli the lift ran for and did not fail.  The lift
+    is patched in every module that imports it; graded must not.
     """
     from multider import graded, linalg
 
     lift = linalg.lift_residue_vector
-    failing = lambda residues, modulus: None if failing_moduli(modulus) else lift(residues, modulus)
+    lifted = set()
+
+    def failing(residues, modulus):
+        if failing_moduli(modulus):
+            return None
+        lifted.add(modulus)
+        return lift(residues, modulus)
+
     for module in (linalg, graded):
         if hasattr(module, "lift_residue_vector"):
             patch.setattr(module, "lift_residue_vector", failing)
+    return lifted
 
 
 def test_escalation_routes_give_identical_bases(monkeypatch):
     from multider.linalg import PRIMES
 
     solves = sum(kmax + 1 for _, _, kmax in ROUTE_CASES)
-    one_prime, calls = _bases_by_route(monkeypatch, lambda modulus: False)
+    one_prime, calls, lifted = _bases_by_route(monkeypatch, lambda modulus: False)
     assert calls == {"kernel_mod": solves, "bareiss_kernel": 0}
-    crt, calls = _bases_by_route(monkeypatch, lambda modulus: modulus == PRIMES[0])
+    assert lifted == {PRIMES[0]}
     # a solve with a trivial kernel lifts nothing, so it never escalates
-    trivial = sum(1 for basis in one_prime if not basis)
-    # the three-prime pass reuses the first prime's kernel: two more per escalation
-    assert calls == {"kernel_mod": solves + 2 * (solves - trivial), "bareiss_kernel": 0}
-    bareiss, calls = _bases_by_route(monkeypatch, lambda modulus: True)
-    assert calls["bareiss_kernel"] == solves - trivial
-    assert one_prime == crt == bareiss
+    escalated = solves - sum(1 for basis in one_prime if not basis)
+    # failing below the product of two primes fails PRIMES[0] alone; each rung
+    # adds one prime's kernel and reuses the ones before it
+    for primes in (2, 3):
+        modulus = math.prod(PRIMES[:primes])
+        bases, calls, lifted = _bases_by_route(monkeypatch, lambda m: m < modulus)
+        assert bases == one_prime
+        assert calls == {"kernel_mod": solves + (primes - 1) * escalated, "bareiss_kernel": 0}
+        assert lifted == {modulus}
+    bareiss, calls, lifted = _bases_by_route(monkeypatch, lambda modulus: True)
+    assert calls == {"kernel_mod": solves + 2 * escalated, "bareiss_kernel": escalated}
+    assert bareiss == one_prime and lifted == set()
     assert any(one_prime) and not all(one_prime)
 
 
@@ -489,43 +514,44 @@ def _fixed_walk_under(monkeypatch, failing_moduli):
     the multiplicities `_matrix` built the divisibility matrix for, and the
     moduli lifted.
     """
-    from multider import linalg
     from multider.graded import _Engine
 
     name, start, steps = FIXED_WALK
-    assembled, lifted = [], []
-    build, lift = _Engine._matrix, linalg.lift_residue_vector
+    assembled = []
+    build = _Engine._matrix
     with monkeypatch.context() as patch:
         calls = _count_kernel_calls(patch)
         patch.setattr(_Engine, "_matrix",
                       lambda self, support, mult, k: assembled.append(mult)
                       or build(self, support, mult, k))
-        patch.setattr(linalg, "lift_residue_vector",
-                      lambda residues, modulus: lifted.append(modulus) or lift(residues, modulus))
-        _fail_lift(patch, failing_moduli)
+        lifted = _fail_lift(patch, failing_moduli)
         clear_caches()
         _, bases = _walk(name, start, steps, 2)
         routes = solve_routes()
     clear_caches()
-    return bases, routes, calls, assembled, set(lifted)
+    return bases, routes, calls, assembled, lifted
 
 
 def test_restriction_escalates_to_crt_without_the_full_matrix(monkeypatch):
     from multider.linalg import PRIMES
 
     name, start, _ = FIXED_WALK
-    expected, routes, _, _, _ = _fixed_walk_under(monkeypatch, lambda modulus: False)
+    expected, routes, one_prime_calls, _, _ = _fixed_walk_under(monkeypatch, lambda m: False)
     assert routes["restricted"] and routes["full"] == 1
-    bases, crt_routes, calls, assembled, lifted = _fixed_walk_under(
-        monkeypatch, lambda modulus: modulus == PRIMES[0])
-    assert bases == expected
-    # every restriction still counts as one, certified by the three-prime CRT
-    # of its small product; only the walk's start assembles the whole matrix
-    assert crt_routes == routes
-    assert math.prod(PRIMES[:3]) in lifted
-    # and builds its exact matrix once, for all three primes
-    assert assembled == [tuple(start)]
-    assert calls["bareiss_kernel"] == 0
+    escalated = routes["restricted"] + routes["full"] - sum(1 for basis in expected if not basis)
+    for primes in (2, 3):
+        modulus = math.prod(PRIMES[:primes])
+        bases, escalated_routes, calls, assembled, lifted = _fixed_walk_under(
+            monkeypatch, lambda m: m < modulus)
+        assert bases == expected
+        # every restriction still counts as one, certified by combining the
+        # kernels of its small product mod the first `primes` primes
+        assert escalated_routes == routes
+        assert lifted == {modulus}
+        assert calls["kernel_mod"] == one_prime_calls["kernel_mod"] + (primes - 1) * escalated
+        # only the walk's start assembles the whole matrix, once for every prime
+        assert assembled == [tuple(start)]
+        assert calls["bareiss_kernel"] == 0
 
 
 def test_failed_lifts_reach_bareiss_on_the_full_rows(monkeypatch):

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multider import Poly
+from multider import Poly, linalg
 from multider.errors import InternalCheckError
 from multider.linalg import (
     PRIMES,
+    _modular_kernel,
     bareiss_kernel,
     certified_kernel,
-    crt_pair,
     echelon,
     kernel_mod,
     lift_residue_vector,
@@ -217,11 +217,58 @@ def test_kernel_mod_annihilates():
     assert not prod.any()
 
 
+def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
+    """The residue mod m1 * m2 that is r1 mod m1 and r2 mod m2 (per-entry oracle)."""
+    inv = pow(m1 % m2, -1, m2)
+    t = ((r2 - r1) * inv) % m2
+    return r1 + m1 * t, m1 * m2
+
+
 def test_crt_pair():
     r, m = crt_pair(2, 7, 3, 11)
     assert m == 77 and r % 7 == 2 and r % 11 == 3
     r2, m2 = crt_pair(r, m, 1, 13)
     assert m2 == 1001 and r2 % 13 == 1 and r2 % 77 == r % 77
+
+
+@st.composite
+def prime_kernels(draw):
+    """Residue kernels for the first one, two or three primes, with the same free columns.
+
+    Kernels may be empty; residues 0 and p - 1 are drawn often.
+    """
+    primes = PRIMES[:draw(st.integers(1, 3))]
+    ncols = draw(st.integers(1, 6))
+    free = sorted(draw(st.lists(st.integers(0, ncols - 1), unique=True, max_size=4)))
+    nvectors = len(free)
+    kernels = {}
+    for p in primes:
+        entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+        rows = [[draw(entry) for _ in range(ncols)] for _ in range(nvectors)]
+        kernels[p] = (np.array(rows, dtype=np.int64).reshape(nvectors, ncols), free)
+    return primes, kernels
+
+
+@given(prime_kernels())
+@settings(max_examples=150, deadline=None)
+def test_garner_over_whole_kernels_matches_the_crt_pair_fold(case):
+    # the lift is replaced by the identity, so `_modular_kernel` returns the
+    # combined residues; three primes pass 2**62 and take Python integers
+    primes, kernels = case
+    lifted = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "lift_residue_vector",
+                      lambda residues, modulus: lifted.append(modulus) or residues)
+        combined = _modular_kernel(kernels.__getitem__, primes, {})
+    # the oracle: a per-entry crt_pair fold over the rows
+    expected, modulus = kernels[primes[0]][0].tolist(), primes[0]
+    for p in primes[1:]:
+        expected = [[crt_pair(a, modulus, b, p)[0] for a, b in zip(old, new)]
+                    for old, new in zip(expected, kernels[p][0].tolist())]
+        modulus *= p
+    assert combined == expected
+    assert all(type(v) is int and 0 <= v < modulus for row in combined for v in row)
+    assert lifted == [modulus] * len(expected)
 
 
 @given(st.integers(-50, 50), st.integers(1, 50))
@@ -263,7 +310,7 @@ def test_lift_residue_vector_shares_denominators():
 small_fractions = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
 
-@given(st.lists(small_fractions, min_size=1, max_size=8), st.sampled_from([1, 3]))
+@given(st.lists(small_fractions, min_size=1, max_size=8), st.sampled_from([1, 2, 3]))
 @settings(max_examples=80, deadline=None)
 def test_integer_lift_matches_rational_reference(values, prime_count):
     modulus = math.prod(PRIMES[:prime_count])
@@ -304,9 +351,11 @@ def test_certified_kernel_rejects_a_bad_reference_basis():
         certified_kernel(lambda p: _standard_kernel(exact, p), lambda vectors: False, lambda: matrix)
 
 
-# the kernel vector (10**12, 10**6, 1, 0) outgrows a one-prime lift, so
-# certification needs the three-prime CRT; (0, 0, 0, 1) lifts from any prime
+# the kernel vector (10**12, 10**6, 1, 0) outgrows a one- and a two-prime
+# lift, so certification needs three primes; (10**8, 10**4, 1, 0) lifts from
+# two; (0, 0, 0, 1) lifts from any prime
 NEEDS_CRT = [[1, -10**6, 0, 0], [0, 1, -10**6, 0]]
+NEEDS_TWO_PRIMES = [[1, -10**4, 0, 0], [0, 1, -10**4, 0]]
 
 
 def _counting_bareiss(monkeypatch):
@@ -319,8 +368,17 @@ def _counting_bareiss(monkeypatch):
 
 
 def test_certified_kernel_lifts_by_crt_when_one_prime_is_not_enough(monkeypatch):
+    # primes are added one at a time, each prime's kernel computed once
     bareiss = _counting_bareiss(monkeypatch)
-    assert _certified(NEEDS_CRT) == [[10**12, 10**6, 1, 0], [0, 0, 0, 1]]
+    for matrix, lead, primes in ((NEEDS_TWO_PRIMES, 10**4, 2), (NEEDS_CRT, 10**6, 3)):
+        asked = []
+
+        def kernel_p(exact, p):
+            asked.append(p)
+            return _standard_kernel(exact, p)
+
+        assert _certified(matrix, kernel_p) == [[lead * lead, lead, 1, 0], [0, 0, 0, 1]]
+        assert asked == list(PRIMES[:primes])
     assert bareiss == []
 
 
@@ -434,3 +492,60 @@ def test_kernel_mod_singleton_edge_cases():
     # row 1 is a singleton only once row 0 has forced column 3
     wave = np.array([[0, 0, 0, 7], [0, 0, 1, 1], [1, 1, 1, 0]], dtype=np.int64)
     assert _assert_matches_plain_kernel(wave, p) == [0, 2, 3]
+
+
+def _rref_mod_full_rows(matrix, p):
+    """Gauss-Jordan mod p on whole rows of Python integers (oracle for `rref_mod`)."""
+    a = [[int(v) % p for v in row] for row in matrix.tolist()]
+    pivots: list[int] = []
+    r = 0
+    for c in range(matrix.shape[1]):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [v * inv % p for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+@st.composite
+def dense_mod_matrices(draw):
+    """Dense matrices with zero columns and dependent rows, int64 or beyond 2**63.
+
+    Entries include multiples of p and p - 1; a dependent row is a small
+    combination of two others, so the rank drops.
+    """
+    p = draw(st.sampled_from(PRIMES[:3]))
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    entry = st.one_of(st.sampled_from([0, 1, -1, p, -3 * p, p - 1, p + 1]),
+                      st.integers(-2**40, 2**40))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for c in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[c] = 0
+    if nrows >= 2 and draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, nrows - 1)) for _ in range(3))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    matrix = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+    if draw(st.booleans()):
+        matrix = matrix.astype(object) + p * 2**64 * draw(st.integers(-2**20, 2**20))
+    return matrix, p
+
+
+@given(st.one_of(dense_mod_matrices(), sparse_mod_matrices()))
+@settings(max_examples=300, deadline=None)
+def test_rref_mod_matches_full_row_gauss_jordan(case):
+    matrix, p = case
+    rref, pivots = rref_mod(matrix, p)
+    want, want_pivots = _rref_mod_full_rows(matrix, p)
+    assert pivots == want_pivots
+    assert rref.dtype == np.int64 and rref.shape == (len(want), matrix.shape[1])
+    assert rref.tolist() == want
