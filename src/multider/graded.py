@@ -12,30 +12,31 @@ The per-hyperplane substitution rows depend only on (form, degree), so
 `_build_template` builds them in closed form, one matrix per (form, degree),
 kept in an LRU bounded by bytes (`_template`) and reused across every
 multiplicity and sweep case; the rows for every multiplicity are prefixes of
-that matrix.  The same exact residual that certifies solved vectors decides
+that matrix.  The same exact rows, one hyperplane at a time, decide
 membership of any one coefficient vector (`graded_member`).  A multiplicity
 with no positive entry yields no rows and so the whole space of degree-k
 derivations.
 
 Hyperplane H contributes the blocks e = 0..m(H) - 1 of first-variable
 exponents, so D(A, m + delta_H)_k is the set of theta in D(A, m)_k whose
-block m(H) vanishes.  A solve with a cached basis of some D(A, m - delta_H)_k
-applies the new block to it exactly; if the block does not exist at degree k
-or vanishes on the basis, the basis is the answer unchanged.  Every other
-solve is one call to `linalg.certified_kernel`, with the same exact check
-(the per-hyperplane residual against every row of m) and the divisibility
-matrix for Bareiss, and one of two per-prime kernels (`solve_routes` counts them):
+block m(H) vanishes.  A solve with a cached basis V of some D(A, m - delta_H)_k
+applies the new block to V exactly, giving the image (block rows x dim V);
+if the block does not exist at degree k or the image vanishes, V is the
+answer unchanged.  Every other solve is one call to `linalg.certified_kernel`
+on one of two exact matrices A, checked by A K = 0 over the integers
+(`solve_routes` counts them):
 
-- restricted: the kernel of the small product (block rows x dim D(A, m -
-  delta_H)_k) mod p maps back to a spanning set, put in reduced echelon form
-  with its columns reversed.  That is the standard kernel basis (1 at one
-  free column, 0 at the others, nothing after), which depends only on the
-  subspace, so the lifted vectors are those the full solve returns.  There
-  are as many as the small kernel's mod-p nullity, an upper bound on
-  dim D(A, m)_k, so once verified they span the piece (the argument of
-  `linalg`).  A mod-p rank drop of the span fails the prime.
-- full: `kernel_mod` of the divisibility matrix, built once per solve (the
-  restricted route builds it only on reaching Bareiss).  It serves cache
+- restricted: the image.  The answer is the rows of K V, computed exactly
+  and made primitive.  Every stored basis is `_solve` output, the standard
+  primitive kernel basis (a multiple of 1 at one free column, 0 at the
+  others, nothing after) in ascending free-column order, and so is K.  Row
+  j of K V is therefore nonzero at its own free column, zero at the child's
+  other free columns and zero after its own: primitive, it is the child's
+  j-th standard vector, the one the full solve returns.  Membership follows
+  from the certified parent and the exact image check, and the dimension is
+  the verified nullity of the image, so no mod-p answer goes unverified.
+  The divisibility matrix of m is never built.
+- full: the divisibility matrix, built once per solve.  It serves cache
   misses and is the reference the restriction is tested against.
 
 Cache state chooses the route, never the answer: every route returns the
@@ -55,8 +56,8 @@ import numpy as np
 
 from .arrangement import Arrangement, Multiarrangement
 from .errors import InternalCheckError
-from .linalg import _INT64_SAFE, certified_kernel, kernel_mod, rref_mod
-from .polyring import monomial_count, monomial_exponents
+from .linalg import _INT64_SAFE, _normalize, certified_kernel, kernel_mod
+from .polyring import monomial_count, monomial_exponents, monomial_index
 
 _BASIS_CACHE_LIMIT = 2048
 _ENGINE_CACHE_LIMIT = 64
@@ -178,26 +179,29 @@ def _divisible_rows(primitive: tuple[int, ...], k: int, m: int) -> tuple[np.ndar
     return rows[:starts[m]], max(maxes[:m], default=0)
 
 
-def _full_kernel(matrix: np.ndarray, p: int):
-    """The full route's kernel mod p: `kernel_mod` of the exact matrix, one vector per row."""
+def _kernel_rows(matrix: np.ndarray, p: int):
+    """`kernel_mod` of an exact matrix, one vector per row, with the free columns."""
     basis, _, free = kernel_mod(matrix, p)
     return basis.T, free
 
 
-def _restricted_kernel(parent: Sequence[Sequence[int]], image: np.ndarray, p: int):
-    """The restricted route's kernel mod p, or None on a rank drop (module docstring).
+def _max_abs(rows) -> int:
+    """Largest |entry| of a 2-D array or of a sequence of integer rows."""
+    if isinstance(rows, np.ndarray):
+        return int(max(rows.max(initial=0), -rows.min(initial=0)))
+    return max((max(max(row), -min(row)) for row in rows), default=0)
 
-    `image` is the new block applied to the `parent` vectors.
-    """
-    coeffs, _, _ = kernel_mod(image, p)
-    vmax = max(max(max(vec), -min(vec)) for vec in parent)
-    dtype = np.int64 if p * vmax * len(parent) < _INT64_SAFE else object
-    span = coeffs.T.astype(dtype) @ np.array(parent, dtype=dtype)
-    rref, pivots = rref_mod(span[:, ::-1], p)
-    if len(pivots) < span.shape[0]:
-        return None
-    last = span.shape[1] - 1
-    return rref[::-1, ::-1], [last - c for c in reversed(pivots)]
+
+def _exact_product(left, right) -> np.ndarray:
+    """left @ right over the integers: int64 when a bound proves it safe, Python integers otherwise."""
+    fits = (_max_abs(left) + 1) * (_max_abs(right) + 1) * len(right) < _INT64_SAFE
+    dtype = np.int64 if fits else object
+    return np.asarray(left, dtype=dtype) @ np.asarray(right, dtype=dtype)
+
+
+def _annihilates(matrix: np.ndarray, vectors: list[list[int]]) -> bool:
+    """Whether matrix v = 0 over the integers for every vector v."""
+    return not vectors or not _exact_product(vectors, matrix.T).any()
 
 
 class _Engine:
@@ -235,44 +239,17 @@ class _Engine:
             start += len(rows)
         return matrix
 
-    def _images(self, k: int, vectors: Sequence[Sequence[int]]):
-        """`image(idx, rows, max_abs)`: rows times the coefficients of theta(alpha_idx).
+    def _vectors(self, vectors: Sequence[Sequence[int]]) -> np.ndarray:
+        """Degree-k vectors as one array: int64 when every theta(alpha_H) of them fits."""
+        coord = max(max(map(abs, prim)) for prim in self.prims)
+        fits = _max_abs(vectors) * coord * self.nvars < _INT64_SAFE
+        return np.array(vectors, dtype=np.int64 if fits else object)
 
-        Exact, one column per degree-k vector theta; int64 when a bound
-        proves it safe, Python integers otherwise.
-        """
-        n = monomial_count(self.nvars, k)
-        l = self.nvars
-        vmax = max(max(max(vec), -min(vec)) for vec in vectors)
-        vmats: dict = {}
-
-        def image(idx: int, rows: np.ndarray, max_abs: int) -> np.ndarray:
-            prim = self.prims[idx]
-            bound = max_abs * vmax * n * max(abs(a) for a in prim) * l
-            dtype = np.int64 if bound and bound < _INT64_SAFE else object
-            vm = vmats.get(dtype)
-            if vm is None:
-                vm = vmats[dtype] = np.array(vectors, dtype=dtype).T
-            mat = rows.astype(dtype, copy=False)
-            accum = None
-            for i, a in enumerate(prim):
-                if a:
-                    part = mat @ vm[i * n:(i + 1) * n, :]
-                    accum = part * a if accum is None else accum + part * a
-            return accum
-
-        return image
-
-    def _verify_exact(self, support: list[int], mult: Sequence[int], k: int,
-                      vectors: list[list[int]]) -> bool:
-        if not vectors:
-            return True
-        image = self._images(k, vectors)
-        for idx in support:
-            rows, max_abs = _divisible_rows(self.prims[idx], k, mult[idx])
-            if rows.shape[0] and (image(idx, rows, max_abs) != 0).any():
-                return False
-        return True
+    def _image(self, idx: int, rows: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        """Exact `rows` times the coefficients of theta(alpha_idx), one column per vector theta."""
+        n = rows.shape[1]
+        polys = sum(a * vectors[:, i * n:(i + 1) * n] for i, a in enumerate(self.prims[idx]) if a)
+        return _exact_product(rows, polys.T)
 
     # -- solving ----------------------------------------------------------
 
@@ -281,20 +258,20 @@ class _Engine:
         found = self._restriction(support, mult, k)
         if found is None:
             route, matrix = "full", self._matrix(support, mult, k)
-            kernel_p, exact = partial(_full_kernel, matrix), lambda: matrix
         elif found[1] is None:
             _routes["unchanged"] += 1
             return found[0]
         else:
-            route, kernel_p = "restricted", partial(_restricted_kernel, *found)
-            exact = partial(self._matrix, support, mult, k)
+            route, (parent, matrix) = "restricted", found
         _routes[route] += 1
         try:
             basis = certified_kernel(
-                kernel_p, lambda vectors: self._verify_exact(support, mult, k, vectors), exact)
+                partial(_kernel_rows, matrix), partial(_annihilates, matrix), lambda: matrix)
         except InternalCheckError as exc:
             raise InternalCheckError(f"{exc} for forms {self.prims} with multiplicity {mult}, "
                                      f"degree {k}, {route} route") from exc
+        if route == "restricted" and basis:
+            basis = map(_normalize, _exact_product(basis, parent).tolist())
         return tuple(tuple(v) for v in basis)
 
     def _restriction(self, support: list[int], mult: tuple[int, ...], k: int):
@@ -302,9 +279,9 @@ class _Engine:
 
         None when no such basis is cached.  The image is None when the block
         does not exist at degree k or vanishes on the basis, which is then
-        the answer unchanged.  The parent is looked up without refreshing its
-        place in the LRU order, so the route taken does not change which
-        bases the cache evicts.
+        the answer unchanged; otherwise the basis comes as an array.  The
+        parent is looked up without refreshing its place in the LRU order,
+        so the route taken does not change which bases the cache evicts.
         """
         for idx in support:
             parent = self.bases.get((mult[:idx] + (mult[idx] - 1,) + mult[idx + 1:], k))
@@ -315,9 +292,10 @@ class _Engine:
         e = mult[idx] - 1
         if not parent or e > k:
             return parent, None
-        rows, starts, maxes = _template(self.prims[idx], k)
-        image = self._images(k, parent)(idx, rows[starts[e]:starts[e + 1]], maxes[e])
-        return parent, (image if (image != 0).any() else None)
+        rows, starts, _ = _template(self.prims[idx], k)
+        vm = self._vectors(parent)
+        image = self._image(idx, rows[starts[e]:starts[e + 1]], vm)
+        return (vm, image) if image.any() else (parent, None)
 
     # -- public -----------------------------------------------------------
 
@@ -357,11 +335,14 @@ def graded_basis_vectors(ma: Multiarrangement, k: int) -> tuple[tuple[int, ...],
 def graded_member(ma: Multiarrangement, k: int, vector: Sequence[int]) -> bool:
     """Whether an integer degree-k coefficient vector lies in D(A, m)_k.
 
-    Decided by the exact divisibility rows that certify every graded basis;
-    the layout is that of `graded_basis_vectors`.
+    Decided one hyperplane at a time by the exact divisibility rows whose
+    stack certifies every full solve; the layout is that of
+    `graded_basis_vectors`.
     """
     eng = _engine(ma.arrangement)
-    return eng._verify_exact(eng._support(ma.mult), ma.mult, k, [list(vector)])
+    vm = eng._vectors([list(vector)])
+    return not any(eng._image(idx, _divisible_rows(eng.prims[idx], k, ma.mult[idx])[0], vm).any()
+                   for idx in eng._support(ma.mult))
 
 
 def hilbert_dims(ma: Multiarrangement, max_degree: int) -> tuple[int, ...]:
@@ -382,4 +363,6 @@ def solve_routes() -> dict[str, int]:
 def clear_caches() -> None:
     _engine.cache_clear()
     _template.clear()
+    monomial_exponents.cache_clear()
+    monomial_index.cache_clear()
     _routes.clear()

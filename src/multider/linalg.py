@@ -9,8 +9,8 @@ rank, row space and pivots).  `rref_mod` is the one elimination mod p.
 `certified_kernel` is the only escalation loop in the package.  It is handed
 the matrix three ways - as its standard kernel basis mod a prime, as an exact
 integer check, and as the exact matrix - so the caller builds the matrix once
-and chooses how the mod-p kernel is found: `kernel_mod` of the whole matrix,
-or the graded solver's restriction of a known larger kernel.  `kernel_mod`
+and chooses the check: the graded solver hands it a divisibility matrix, or
+the small image of a known larger kernel under one new block.  `kernel_mod`
 takes any exact integer matrix (int64 or Python integers) and reduces it mod
 p itself; it deletes singleton rows and the columns they force to zero, then
 row reduces the rest with vectorized numpy (`rref_mod`, which updates only

@@ -30,7 +30,7 @@ from multider.graded import (
     _template_bytes,
 )
 from multider.linalg import _INT64_SAFE
-from multider.polyring import LinearForm, Poly, monomial_exponents
+from multider.polyring import LinearForm, Poly, monomial_exponents, monomial_index
 
 from conftest import oracle_graded_dimension
 
@@ -129,6 +129,15 @@ def test_results_survive_cache_clearing():
     clear_caches()
     assert hilbert_dims(ma, 4) == before
     assert graded_basis_vectors(ma, 3) == vectors_before
+
+
+def test_clear_caches_empties_the_monomial_tables():
+    graded_basis_vectors(catalog("A3", (1, 1, 1, 1, 1, 1)), 3)
+    monomial_index(3, 2)
+    assert monomial_exponents.cache_info().currsize and monomial_index.cache_info().currsize
+    clear_caches()
+    assert monomial_exponents.cache_info().currsize == 0
+    assert monomial_index.cache_info().currsize == 0
 
 
 def test_equal_value_arrangements_share_results():
@@ -510,82 +519,119 @@ def test_fixed_walk_takes_every_route():
 def _fixed_walk_under(monkeypatch, failing_moduli):
     """FIXED_WALK at degree 2, with the lift failing for the given moduli.
 
-    Returns the bases, the routes, the mod-p elimination and Bareiss counts,
-    the multiplicities `_matrix` built the divisibility matrix for, and the
-    moduli lifted.
+    Returns the bases, the routes, the mod-p elimination and Bareiss counts
+    (`calls`), the multiplicities `_matrix` built the divisibility matrix for
+    (`assembled`) and those matrices (`built`), the matrices the exact check
+    `_annihilates` was handed (`checked`), the matrices Bareiss eliminated
+    (`eliminated`) and the moduli lifted (`lifted`).
     """
+    from types import SimpleNamespace
+
+    from multider import graded, linalg
     from multider.graded import _Engine
 
     name, start, steps = FIXED_WALK
-    assembled = []
-    build = _Engine._matrix
+    run = SimpleNamespace(assembled=[], built=[], checked=[], eliminated=[])
+    build, annihilates = _Engine._matrix, graded._annihilates
+
+    def building(self, support, mult, k):
+        run.assembled.append(mult)
+        run.built.append(build(self, support, mult, k))
+        return run.built[-1]
+
     with monkeypatch.context() as patch:
-        calls = _count_kernel_calls(patch)
-        patch.setattr(_Engine, "_matrix",
-                      lambda self, support, mult, k: assembled.append(mult)
-                      or build(self, support, mult, k))
-        lifted = _fail_lift(patch, failing_moduli)
+        run.calls = _count_kernel_calls(patch)
+        counted_bareiss = linalg.bareiss_kernel
+        patch.setattr(linalg, "bareiss_kernel",
+                      lambda matrix: run.eliminated.append(matrix) or counted_bareiss(matrix))
+        patch.setattr(_Engine, "_matrix", building)
+        patch.setattr(graded, "_annihilates",
+                      lambda matrix, vectors: run.checked.append(matrix) or annihilates(matrix, vectors))
+        run.lifted = _fail_lift(patch, failing_moduli)
         clear_caches()
-        _, bases = _walk(name, start, steps, 2)
-        routes = solve_routes()
+        _, run.bases = _walk(name, start, steps, 2)
+        run.routes = solve_routes()
     clear_caches()
-    return bases, routes, calls, assembled, lifted
+    return run
+
+
+def _is_one_of(matrix, matrices):
+    return any(matrix is other for other in matrices)
 
 
 def test_restriction_escalates_to_crt_without_the_full_matrix(monkeypatch):
     from multider.linalg import PRIMES
 
     name, start, _ = FIXED_WALK
-    expected, routes, one_prime_calls, _, _ = _fixed_walk_under(monkeypatch, lambda m: False)
+    one_prime = _fixed_walk_under(monkeypatch, lambda m: False)
+    routes = one_prime.routes
     assert routes["restricted"] and routes["full"] == 1
-    escalated = routes["restricted"] + routes["full"] - sum(1 for basis in expected if not basis)
+    escalated = routes["restricted"] + routes["full"] - sum(1 for basis in one_prime.bases if not basis)
     for primes in (2, 3):
         modulus = math.prod(PRIMES[:primes])
-        bases, escalated_routes, calls, assembled, lifted = _fixed_walk_under(
-            monkeypatch, lambda m: m < modulus)
-        assert bases == expected
+        run = _fixed_walk_under(monkeypatch, lambda m: m < modulus)
+        assert run.bases == one_prime.bases
         # every restriction still counts as one, certified by combining the
-        # kernels of its small product mod the first `primes` primes
-        assert escalated_routes == routes
-        assert lifted == {modulus}
-        assert calls["kernel_mod"] == one_prime_calls["kernel_mod"] + (primes - 1) * escalated
+        # kernels of its small image mod the first `primes` primes
+        assert run.routes == routes
+        assert run.lifted == {modulus}
+        assert run.calls["kernel_mod"] == one_prime.calls["kernel_mod"] + (primes - 1) * escalated
         # only the walk's start assembles the whole matrix, once for every prime
-        assert assembled == [tuple(start)]
-        assert calls["bareiss_kernel"] == 0
+        assert run.assembled == [tuple(start)]
+        assert run.calls["bareiss_kernel"] == 0
 
 
-def test_failed_lifts_reach_bareiss_on_the_full_rows(monkeypatch):
-    expected, routes, _, _, _ = _fixed_walk_under(monkeypatch, lambda modulus: False)
-    bases, bareiss_routes, calls, assembled, _ = _fixed_walk_under(
-        monkeypatch, lambda modulus: True)
-    assert bases == expected
-    assert bareiss_routes == routes
+@pytest.mark.parametrize("failing", [lambda modulus: False, lambda modulus: True])
+def test_restricted_solves_check_only_their_image(monkeypatch, failing):
+    # with one prime and with every lift failing down to Bareiss, each solve
+    # runs its exact check once, against the one matrix it eliminated: the
+    # walk's start against its divisibility matrix, the one matrix built,
+    # and each restricted solve against its image alone
+    name, start, _ = FIXED_WALK
+    run = _fixed_walk_under(monkeypatch, failing)
+    assert run.routes["restricted"] >= 5 and run.routes["full"] == 1
+    assert run.assembled == [tuple(start)]
+    assert [_is_one_of(matrix, run.built) for matrix in run.checked] == [True] + [False] * run.routes["restricted"]
+    n = 3 * math.comb(2 + 2, 2)
+    assert all(image.shape[0] < n for image in run.checked[1:])
+
+
+def test_failed_lifts_reach_bareiss_on_the_image(monkeypatch):
+    expected = _fixed_walk_under(monkeypatch, lambda modulus: False)
+    run = _fixed_walk_under(monkeypatch, lambda modulus: True)
+    assert run.bases == expected.bases
+    assert run.routes == expected.routes
     # one Bareiss run per solve that eliminates and has a nonzero kernel
     # (a trivial kernel lifts nothing, so it never escalates)
-    assert calls["bareiss_kernel"] == routes["restricted"] + routes["full"] - sum(
-        1 for basis in expected if not basis)
-    # each run reads its solve's exact matrix, built once for that solve
-    assert len(assembled) == len(set(assembled)) == calls["bareiss_kernel"]
+    assert run.calls["bareiss_kernel"] == len(run.eliminated) == (
+        run.routes["restricted"] + run.routes["full"] - sum(1 for basis in expected.bases if not basis))
+    # the walk's start eliminates its divisibility matrix; every later run
+    # eliminates the image its restricted solve checked
+    assert run.assembled == [FIXED_WALK[1]]
+    assert _is_one_of(run.eliminated[0], run.built)
+    assert all(_is_one_of(matrix, run.checked[1:]) for matrix in run.eliminated[1:])
 
 
-@pytest.mark.parametrize("name,mult,idx,k", [
-    ("A3", (2, 1, 2, 1, 2, 1), 0, 4),
-    ("X3", (2, 2, 2, 1, 1, 1), 3, 4),
-    ("B3", (1, 1, 1, 1, 1, 1, 1, 1, 2), 8, 4),
-])
-def test_restriction_depends_only_on_the_span_of_the_parent(name, mult, idx, k):
-    # the reversed-column echelon form makes the answer a function of the
-    # subspace: any other basis of the parent piece gives the same vectors
-    parent = mult[:idx] + (mult[idx] - 1,) + mult[idx + 1:]
+def _assert_standard_basis(basis):
+    """Primitive vectors, strictly ascending last nonzero columns, each zero at the others'."""
+    lasts = [max(i for i, v in enumerate(vec) if v) for vec in basis]
+    assert lasts == sorted(set(lasts))
+    for vec, last in zip(basis, lasts):
+        assert math.gcd(*vec) == 1 and next(v for v in vec if v) > 0
+        assert all(vec[c] == 0 for c in lasts if c != last)
+
+
+@given(walks())
+@settings(max_examples=40, deadline=None)
+def test_every_stored_basis_is_the_standard_primitive_one(walk):
+    # what makes the rows of K V the child's basis: the parent is standard
+    name, start, steps, k = walk
     clear_caches()
-    expected = graded_basis_vectors(catalog(name, mult), k)
-    clear_caches()
-    basis = graded_basis_vectors(catalog(name, parent), k)
-    assert len(basis) >= 2 and len(expected) < len(basis)
-    mixed = [tuple(a + b for a, b in zip(basis[0], v)) for v in basis[1:]]
-    _engine(catalog(name).arrangement).bases[(parent, k)] = tuple(reversed(mixed)) + (basis[0],)
-    assert graded_basis_vectors(catalog(name, mult), k) == expected
-    assert solve_routes() == {"unchanged": 0, "restricted": 1, "full": 1}
+    _walk(name, start, steps, k)
+    stored = _engine(catalog(name).arrangement).bases
+    assert stored
+    for basis in stored.values():
+        _assert_standard_basis(basis)
     clear_caches()
 
 
@@ -594,9 +640,10 @@ def test_restriction_depends_only_on_the_span_of_the_parent(name, mult, idx, k):
     ("X3", (2, 2, 2, 1, 1, 1), 3, 4),
 ])
 def test_restriction_rank_drop_mod_p_fails_the_prime(monkeypatch, name, mult, idx, k):
-    # a parent vector that vanishes mod PRIMES[0] makes the mapped-back span
-    # lose rank there, so every pass through that prime fails and Bareiss on
-    # the full exact rows answers; the basis is unchanged
+    # a parent vector that vanishes mod PRIMES[0] makes its column of the
+    # image vanish there, so the image's kernel mod that prime is too large
+    # and every pass through the prime fails; Bareiss on the image answers,
+    # and K V made primitive is the same basis
     from multider.linalg import PRIMES
 
     parent = mult[:idx] + (mult[idx] - 1,) + mult[idx + 1:]
@@ -615,15 +662,15 @@ def test_restriction_rank_drop_mod_p_fails_the_prime(monkeypatch, name, mult, id
 
 
 def test_failed_reference_elimination_names_the_solve(monkeypatch):
-    from multider import InternalCheckError
-    from multider.graded import _Engine
+    from multider import InternalCheckError, graded
 
     name, mult = "A3", (2, 1, 2, 1, 2, 1)
     child = (3,) + mult[1:]
     prims = [f.primitive for f in catalog(name).forms]
     clear_caches()
     graded_basis_vectors(catalog(name, mult), 4)
-    monkeypatch.setattr(_Engine, "_verify_exact", lambda self, support, mult, k, vectors: False)
+    # the exact check of both routes: the image, and the divisibility matrix
+    monkeypatch.setattr(graded, "_annihilates", lambda matrix, vectors: False)
     for target, route in ((child, "restricted"), ((1,) * 6, "full")):
         with pytest.raises(InternalCheckError) as info:
             graded_basis_vectors(catalog(name, target), 4)

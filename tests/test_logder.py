@@ -181,7 +181,7 @@ def test_membership_rejects_outsiders():
 
 
 # a rank-2 arrangement whose template rows outgrow int64 from degree 2 on, so
-# every check against it takes the object-dtype branch of `_verify_exact`
+# every membership check against it takes the object-dtype branch of `_exact_product`
 HUGE = Arrangement(2, [(1, 0), (0, 1), (1, 2**40), (3, -5)])
 MEMBER_ARRANGEMENTS = [
     catalog(name).arrangement for name in ("A2", "B2", "A3", "deletedA3", "X3")

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import multider.multirestrict as multirestrict_module
 from multider import (
+    Arrangement,
     ArrangementError,
     DeltaValue,
     Filtration,
@@ -246,6 +248,57 @@ def test_restriction_paths_read_exponent_pairs_only(monkeypatch):
 def test_euler_multiplicity_index_validation():
     with pytest.raises(ArrangementError):
         euler_multiplicity(catalog("A2"), 5)
+
+
+def _euler_restriction(ma, h0):
+    """(A'', m*): each flat through H0 as a line of H0, with its Euler multiplicity.
+
+    Coordinates on H0 = ker alpha0 are the integer kernel vectors
+    alpha0_i e_j - alpha0_j e_i for the first nonzero coordinate i and each
+    j != i; a flat's line is any other hyperplane through it, restricted.
+    """
+    alpha0 = ma.forms[h0].primitive
+    i = next(j for j, a in enumerate(alpha0) if a)
+    frame = [[alpha0[i] * (c == j) - alpha0[j] * (c == i) for c in range(len(alpha0))]
+             for j in range(len(alpha0)) if j != i]
+    restriction = euler_multiplicity(ma, h0)
+    lines = []
+    for fr in restriction.flats:
+        form = ma.forms[next(idx for idx in fr.flat.indices if idx != h0)].primitive
+        lines.append([sum(a * u for a, u in zip(form, vec)) for vec in frame])
+    return Arrangement(2, lines).with_multiplicity(restriction.mu_values())
+
+
+@st.composite
+def addition_deletion_points(draw):
+    name = draw(st.sampled_from(["A3", "X3", "deletedA3", "B3"]))
+    n = len(catalog(name).forms)
+    top = 2 if name == "B3" else 3
+    return catalog(name, tuple(draw(st.lists(st.integers(0, top), min_size=n, max_size=n))))
+
+
+@given(addition_deletion_points())
+@settings(max_examples=60, deadline=None)
+def test_addition_deletion_decides_freeness_of_the_raised_multiplicity(ma):
+    # Abe-Terao-Wakefield addition-deletion (J. London Math. Soc. 2008): with
+    # m - delta_0 free with exponents E' and the Euler restriction free with
+    # exponents E'', m is free with exponents E'' + {x + 1} when E'' is E'
+    # less one exponent x, and not free otherwise.  Caches stay warm from
+    # one H0 to the next, so the graded solves cross the restricted route.
+    free = find_free_basis(ma)
+    for h0, m0 in enumerate(ma.mult):
+        if not m0:
+            continue
+        lowered = find_free_basis(ma.with_mult(ma.mult[:h0] + (m0 - 1,) + ma.mult[h0 + 1:]))
+        if not lowered.free:
+            continue
+        restricted = delta(_euler_restriction(ma, h0)).pair
+        left = Counter(lowered.exponents) - Counter(restricted)
+        if sum(left.values()) == 1 and not Counter(restricted) - Counter(lowered.exponents):
+            (x,) = left
+            assert free.free and free.exponents == tuple(sorted((*restricted, x + 1)))
+        else:
+            assert not free.free
 
 
 # -- boundary polynomial ---------------------------------------------------
