@@ -32,7 +32,11 @@ on one of two exact matrices A, checked by A K = 0 over the integers
   others, nothing after) in ascending free-column order, and so is K.  Row
   j of K V is therefore nonzero at its own free column, zero at the child's
   other free columns and zero after its own: primitive, it is the child's
-  j-th standard vector, the one the full solve returns.  Membership follows
+  j-th standard vector, the one the full solve returns.  A parent in any
+  other form leaves K V out of that form, which a check of its nonzero
+  pattern catches; its rows are then reduced exactly (`linalg.rref`,
+  pivoting from the last column), so the answer is a function of the span
+  of the parent alone.  Membership follows
   from the certified parent and the exact image check, and the dimension is
   the verified nullity of the image, so no mod-p answer goes unverified.
   The divisibility matrix of m is never built.
@@ -56,7 +60,7 @@ import numpy as np
 
 from .arrangement import Arrangement, Multiarrangement
 from .errors import InternalCheckError
-from .linalg import _INT64_SAFE, _normalize, certified_kernel, kernel_mod
+from .linalg import _INT64_SAFE, _normalize, certified_kernel, kernel_mod, primitive_integer_vector, rref
 from .polyring import monomial_count, monomial_exponents, monomial_index
 
 _BASIS_CACHE_LIMIT = 2048
@@ -199,6 +203,19 @@ def _exact_product(left, right) -> np.ndarray:
     return np.asarray(left, dtype=dtype) @ np.asarray(right, dtype=dtype)
 
 
+def _is_standard(rows: np.ndarray) -> bool:
+    """Whether the last nonzero columns of the rows ascend strictly and each row is zero at the others'."""
+    nonzero = rows != 0
+    lasts = rows.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    return bool((np.diff(lasts) > 0).all()) and np.count_nonzero(nonzero[:, lasts]) == len(lasts)
+
+
+def _standard_rows(rows: np.ndarray) -> list[list[int]]:
+    """The standard primitive basis of the row space: reduced echelon form pivoting from the last column."""
+    reduced, _ = rref([row[::-1] for row in rows.tolist()])
+    return [primitive_integer_vector(row[::-1]) for row in reversed(reduced)]
+
+
 def _annihilates(matrix: np.ndarray, vectors: list[list[int]]) -> bool:
     """Whether matrix v = 0 over the integers for every vector v."""
     return not vectors or not _exact_product(vectors, matrix.T).any()
@@ -271,7 +288,8 @@ class _Engine:
             raise InternalCheckError(f"{exc} for forms {self.prims} with multiplicity {mult}, "
                                      f"degree {k}, {route} route") from exc
         if route == "restricted" and basis:
-            basis = map(_normalize, _exact_product(basis, parent).tolist())
+            product = _exact_product(basis, parent)
+            basis = map(_normalize, product.tolist()) if _is_standard(product) else _standard_rows(product)
         return tuple(tuple(v) for v in basis)
 
     def _restriction(self, support: list[int], mult: tuple[int, ...], k: int):

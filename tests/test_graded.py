@@ -638,6 +638,28 @@ def test_every_stored_basis_is_the_standard_primitive_one(walk):
 @pytest.mark.parametrize("name,mult,idx,k", [
     ("A3", (2, 1, 2, 1, 2, 1), 0, 4),
     ("X3", (2, 2, 2, 1, 1, 1), 3, 4),
+    ("B3", (1, 1, 1, 1, 1, 1, 1, 1, 2), 8, 4),
+])
+def test_restriction_depends_only_on_the_span_of_the_parent(name, mult, idx, k):
+    # a planted parent in no standard form leaves K V out of it too; the
+    # rows are reduced exactly, so any basis of the parent piece gives the
+    # same vectors
+    parent = mult[:idx] + (mult[idx] - 1,) + mult[idx + 1:]
+    clear_caches()
+    expected = graded_basis_vectors(catalog(name, mult), k)
+    clear_caches()
+    basis = graded_basis_vectors(catalog(name, parent), k)
+    assert len(basis) >= 2 and len(expected) < len(basis)
+    mixed = [tuple(a + b for a, b in zip(basis[0], v)) for v in basis[1:]]
+    _engine(catalog(name).arrangement).bases[(parent, k)] = tuple(reversed(mixed)) + (basis[0],)
+    assert graded_basis_vectors(catalog(name, mult), k) == expected
+    assert solve_routes() == {"unchanged": 0, "restricted": 1, "full": 1}
+    clear_caches()
+
+
+@pytest.mark.parametrize("name,mult,idx,k", [
+    ("A3", (2, 1, 2, 1, 2, 1), 0, 4),
+    ("X3", (2, 2, 2, 1, 1, 1), 3, 4),
 ])
 def test_restriction_rank_drop_mod_p_fails_the_prime(monkeypatch, name, mult, idx, k):
     # a parent vector that vanishes mod PRIMES[0] makes its column of the
