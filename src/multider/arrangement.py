@@ -7,6 +7,10 @@ Multiplicities are plain tuples aligned with the form order.
 
 Also here: codimension-2 flats, localization/deletion/essentialization, a
 catalog of named arrangements used throughout the test corpus, and JSON I/O.
+Geometry that depends only on the arrangement - the rank-2 flat of every
+pair of hyperplanes (a flat is its index set) and the essentialization - is
+computed once per `Arrangement` on integer primitive rows and cached on it;
+`_sub` shares one sub-arrangement per index set among all multiplicities.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ArrangementError
-from .linalg import primitive_integer_vector, rank, rref
+from .linalg import echelon, rank
 from .polyring import (
     LinearForm,
     Poly,
@@ -29,6 +34,8 @@ from .polyring import (
 )
 
 Multiplicity = tuple[int, ...]
+
+_SUB_CACHE_LIMIT = 256
 
 
 def ones(count: int) -> Multiplicity:
@@ -78,6 +85,24 @@ class Arrangement:
     @cached_property
     def _rank(self) -> int:
         return rank([f.primitive for f in self.forms])
+
+    @cached_property
+    def _flats(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Each pair i < j mapped to the sorted members of the flat it spans."""
+        prims = [f.primitive for f in self.forms]
+        flats: dict[tuple[int, int], tuple[int, ...]] = {}
+        for i, j in combinations(range(len(prims)), 2):
+            if (i, j) not in flats:
+                members = tuple(k for k, p in enumerate(prims) if rank([prims[i], prims[j], p]) == 2)
+                flats.update(dict.fromkeys(combinations(members, 2), members))
+        return flats
+
+    @cached_property
+    def _essential(self) -> tuple[Arrangement, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The forms on their span's pivot coordinates, with the echelon rows and pivots."""
+        rows, pivots, _ = echelon([f.primitive for f in self.forms])
+        ess = Arrangement(len(pivots), [LinearForm([f.coeffs[p] for p in pivots]) for f in self.forms])
+        return ess, tuple(map(tuple, rows)), tuple(pivots)
 
     def __hash__(self) -> int:
         return self._hash
@@ -140,39 +165,16 @@ def defining_polynomial(ma: Multiarrangement) -> Poly:
 
 @dataclass(frozen=True)
 class Flat:
-    """A codimension-2 intersection, named by its unique RREF (`linalg.rref`)."""
+    """A codimension-2 intersection: the sorted indices of every hyperplane through it."""
 
-    basis: tuple[tuple[Fraction, ...], ...]  # RREF rows spanning the forms through it
     indices: tuple[int, ...]
-
-    def codimension(self) -> int:
-        return len(self.basis)
-
-
-def _span_key(forms: Sequence[LinearForm]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(row) for row in rref([f.primitive for f in forms])[0])
-
-
-def _in_span(form: LinearForm, basis: tuple[tuple[Fraction, ...], ...]) -> bool:
-    return rank([primitive_integer_vector(r) for r in basis] + [form.primitive]) == len(basis)
 
 
 def rank2_flats(a: Arrangement) -> list[Flat]:
     """All codimension-2 intersection subspaces, with their full index lists."""
     if a.nvars < 2:
         raise ArrangementError("rank2_flats needs ambient dimension at least 2")
-    seen: dict[tuple, Flat] = {}
-    n = len(a.forms)
-    for i in range(n):
-        for j in range(i + 1, n):
-            key = _span_key([a.forms[i], a.forms[j]])
-            if len(key) != 2:
-                continue  # proportional forms cannot occur, but stay safe
-            if key in seen:
-                continue
-            members = tuple(k for k, f in enumerate(a.forms) if _in_span(f, key))
-            seen[key] = Flat(key, members)
-    return sorted(seen.values(), key=lambda fl: fl.indices)
+    return [Flat(members) for members in sorted(set(a._flats.values()))]
 
 
 def flat_of(a: Arrangement, indices: Sequence[int]) -> Flat:
@@ -180,26 +182,24 @@ def flat_of(a: Arrangement, indices: Sequence[int]) -> Flat:
     idx = sorted(set(indices))
     if len(idx) < 2:
         raise ArrangementError("a rank-2 flat needs at least two hyperplanes")
-    key = _span_key([a.forms[i] for i in idx])
-    if len(key) != 2:
-        raise ArrangementError("selected hyperplanes do not span a codimension-2 flat")
-    members = tuple(k for k, f in enumerate(a.forms) if _in_span(f, key))
+    if idx[0] < 0 or idx[-1] >= len(a.forms):
+        raise ArrangementError("flat index out of range")
+    members = a._flats[idx[0], idx[1]]
     if not set(idx) <= set(members):
-        raise ArrangementError("inconsistent flat membership")
-    return Flat(key, members)
+        raise ArrangementError("selected hyperplanes do not span a codimension-2 flat")
+    return Flat(members)
+
+
+@lru_cache(maxsize=_SUB_CACHE_LIMIT)
+def _sub(a: Arrangement, indices: tuple[int, ...]) -> Arrangement:
+    """The sub-arrangement on `indices`: one object, with its caches, per (a, indices)."""
+    return Arrangement(a.nvars, [a.forms[i] for i in indices])
 
 
 def localize(ma: Multiarrangement, x: Flat) -> Multiarrangement:
-    for i in x.indices:
-        if not 0 <= i < len(ma.forms):
-            raise ArrangementError("flat index out of range")
-        if not _in_span(ma.forms[i], x.basis):
-            raise ArrangementError("not a flat of this arrangement")
-    for k, f in enumerate(ma.forms):
-        if k not in x.indices and _in_span(f, x.basis):
-            raise ArrangementError("flat index list is missing a containing hyperplane")
-    sub = Arrangement(ma.nvars, [ma.forms[i] for i in x.indices])
-    return sub.with_multiplicity([ma.mult[i] for i in x.indices])
+    if ma.arrangement._flats.get(x.indices[:2]) != x.indices:
+        raise ArrangementError(f"{x.indices} is not a rank-2 flat of this arrangement")
+    return _sub(ma.arrangement, x.indices).with_multiplicity([ma.mult[i] for i in x.indices])
 
 
 def delete(ma: Multiarrangement, h0: int) -> Multiarrangement:
@@ -210,9 +210,8 @@ def delete(ma: Multiarrangement, h0: int) -> Multiarrangement:
     if ma.mult[h0] == 1:
         if len(ma.forms) == 1:
             raise ArrangementError("deletion would leave an empty arrangement")
-        keep = [i for i in range(len(ma.forms)) if i != h0]
-        sub = Arrangement(ma.nvars, [ma.forms[i] for i in keep])
-        return sub.with_multiplicity([ma.mult[i] for i in keep])
+        keep = tuple(i for i in range(len(ma.forms)) if i != h0)
+        return _sub(ma.arrangement, keep).with_multiplicity([ma.mult[i] for i in keep])
     mult = list(ma.mult)
     mult[h0] -= 1
     return ma.with_mult(mult)
@@ -222,16 +221,16 @@ def delete(ma: Multiarrangement, h0: int) -> Multiarrangement:
 class CoordinateChange:
     """Essentialization data: new forms live on the span of the old ones.
 
-    `basis` rows are the chosen spanning forms (`linalg.rref` of the primitive
-    coefficient rows, in `Fraction`s); a form a in the span maps to its
-    coordinate vector over these rows, read off at the pivot columns.
+    `basis` holds the integer echelon rows (`linalg.echelon`) of the forms'
+    primitive rows; a form in their span maps to its coefficients at the
+    pivot columns, onto which the span projects bijectively.
     """
 
-    basis: tuple[tuple[Fraction, ...], ...]
+    basis: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
 
     def map_form(self, form: LinearForm) -> LinearForm:
-        if not _in_span(form, self.basis):
+        if rank([*self.basis, form.primitive]) != len(self.basis):
             raise ArrangementError("form does not lie in the essential span")
         return LinearForm([form.coeffs[p] for p in self.pivots])
 
@@ -243,12 +242,8 @@ def essentialize(ma: Multiarrangement) -> tuple[Multiarrangement, CoordinateChan
     the original just carries rank-many extra free directions (extra exponent
     zeros).
     """
-    reduced, pivots = rref([f.primitive for f in ma.forms])
-    change = CoordinateChange(tuple(tuple(r) for r in reduced), tuple(pivots))
-    r = len(pivots)
-    new_forms = [LinearForm([f.coeffs[p] for p in pivots]) for f in ma.forms]
-    sub = Arrangement(r, new_forms)
-    return sub.with_multiplicity(ma.mult), change
+    ess, rows, pivots = ma.arrangement._essential
+    return ess.with_multiplicity(ma.mult), CoordinateChange(rows, pivots)
 
 
 def irreducible_component_count(a: Arrangement) -> int:

@@ -58,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrangement import Arrangement, Multiarrangement
+from .arrangement import Arrangement, Multiarrangement, _sub
 from .errors import InternalCheckError
 from .linalg import _INT64_SAFE, _normalize, certified_kernel, kernel_mod, primitive_integer_vector, rref
 from .polyring import monomial_count, monomial_exponents, monomial_index
@@ -380,6 +380,7 @@ def solve_routes() -> dict[str, int]:
 
 def clear_caches() -> None:
     _engine.cache_clear()
+    _sub.cache_clear()
     _template.clear()
     monomial_exponents.cache_clear()
     monomial_index.cache_clear()

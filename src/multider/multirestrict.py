@@ -27,6 +27,7 @@ from .arrangement import (
     Arrangement,
     Flat,
     Multiarrangement,
+    _sub,
     essentialize,
     flat_of,
     localize,
@@ -131,8 +132,7 @@ class Filtration:
         if ma.arrangement != self.arrangement:
             raise FiltrationError("multiarrangement does not match the filtration")
         idx = self.levels[depth - 1]
-        sub = Arrangement(ma.nvars, [ma.forms[i] for i in idx])
-        return sub.with_multiplicity([ma.mult[i] for i in idx])
+        return _sub(ma.arrangement, idx).with_multiplicity([ma.mult[i] for i in idx])
 
     def level_order(self, ma: Multiarrangement, depth: int) -> int:
         """Total multiplicity of `ma` on the level-`depth` hyperplanes."""

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ArrangementError
@@ -297,7 +297,7 @@ class LinearForm:
     Canonical scaling makes equality mean equality of hyperplanes, so
     proportional inputs collide as intended.  `primitive` is the same form
     scaled to coprime integers with positive leading entry, convenient for
-    overflow-free integer work.
+    overflow-free integer work; it is computed once per form.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -313,7 +313,7 @@ class LinearForm:
     def nvars(self) -> int:
         return len(self.coeffs)
 
-    @property
+    @cached_property
     def primitive(self) -> tuple[int, ...]:
         denom = math.lcm(*(c.denominator for c in self.coeffs))
         ints = [int(c * denom) for c in self.coeffs]

@@ -1,10 +1,14 @@
 """Arrangements, flats, localization, essentialization, catalog, JSON I/O."""
 
 import dataclasses
+import functools
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import multider.arrangement as arrangement_module
 import multider.linalg as linalg_module
@@ -12,6 +16,7 @@ import multider.sweep as sweep_module
 from multider import (
     Arrangement,
     ArrangementError,
+    Flat,
     LinearForm,
     Multiarrangement,
     Poly,
@@ -30,8 +35,9 @@ from multider import (
     multiarrangement_to_dict,
     rank2_flats,
 )
+from multider.linalg import primitive_integer_vector
 
-from test_linalg import oracle_rref
+from test_linalg import _fraction_rank, oracle_rref
 
 CATALOG_SIZES = {
     "A2": (2, 3),
@@ -169,31 +175,136 @@ GEOMETRY_CATALOG = [(name, {}) for name in CATALOG_SIZES] + [
 ]
 
 
+# -- the Fraction reference ---------------------------------------------------
+# The construction the package used before the integer lattice: every flat is
+# named by the reduced row echelon form of two of its forms, and membership is
+# a rank test against those rows, all by Gauss-Jordan in Fractions.
+
+
+def _span_key(forms):
+    return tuple(tuple(row) for row in oracle_rref([f.primitive for f in forms])[0])
+
+
+def _in_span(form, basis):
+    return _fraction_rank([primitive_integer_vector(r) for r in basis] + [form.primitive]) == len(basis)
+
+
+def _reference_flats(a):
+    """Sorted member tuples of the rank-2 flats, keyed by their Fraction RREF."""
+    seen = {}
+    for i, j in itertools.combinations(range(len(a.forms)), 2):
+        key = _span_key([a.forms[i], a.forms[j]])
+        if key not in seen:
+            seen[key] = tuple(k for k, f in enumerate(a.forms) if _in_span(f, key))
+    return sorted(seen.values())
+
+
+def _reference_flat_of(a, indices):
+    key = _span_key([a.forms[i] for i in indices])
+    assert len(key) == 2
+    return tuple(k for k, f in enumerate(a.forms) if _in_span(f, key))
+
+
+def _reference_localize(ma, members):
+    key = _span_key([ma.forms[i] for i in members])
+    assert len(key) == 2 and all(_in_span(ma.forms[i], key) for i in members)
+    assert not any(_in_span(f, key) for k, f in enumerate(ma.forms) if k not in members)
+    return tuple(ma.forms[i] for i in members), tuple(ma.mult[i] for i in members)
+
+
+def _reference_essentialize(ma):
+    """Essential forms, multiplicity, RREF rows and pivots."""
+    reduced, pivots = oracle_rref([f.primitive for f in ma.forms])
+    forms = tuple(LinearForm([f.coeffs[p] for p in pivots]) for f in ma.forms)
+    return forms, ma.mult, tuple(map(tuple, reduced)), tuple(pivots)
+
+
+def _probe_forms(a):
+    """The forms, their pairwise sums and the coordinate forms: in and out of the span."""
+    sums = [[x + y for x, y in zip(f.coeffs, g.coeffs)] for f, g in itertools.combinations(a.forms, 2)]
+    units = [[int(i == j) for j in range(a.nvars)] for i in range(a.nvars)]
+    return list(a.forms) + [LinearForm(v) for v in sums + units if any(v)]
+
+
 def _geometry(ma):
-    """Everything read off an exact elimination, as reprs (types included)."""
+    """Flats, flat_of on every member pair, localizations, essentialization
+    and map_form verdicts, as the package computes them."""
     a = ma.arrangement
-    flats = rank2_flats(a)
-    out = [a.rank(), flats, [flat_of(a, fl.indices) for fl in flats], essentialize(ma),
-           index_symmetries(a)]
-    # a non-essential copy one variable up, with a mixed coordinate in front
-    # of the old second one, so the pivots are not a prefix of the identity
-    lifted = Arrangement(a.nvars + 1, [(c[0], 2 * c[0] - 3 * c[1], *c[1:]) for c in
-                                       (f.coeffs for f in a.forms)])
-    lifted_flats = rank2_flats(lifted)
-    out += [lifted.rank(), lifted_flats, [flat_of(lifted, fl.indices) for fl in lifted_flats],
-            essentialize(lifted.with_multiplicity(ma.mult))]
-    return [repr(v) for v in out]
+    flats = [fl.indices for fl in rank2_flats(a)]
+    ess, change = essentialize(ma)
+    mapped = []
+    for form in _probe_forms(a):
+        try:
+            mapped.append(change.map_form(form))
+        except ArrangementError:
+            mapped.append(None)
+    return (flats,
+            [[flat_of(a, pair).indices for pair in itertools.combinations(fl, 2)] for fl in flats],
+            [(loc.forms, loc.mult) for loc in (localize(ma, Flat(fl)) for fl in flats)],
+            (ess.forms, ess.mult, change.pivots),
+            mapped)
+
+
+def _reference_geometry(ma):
+    a = ma.arrangement
+    flats = _reference_flats(a)
+    forms, mult, basis, pivots = _reference_essentialize(ma)
+    mapped = [LinearForm([f.coeffs[p] for p in pivots]) if _in_span(f, basis) else None
+              for f in _probe_forms(a)]
+    return (flats,
+            [[_reference_flat_of(a, pair) for pair in itertools.combinations(fl, 2)] for fl in flats],
+            [_reference_localize(ma, fl) for fl in flats],
+            (forms, mult, pivots),
+            mapped)
+
+
+def _lifted(ma):
+    """A non-essential copy one variable up, with a mixed coordinate in front
+    of the old second one, so the pivots are not a prefix of the identity."""
+    lifted = Arrangement(ma.nvars + 1, [(c[0], 2 * c[0] - 3 * c[1], *c[1:]) for c in
+                                        (f.coeffs for f in ma.forms)])
+    return lifted.with_multiplicity(ma.mult)
 
 
 @pytest.mark.parametrize("name, params", GEOMETRY_CATALOG, ids=[n for n, _ in GEOMETRY_CATALOG])
 def test_geometry_matches_the_fraction_reference(monkeypatch, name, params):
-    """Flats, essentialization and symmetries equal those of Gauss-Jordan in
-    Fractions, the elimination the package used before the fraction-free one."""
-    got = _geometry(catalog(name, **params))
-    for module in (arrangement_module, sweep_module):
-        monkeypatch.setattr(module, "rref", oracle_rref)
-        monkeypatch.setattr(module, "rank", lambda rows: len(oracle_rref(rows)[1]))
-    assert _geometry(catalog(name, **params)) == got
+    """Flats, localizations and essentialization equal the Fraction reference,
+    on each catalog entry and on a non-essential copy of it; index symmetries
+    equal those found with Gauss-Jordan in Fractions."""
+    base = catalog(name, **params)
+    ma = base.with_mult([1 + i % 3 for i in range(len(base.forms))])
+    for case in (ma, _lifted(ma)):
+        assert _geometry(case) == _reference_geometry(case)
+        assert case.arrangement.rank() == _fraction_rank([f.primitive for f in case.forms])
+    symmetries = index_symmetries(ma.arrangement)
+    monkeypatch.setattr(sweep_module, "rref", oracle_rref)
+    monkeypatch.setattr(sweep_module, "rank", _fraction_rank)
+    assert index_symmetries(ma.arrangement) == symmetries
+
+
+@st.composite
+def integer_arrangements(draw):
+    """3-7 pairwise non-proportional integer forms in 2-4 variables, drawn as
+    combinations of a random spanning set, so many are not essential."""
+    nvars = draw(st.integers(2, 4))
+    span = draw(st.lists(st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars),
+                         min_size=2, max_size=nvars))
+    forms = {}
+    for coeffs in draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(span), max_size=len(span)),
+                                min_size=3, max_size=12)):
+        row = [sum(c * s[j] for c, s in zip(coeffs, span)) for j in range(nvars)]
+        if any(row):
+            forms.setdefault(LinearForm(row).coeffs, row)
+    rows = list(forms.values())[:7]
+    assume(len(rows) >= 3)
+    mult = draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)))
+    return Arrangement(nvars, rows).with_multiplicity(mult)
+
+
+@given(integer_arrangements())
+@settings(max_examples=120, deadline=None)
+def test_integer_lattice_matches_the_fraction_reference(ma):
+    assert _geometry(ma) == _reference_geometry(ma)
 
 
 def test_defining_polynomial():
@@ -210,7 +321,7 @@ def test_rank2_flats_partition_pairs():
         n = len(a.forms)
         seen_pairs = set()
         for fl in flats:
-            assert fl.codimension() == 2
+            assert linalg_module.rank([a.forms[i].primitive for i in fl.indices]) == 2
             assert list(fl.indices) == sorted(fl.indices)
             for i in fl.indices:
                 for j in fl.indices:
@@ -241,11 +352,42 @@ def test_flat_of_and_localize():
     with pytest.raises(ArrangementError):
         flat_of(ma.arrangement, (0,))
     # a tampered flat with a missing member is rejected
-    from multider.arrangement import Flat
-
-    bad = Flat(fl.basis, (0, 2))
     with pytest.raises(ArrangementError):
-        localize(ma, bad)
+        localize(ma, Flat((0, 2)))
+
+
+def test_flat_of_rejects_out_of_range_indices():
+    a = catalog("A3").arrangement
+    for indices in [(0, 9), (-1, 2), (0, 6), (0, 2, 6)]:
+        with pytest.raises(ArrangementError, match="flat index out of range"):
+            flat_of(a, indices)
+    with pytest.raises(ArrangementError, match="do not span a codimension-2 flat"):
+        flat_of(a, (0, 2, 5))
+
+
+def test_flats_are_found_once_per_arrangement(monkeypatch):
+    """A grid of Euler multiplicities builds the lattice of each arrangement
+    once, and two multiplicities localize to the same sub-arrangement."""
+    from multider import euler_multiplicity
+
+    built = []
+    real = Arrangement._flats.func
+
+    def counting(self):
+        built.append(self)
+        return real(self)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(Arrangement, "_flats")
+    monkeypatch.setattr(Arrangement, "_flats", counted)
+    a = Arrangement(3, [(1, -1, 0), (1, 0, -1), (1, 0, 0), (0, 1, -1), (0, 1, 0), (0, 0, 1)])
+    for mult in itertools.product((1, 2), repeat=6):
+        for h0 in range(6):
+            euler_multiplicity(a.with_multiplicity(mult), h0)
+    assert built == [a]
+    fl = flat_of(a, (0, 2))
+    assert localize(a.with_multiplicity((1,) * 6), fl).arrangement is \
+        localize(a.with_multiplicity((3, 1, 2, 1, 1, 1)), fl).arrangement
 
 
 def test_delete():

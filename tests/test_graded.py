@@ -13,7 +13,9 @@ from multider import (
     ArrangementError,
     catalog,
     clear_caches,
+    delete,
     derivation_from_vector,
+    euler_multiplicity,
     graded_basis_vectors,
     graded_dimension,
     graded_piece,
@@ -21,6 +23,7 @@ from multider import (
     membership,
     solve_routes,
 )
+from multider.arrangement import _sub
 from multider.graded import (
     _ENGINE_CACHE_LIMIT,
     _OBJECT_ENTRY_BYTES,
@@ -138,6 +141,15 @@ def test_clear_caches_empties_the_monomial_tables():
     clear_caches()
     assert monomial_exponents.cache_info().currsize == 0
     assert monomial_index.cache_info().currsize == 0
+
+
+def test_clear_caches_empties_the_shared_sub_arrangements():
+    ma = catalog("A3", (2, 1, 1, 1, 1, 1))
+    euler_multiplicity(ma, 0)
+    delete(ma.with_mult((1, 1, 1, 1, 1, 1)), 0)
+    assert _sub.cache_info().currsize
+    clear_caches()
+    assert _sub.cache_info().currsize == 0
 
 
 def test_equal_value_arrangements_share_results():
