@@ -382,7 +382,10 @@ def _scalar_from_json(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ArrangementError(f"bad rational value {v!r}") from exc
     raise ArrangementError(f"bad rational value {v!r}")
 
 

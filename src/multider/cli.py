@@ -66,7 +66,7 @@ def _catalog_params(args) -> dict:
     return params
 
 
-def _load_input(args) -> tuple[Multiarrangement, dict]:
+def _load_input(args) -> Multiarrangement:
     params = _catalog_params(args)
     mult = None
     if args.mult:
@@ -76,14 +76,14 @@ def _load_input(args) -> tuple[Multiarrangement, dict]:
             raise ArrangementError(f"bad --mult value {args.mult!r}") from exc
     src = args.input
     if src.startswith("catalog:"):
-        return catalog(src[len("catalog:"):], mult, **params), params
+        return catalog(src[len("catalog:"):], mult, **params)
     if src.lstrip().startswith("{"):
         ma = multiarrangement_from_dict(json.loads(src))
     else:
         ma = load_multiarrangement(src)
     if mult is not None:
         ma = ma.with_mult(mult)
-    return ma, params
+    return ma
 
 
 def _load_json_arg(text: str) -> dict:
@@ -359,7 +359,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             code = _cmd_sweep(args)
         else:
-            ma, _ = _load_input(args)
+            ma = _load_input(args)
             report, code = _HANDLERS[args.command](args, ma)
             _emit(report, args.format or "json")
     except InternalCheckError as exc:

@@ -22,9 +22,11 @@ exponents, so D(A, m + delta_H)_k is the set of theta in D(A, m)_k whose
 block m(H) vanishes.  A solve with a cached basis V of some D(A, m - delta_H)_k
 applies the new block to V exactly, giving the image (block rows x dim V);
 if the block does not exist at degree k or the image vanishes, V is the
-answer unchanged.  Every other solve is one call to `linalg.certified_kernel`
-on one of two exact matrices A, checked by A K = 0 over the integers
-(`solve_routes` counts them):
+answer unchanged.  Every other solve builds one exact integer matrix A and
+hands it to `linalg.certified_kernel`, which computes its kernel K and
+certifies it by A K = 0 over the integers; the solver itself holds no kernel
+or check code.  The two routes differ only in A (`solve_routes` counts
+them):
 
 - restricted: the image.  The answer is the rows of K V, computed exactly
   and made primitive.  Every stored basis is `_solve` output, the standard
@@ -36,10 +38,10 @@ on one of two exact matrices A, checked by A K = 0 over the integers
   other form leaves K V out of that form, which a check of its nonzero
   pattern catches; its rows are then reduced exactly (`linalg.rref`,
   pivoting from the last column), so the answer is a function of the span
-  of the parent alone.  Membership follows
-  from the certified parent and the exact image check, and the dimension is
-  the verified nullity of the image, so no mod-p answer goes unverified.
-  The divisibility matrix of m is never built.
+  of the parent alone.  Membership follows from the certified parent and
+  the exact image check, and the dimension is the verified nullity of the
+  image, so no mod-p answer goes unverified.  The divisibility matrix of m
+  is never built.
 - full: the divisibility matrix, built once per solve.  It serves cache
   misses and is the reference the restriction is tested against.
 
@@ -53,14 +55,22 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter, OrderedDict
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .arrangement import Arrangement, Multiarrangement, _sub
 from .errors import InternalCheckError
-from .linalg import _INT64_SAFE, _normalize, certified_kernel, kernel_mod, primitive_integer_vector, rref
+from .linalg import (
+    _INT64_SAFE,
+    _exact_product,
+    _max_abs,
+    _normalize,
+    certified_kernel,
+    primitive_integer_vector,
+    rref,
+)
 from .polyring import monomial_count, monomial_exponents, monomial_index
 
 _BASIS_CACHE_LIMIT = 2048
@@ -183,26 +193,6 @@ def _divisible_rows(primitive: tuple[int, ...], k: int, m: int) -> tuple[np.ndar
     return rows[:starts[m]], max(maxes[:m], default=0)
 
 
-def _kernel_rows(matrix: np.ndarray, p: int):
-    """`kernel_mod` of an exact matrix, one vector per row, with the free columns."""
-    basis, _, free = kernel_mod(matrix, p)
-    return basis.T, free
-
-
-def _max_abs(rows) -> int:
-    """Largest |entry| of a 2-D array or of a sequence of integer rows."""
-    if isinstance(rows, np.ndarray):
-        return int(max(rows.max(initial=0), -rows.min(initial=0)))
-    return max((max(max(row), -min(row)) for row in rows), default=0)
-
-
-def _exact_product(left, right) -> np.ndarray:
-    """left @ right over the integers: int64 when a bound proves it safe, Python integers otherwise."""
-    fits = (_max_abs(left) + 1) * (_max_abs(right) + 1) * len(right) < _INT64_SAFE
-    dtype = np.int64 if fits else object
-    return np.asarray(left, dtype=dtype) @ np.asarray(right, dtype=dtype)
-
-
 def _is_standard(rows: np.ndarray) -> bool:
     """Whether the last nonzero columns of the rows ascend strictly and each row is zero at the others'."""
     nonzero = rows != 0
@@ -214,11 +204,6 @@ def _standard_rows(rows: np.ndarray) -> list[list[int]]:
     """The standard primitive basis of the row space: reduced echelon form pivoting from the last column."""
     reduced, _ = rref([row[::-1] for row in rows.tolist()])
     return [primitive_integer_vector(row[::-1]) for row in reversed(reduced)]
-
-
-def _annihilates(matrix: np.ndarray, vectors: list[list[int]]) -> bool:
-    """Whether matrix v = 0 over the integers for every vector v."""
-    return not vectors or not _exact_product(vectors, matrix.T).any()
 
 
 class _Engine:
@@ -282,8 +267,7 @@ class _Engine:
             route, (parent, matrix) = "restricted", found
         _routes[route] += 1
         try:
-            basis = certified_kernel(
-                partial(_kernel_rows, matrix), partial(_annihilates, matrix), lambda: matrix)
+            basis = certified_kernel(matrix)
         except InternalCheckError as exc:
             raise InternalCheckError(f"{exc} for forms {self.prims} with multiplicity {mult}, "
                                      f"degree {k}, {route} route") from exc

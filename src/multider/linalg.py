@@ -7,33 +7,30 @@ integer rows (a rational row scaled by `primitive_integer_vector` keeps its
 rank, row space and pivots).  `rref_mod` is the one elimination mod p.
 
 `certified_kernel` is the only escalation loop in the package.  It is handed
-the matrix three ways - as its standard kernel basis mod a prime, as an exact
-integer check, and as the exact matrix - so the caller builds the matrix once
-and chooses the check: the graded solver hands it a divisibility matrix, or
+one exact integer matrix A (int64 or Python integers) and certifies every
+answer itself by A v = 0 over the integers (`_annihilates`), so a caller
+builds its matrix once: the graded solver hands it a divisibility matrix, or
 the small image of a known larger kernel under one new block.  `kernel_mod`
-takes any exact integer matrix (int64 or Python integers) and reduces it mod
-p itself; it deletes singleton rows and the columns they force to zero, then
-row reduces the rest with vectorized numpy (`rref_mod`, which updates only
-the live columns at and right of each pivot).  The loop tries:
+reduces A mod p itself; it deletes singleton rows and the columns they force
+to zero, then row reduces the rest with vectorized numpy (`rref_mod`, which
+updates only the live columns at and right of each pivot).  The loop tries:
 
 1. one 31-bit prime: `lift_residue_vector` lifts each standard kernel vector
    mod p straight to a primitive integer vector (rational reconstruction,
    Monagan 2004);
-2. the first two primes, then the first three, when the caller's kernel
-   fails for a prime, a vector fails to lift or the exact check rejects it.
-   Each rung adds one prime's kernel (computed once and reused by the next
-   rung) and combines the residues by Garner's mixed-radix method over the
-   whole kernel, one modular inverse per prime (Garner 1959); the primes
-   must agree on the free columns;
+2. the first two primes, then the first three, when a vector fails to lift
+   or the exact check rejects it.  Each rung adds one prime's kernel
+   (computed once and reused by the next rung) and combines the residues by
+   Garner's mixed-radix method over the whole kernel, one modular inverse per
+   prime (Garner 1959); the primes must agree on the free columns;
 3. `bareiss_kernel`, the kernel of `echelon`: slow but elementary, the
    reference implementation.
 
-Every answer passes the caller's exact check A v = 0 over the integers.
+Every answer passes the exact check A v = 0 over the integers.
 Soundness does not rest on the lift: a mod-p reduction of the exact matrix
 can only enlarge the kernel (an exact dependency survives reduction, so
 null_Q <= null_p), and the verified vectors are echelon-patterned hence
-independent, so exhibiting null_p exact kernel vectors pins the dimension;
-any per-prime kernel that returns at least null_Q vectors is as good.
+independent, so exhibiting null_p exact kernel vectors pins the dimension.
 A Bareiss basis that fails the check raises `InternalCheckError`.
 
 Kernel bases are primitive integer vectors (content 1, first nonzero entry
@@ -45,7 +42,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -271,27 +268,43 @@ def bareiss_kernel(matrix: np.ndarray | Sequence[Sequence[int]]) -> list[list[in
     return basis
 
 
-def _modular_kernel(kernel_p: Callable[[int], tuple[np.ndarray, list[int]] | None],
-                    primes: Sequence[int], kernels: dict) -> list[list[int]] | None:
-    """Kernel mod the product of `primes`, lifted to primitive integer vectors.
+def _max_abs(rows) -> int:
+    """Largest |entry| of a 2-D array or of a sequence of integer rows."""
+    if isinstance(rows, np.ndarray):
+        return int(max(rows.max(initial=0), -rows.min(initial=0)))
+    return max((max(max(row), -min(row)) for row in rows), default=0)
 
-    `kernels` holds the per-prime kernels computed so far and gains the new
-    ones.  The residues are combined by Garner's mixed-radix method over whole
-    kernels: with x the combination mod M so far, prime p adds the digit
-    (r_p - x) * (M^-1 mod p) mod p, and x becomes x + M * digit.  x stays
-    int64 while M * p < 2**62 and holds Python integers beyond.  None when
-    `kernel_p` fails for a prime, two primes disagree on the free columns, or
-    a vector fails to lift.
+
+def _exact_product(left, right) -> np.ndarray:
+    """left @ right over the integers: int64 when a bound proves it safe, Python integers otherwise."""
+    fits = (_max_abs(left) + 1) * (_max_abs(right) + 1) * len(right) < _INT64_SAFE
+    dtype = np.int64 if fits else object
+    return np.asarray(left, dtype=dtype) @ np.asarray(right, dtype=dtype)
+
+
+def _annihilates(matrix: np.ndarray, vectors: list[list[int]]) -> bool:
+    """Whether matrix v = 0 over the integers for every vector v."""
+    return not vectors or not _exact_product(vectors, matrix.T).any()
+
+
+def _modular_kernel(matrix: np.ndarray, primes: Sequence[int], kernels: dict) -> list[list[int]] | None:
+    """Kernel of `matrix` mod the product of `primes`, lifted to primitive integer vectors.
+
+    `kernels` maps each prime seen so far to the standard kernel basis mod p
+    (`kernel_mod`, one vector per row) and its free columns, and gains the
+    new ones.  The residues are combined by Garner's mixed-radix method over
+    whole kernels: with x the combination mod M so far, prime p adds the
+    digit (r_p - x) * (M^-1 mod p) mod p, and x becomes x + M * digit.  x
+    stays int64 while M * p < 2**62 and holds Python integers beyond.  None
+    when two primes disagree on the free columns or a vector fails to lift.
     """
     modulus = 1
     combined = structure = None
     for p in primes:
         if p not in kernels:
-            kernels[p] = kernel_p(p)
-        kernel = kernels[p]
-        if kernel is None:
-            return None
-        basis, free = kernel
+            basis, _, free = kernel_mod(matrix, p)
+            kernels[p] = basis.T, free
+        basis, free = kernels[p]
         if combined is None:
             combined, structure = basis, free
         elif free != structure:
@@ -306,27 +319,19 @@ def _modular_kernel(kernel_p: Callable[[int], tuple[np.ndarray, list[int]] | Non
     return None if any(v is None for v in vectors) else vectors
 
 
-def certified_kernel(
-    kernel_p: Callable[[int], tuple[np.ndarray, list[int]] | None],
-    verify: Callable[[list[list[int]]], bool],
-    assemble_exact: Callable[[], np.ndarray],
-) -> list[list[int]]:
-    """Certified rational kernel of one integer matrix A, as primitive vectors.
+def certified_kernel(matrix: np.ndarray) -> list[list[int]]:
+    """Certified rational kernel of an exact integer matrix, as primitive vectors.
 
-    `kernel_p(p)` returns the standard kernel basis of A mod p, one vector per
-    row (1 at its free column, 0 at the others, nothing after), with the free
-    columns, or None when p is unlucky; at least null_Q(A) vectors.
-    `verify(vectors)` decides A v = 0 over the integers for every vector, and
-    `assemble_exact()` returns A as a 2-D integer array.  Tries one prime, then
-    two, then three, adding one prime at a time, then Bareiss; `kernel_p` runs
-    at most once per prime.
+    `matrix` is a 2-D array, int64 or of Python integers.  Tries one prime,
+    then two, then three, adding one prime at a time (`kernel_mod` runs at
+    most once per prime), then Bareiss; every answer passes `_annihilates`.
     """
     kernels: dict = {}
     for prime_count in (1, 2, 3):
-        vectors = _modular_kernel(kernel_p, PRIMES[:prime_count], kernels)
-        if vectors is not None and verify(vectors):
+        vectors = _modular_kernel(matrix, PRIMES[:prime_count], kernels)
+        if vectors is not None and _annihilates(matrix, vectors):
             return vectors
-    vectors = bareiss_kernel(assemble_exact())
-    if not verify(vectors):
+    vectors = bareiss_kernel(matrix)
+    if not _annihilates(matrix, vectors):
         raise InternalCheckError("reference elimination produced a non-member")
     return vectors

@@ -15,16 +15,16 @@ non-canonical grid points loses nothing.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations, product
 from multiprocessing import get_context
 from typing import Iterator
 
 from .arrangement import Arrangement, Multiarrangement, catalog
 from .errors import ArrangementError
-from .linalg import primitive_integer_vector, rank, rref
+from .linalg import _normalize, echelon
 from .logder import DEFAULT_SEED, _find_universal, find_free_basis
 
 __all__ = [
@@ -64,41 +64,50 @@ def parse_ranges(spec: str) -> list[tuple[str, range]]:
 # -- hyperplane symmetries -------------------------------------------------
 
 
-def _express(form, basis) -> tuple[Fraction, ...] | None:
-    """Coefficients lam with form = sum lam_i basis_i, None if not in span."""
-    n = len(basis)
-    # scale each equation (one per coordinate), never the basis forms
-    aug = [primitive_integer_vector(col) for col in zip(*(b.coeffs for b in basis), form.coeffs)]
-    reduced, pivots = rref(aug)
-    lam = [Fraction(0)] * n
-    for row, p in zip(reduced, pivots):
-        if p == n:
-            return None  # pivot in the right-hand side: outside the span
-        lam[p] = row[n]
-    return tuple(lam)
+def _frame_coordinates(a: Arrangement, frame: tuple[int, ...]) -> list[tuple[int, ...]] | None:
+    """Every form's projective coordinates in an ordered frame, or None if it is not one.
 
-
-def _frame(a: Arrangement) -> tuple[int, ...] | None:
-    """l+1 hyperplanes with every l of them independent, or None."""
-    n, l = len(a.forms), a.nvars
-    for combo in combinations(range(n), l + 1):
-        if all(rank([a.forms[i].primitive for i in sub]) == l for sub in combinations(combo, l)):
-            return combo
-    return None
+    With B the first l forms of `frame` as columns, one `echelon` of
+    [B | forms] and back substitution give each form f its Cramer minors
+    v = c B^-1 f, integers for the common scale c = +-det B; w, the minors
+    of the last frame form (the unit), are the signed maximal minors of
+    [B | unit].  The tuple is a frame (every l of its forms independent)
+    iff det B != 0 and every w_j != 0, and f then has coordinates v_j / w_j
+    up to scale, stored as v_j * prod(w) / w_j made primitive.
+    """
+    l = a.nvars
+    prims = [f.primitive for f in a.forms]
+    rows, pivots, _ = echelon(list(zip(*(prims[i] for i in frame[:l]), *prims)))
+    if pivots != list(range(l)):
+        return None
+    scale = rows[-1][l - 1]
+    minors = []
+    for col in range(l, len(rows[0])):
+        v = [0] * l
+        for i in range(l - 1, -1, -1):
+            tail = sum(rows[i][c] * v[c] for c in range(i + 1, l))
+            v[i] = (scale * rows[i][col] - tail) // rows[i][i]
+        minors.append(v)
+    w = minors[frame[l]]
+    if not all(w):
+        return None
+    total = math.prod(w)
+    return [tuple(_normalize([v_j * (total // w_j) for v_j, w_j in zip(v, w)])) for v in minors]
 
 
 def index_symmetries(a: Arrangement) -> tuple[tuple[int, ...], ...]:
     """Hyperplane permutations induced by invertible linear substitutions.
 
     A projective frame (l+1 forms, every l independent) pins any linear map
-    down to one scalar: once the frame's image forms are chosen, the relative
-    scales are forced by the coordinates of the extra form.  Candidates are
-    therefore enumerated as injective frame images, the map is assembled from
-    the forced scales, and a permutation is kept only when every single form
-    lands exactly on a form.  The search is complete whenever a frame exists;
-    without one only the identity is reported, which keeps dedupe sound, just
-    coarser.  Arrangements of l independent forms take the shortcut: every
-    permutation is realizable diagonally.
+    down to one scalar: the map sending a fixed base frame to an ordered
+    target frame sends the form with coordinates c in the base frame to the
+    form with coordinates c in the target frame (`_frame_coordinates`,
+    integer projective coordinates).  A permutation pi is therefore kept
+    when some ordered target frame gives each form pi(k) the base-frame
+    coordinates of form k.  The search is complete whenever a frame exists;
+    without one only the identity is reported, which keeps dedupe sound,
+    just coarser.  Arrangements of l independent forms take the shortcut:
+    every permutation is realizable diagonally.
     """
     n, l = len(a.forms), a.nvars
     identity = tuple(range(n))
@@ -106,41 +115,19 @@ def index_symmetries(a: Arrangement) -> tuple[tuple[int, ...], ...]:
         return (identity,)
     if n == l:
         return tuple(sorted(permutations(range(n))))
-    frame = _frame(a)
-    if frame is None:
+    frames = (_frame_coordinates(a, frame) for frame in combinations(range(n), l + 1))
+    base = next((coords for coords in frames if coords is not None), None)
+    if base is None:
         return (identity,)
-    base = [a.forms[i] for i in frame[:l]]
-    lam = _express(a.forms[frame[l]], base)
-    if lam is None or not all(lam):
-        raise ArrangementError("frame coordinates degenerate")  # unreachable by construction
-    canon = {f.coeffs: i for i, f in enumerate(a.forms)}
-    coords = [_express(f, base) for f in a.forms]
     found = {identity}
     for targets in permutations(range(n), l + 1):
-        tbase = [a.forms[i] for i in targets[:l]]
-        if rank([f.primitive for f in tbase]) != l:
+        coords = _frame_coordinates(a, targets)
+        if coords is None:
             continue
-        mu = _express(a.forms[targets[l]], tbase)
-        if mu is None or not all(mu):
-            continue
-        scale = tuple(m / v for m, v in zip(mu, lam))
-        perm: list[int] | None = []
-        for vec in coords:
-            image = [Fraction(0)] * a.nvars
-            for i in range(l):
-                if vec[i]:
-                    sv = vec[i] * scale[i]
-                    row = tbase[i].coeffs
-                    for c in range(a.nvars):
-                        image[c] += sv * row[c]
-            lead = next((v for v in image if v), None)
-            hit = None if lead is None else canon.get(tuple(v / lead for v in image))
-            if hit is None:
-                perm = None
-                break
-            perm.append(hit)
-        if perm is not None and len(set(perm)) == n:
-            found.add(tuple(perm))
+        image = {c: j for j, c in enumerate(coords)}
+        perm = tuple(image.get(c) for c in base)
+        if None not in perm:
+            found.add(perm)
     return tuple(sorted(found))
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import multider.arrangement as arrangement_module
 import multider.linalg as linalg_module
-import multider.sweep as sweep_module
 from multider import (
     Arrangement,
     ArrangementError,
@@ -38,6 +37,7 @@ from multider import (
 from multider.linalg import primitive_integer_vector
 
 from test_linalg import _fraction_rank, oracle_rref
+from test_sweep import fraction_symmetries
 
 CATALOG_SIZES = {
     "A2": (2, 3),
@@ -267,19 +267,16 @@ def _lifted(ma):
 
 
 @pytest.mark.parametrize("name, params", GEOMETRY_CATALOG, ids=[n for n, _ in GEOMETRY_CATALOG])
-def test_geometry_matches_the_fraction_reference(monkeypatch, name, params):
+def test_geometry_matches_the_fraction_reference(name, params):
     """Flats, localizations and essentialization equal the Fraction reference,
     on each catalog entry and on a non-essential copy of it; index symmetries
-    equal those found with Gauss-Jordan in Fractions."""
+    equal the Fraction search of `test_sweep`."""
     base = catalog(name, **params)
     ma = base.with_mult([1 + i % 3 for i in range(len(base.forms))])
     for case in (ma, _lifted(ma)):
         assert _geometry(case) == _reference_geometry(case)
         assert case.arrangement.rank() == _fraction_rank([f.primitive for f in case.forms])
-    symmetries = index_symmetries(ma.arrangement)
-    monkeypatch.setattr(sweep_module, "rref", oracle_rref)
-    monkeypatch.setattr(sweep_module, "rank", _fraction_rank)
-    assert index_symmetries(ma.arrangement) == symmetries
+    assert index_symmetries(ma.arrangement) == fraction_symmetries(ma.arrangement)
 
 
 @st.composite

@@ -218,6 +218,7 @@ def test_input_errors_exit_2(capsys):
     {"variables": ["x", "y"], "hyperplanes": [{"multiplicity": 2}]},
     {"variables": ["x", "y"], "hyperplanes": [{"form": 3}]},
     {"variables": ["x", "y"], "hyperplanes": 7},
+    {"variables": ["x", "y"], "hyperplanes": [{"form": ["1/0", 1]}, {"form": [0, 1]}]},
 ])
 def test_malformed_hyperplanes_exit_2(capsys, data):
     code, out, err = run_cli(capsys, "delta", json.dumps(data))
@@ -226,7 +227,7 @@ def test_malformed_hyperplanes_exit_2(capsys, data):
     assert "input error" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", [None, [1], 0.1, True])
+@pytest.mark.parametrize("value", [None, [1], 0.1, True, "1/0"])
 def test_malformed_theta_scalars_exit_2(capsys, value):
     theta = json.dumps({"coefficients": [{"1,0": value}, {"0,1": 1}]})
     code, out, err = run_cli(capsys, "is-universal", "catalog:A2", "--mult", "1,1,2", "--theta", theta)
@@ -315,14 +316,14 @@ def test_internal_failures_exit_3(capsys, monkeypatch):
 
 
 def test_internal_failures_name_the_instance_on_stderr(capsys, monkeypatch, gap_jumps):
-    from multider import graded
+    from multider import linalg
 
     gap_jumps((3, 4, 2, 2))
     code, out, err = run_cli(capsys, "classify-component", "catalog:B2", "--mult", "3,4,2,2")
     assert code == 3 and out == ""
     assert "internal invariant violation: gap moved by more than one step" in err
     assert "multiplicity (3, 4, 2, 2) to 5 at (4, 4, 2, 2)" in err
-    monkeypatch.setattr(graded, "_annihilates", lambda matrix, vectors: False)
+    monkeypatch.setattr(linalg, "_annihilates", lambda matrix, vectors: False)
     clear_caches()
     code, out, err = run_cli(capsys, "graded-dim", "catalog:A2", "--mult", "1,1,1", "--max-degree", "2")
     clear_caches()

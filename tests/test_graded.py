@@ -257,23 +257,18 @@ def _bases_by_route(monkeypatch, failing_moduli):
 
 
 def _count_kernel_calls(patch):
-    """Count mod-p eliminations and Bareiss runs, wherever they are called from.
-
-    `kernel_mod` runs in linalg's own namespace and, for both per-prime
-    kernels, in graded's; `bareiss_kernel` runs only inside linalg.
-    """
-    from multider import graded, linalg
+    """Count mod-p eliminations and Bareiss runs; both run only inside linalg."""
+    from multider import linalg
 
     calls = {"kernel_mod": 0, "bareiss_kernel": 0}
-    for name, modules in (("kernel_mod", (linalg, graded)), ("bareiss_kernel", (linalg,))):
+    for name in calls:
         original = getattr(linalg, name)
 
         def wrapper(*args, name=name, original=original):
             calls[name] += 1
             return original(*args)
 
-        for module in modules:
-            patch.setattr(module, name, wrapper)
+        patch.setattr(linalg, name, wrapper)
     return calls
 
 
@@ -534,17 +529,17 @@ def _fixed_walk_under(monkeypatch, failing_moduli):
     Returns the bases, the routes, the mod-p elimination and Bareiss counts
     (`calls`), the multiplicities `_matrix` built the divisibility matrix for
     (`assembled`) and those matrices (`built`), the matrices the exact check
-    `_annihilates` was handed (`checked`), the matrices Bareiss eliminated
-    (`eliminated`) and the moduli lifted (`lifted`).
+    `linalg._annihilates` was handed (`checked`), the matrices Bareiss
+    eliminated (`eliminated`) and the moduli lifted (`lifted`).
     """
     from types import SimpleNamespace
 
-    from multider import graded, linalg
+    from multider import linalg
     from multider.graded import _Engine
 
     name, start, steps = FIXED_WALK
     run = SimpleNamespace(assembled=[], built=[], checked=[], eliminated=[])
-    build, annihilates = _Engine._matrix, graded._annihilates
+    build, annihilates = _Engine._matrix, linalg._annihilates
 
     def building(self, support, mult, k):
         run.assembled.append(mult)
@@ -557,7 +552,7 @@ def _fixed_walk_under(monkeypatch, failing_moduli):
         patch.setattr(linalg, "bareiss_kernel",
                       lambda matrix: run.eliminated.append(matrix) or counted_bareiss(matrix))
         patch.setattr(_Engine, "_matrix", building)
-        patch.setattr(graded, "_annihilates",
+        patch.setattr(linalg, "_annihilates",
                       lambda matrix, vectors: run.checked.append(matrix) or annihilates(matrix, vectors))
         run.lifted = _fail_lift(patch, failing_moduli)
         clear_caches()
@@ -696,7 +691,7 @@ def test_restriction_rank_drop_mod_p_fails_the_prime(monkeypatch, name, mult, id
 
 
 def test_failed_reference_elimination_names_the_solve(monkeypatch):
-    from multider import InternalCheckError, graded
+    from multider import InternalCheckError, linalg
 
     name, mult = "A3", (2, 1, 2, 1, 2, 1)
     child = (3,) + mult[1:]
@@ -704,7 +699,7 @@ def test_failed_reference_elimination_names_the_solve(monkeypatch):
     clear_caches()
     graded_basis_vectors(catalog(name, mult), 4)
     # the exact check of both routes: the image, and the divisibility matrix
-    monkeypatch.setattr(graded, "_annihilates", lambda matrix, vectors: False)
+    monkeypatch.setattr(linalg, "_annihilates", lambda matrix, vectors: False)
     for target, route in ((child, "restricted"), ((1,) * 6, "full")):
         with pytest.raises(InternalCheckError) as info:
             graded_basis_vectors(catalog(name, target), 4)

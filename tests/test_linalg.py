@@ -132,23 +132,11 @@ def _in_span(vec, basis):
     return _fraction_rank(basis) == _fraction_rank(basis + [list(vec)])
 
 
-def _standard_kernel(exact, p):
-    """The per-prime kernel of the whole matrix: kernel_mod, one vector per row."""
-    basis, _, free = kernel_mod(exact, p)
-    return basis.T, free
-
-
-def _certified(matrix, kernel_p=_standard_kernel):
-    """`certified_kernel` of a plain integer matrix, checked by an exact A v == 0."""
+def _certified(matrix):
+    """`certified_kernel` of a plain integer matrix, handed over as Python integers."""
     if not len(matrix) or not len(matrix[0]):
         return []
-    exact = np.array([[int(v) for v in row] for row in matrix], dtype=object)
-    return certified_kernel(
-        lambda p: kernel_p(exact, p),
-        lambda vectors: all(all(x == 0 for x in exact.dot(np.array(v, dtype=object)))
-                            for v in vectors),
-        lambda: matrix,
-    )
+    return certified_kernel(np.array([[int(v) for v in row] for row in matrix], dtype=object))
 
 
 matrices = st.integers(1, 5).flatmap(
@@ -253,13 +241,15 @@ def prime_kernels(draw):
 @settings(max_examples=150, deadline=None)
 def test_garner_over_whole_kernels_matches_the_crt_pair_fold(case):
     # the lift is replaced by the identity, so `_modular_kernel` returns the
-    # combined residues; three primes pass 2**62 and take Python integers
+    # combined residues; three primes pass 2**62 and take Python integers.
+    # Every prime's kernel is handed over already computed, so no matrix is
+    # reduced.
     primes, kernels = case
     lifted = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "lift_residue_vector",
                       lambda residues, modulus: lifted.append(modulus) or residues)
-        combined = _modular_kernel(kernels.__getitem__, primes, {})
+        combined = _modular_kernel(None, primes, dict(kernels))
     # the oracle: a per-entry crt_pair fold over the rows
     expected, modulus = kernels[primes[0]][0].tolist(), primes[0]
     for p in primes[1:]:
@@ -344,11 +334,10 @@ def test_wide_matrix_with_large_entries():
         assert all(sum(r[j] * vec[j] for j in range(4)) == 0 for r in matrix)
 
 
-def test_certified_kernel_rejects_a_bad_reference_basis():
-    matrix = [[1, 2, 3], [2, 4, 7]]
-    exact = np.array(matrix, dtype=np.int64)
+def test_certified_kernel_rejects_a_bad_reference_basis(monkeypatch):
+    monkeypatch.setattr(linalg, "_annihilates", lambda matrix, vectors: False)
     with pytest.raises(InternalCheckError):
-        certified_kernel(lambda p: _standard_kernel(exact, p), lambda vectors: False, lambda: matrix)
+        certified_kernel(np.array([[1, 2, 3], [2, 4, 7]], dtype=np.int64))
 
 
 # the kernel vector (10**12, 10**6, 1, 0) outgrows a one- and a two-prime
@@ -363,48 +352,41 @@ def _counting_bareiss(monkeypatch):
 
     calls = []
     original = linalg.bareiss_kernel
-    monkeypatch.setattr(linalg, "bareiss_kernel", lambda rows: calls.append(rows) or original(rows))
+    monkeypatch.setattr(linalg, "bareiss_kernel",
+                        lambda rows: calls.append(np.asarray(rows).tolist()) or original(rows))
     return calls
 
 
 def test_certified_kernel_lifts_by_crt_when_one_prime_is_not_enough(monkeypatch):
     # primes are added one at a time, each prime's kernel computed once
     bareiss = _counting_bareiss(monkeypatch)
+    asked = []
+    monkeypatch.setattr(linalg, "kernel_mod", lambda matrix, p: asked.append(p) or kernel_mod(matrix, p))
     for matrix, lead, primes in ((NEEDS_TWO_PRIMES, 10**4, 2), (NEEDS_CRT, 10**6, 3)):
-        asked = []
-
-        def kernel_p(exact, p):
-            asked.append(p)
-            return _standard_kernel(exact, p)
-
-        assert _certified(matrix, kernel_p) == [[lead * lead, lead, 1, 0], [0, 0, 0, 1]]
+        asked.clear()
+        assert _certified(matrix) == [[lead * lead, lead, 1, 0], [0, 0, 0, 1]]
         assert asked == list(PRIMES[:primes])
     assert bareiss == []
 
 
-def test_certified_kernel_treats_none_as_a_failed_prime(monkeypatch):
-    # a per-prime kernel may give up on a prime; that prime's pass fails and
-    # the loop moves on, here to Bareiss since every pass uses PRIMES[0]
-    bareiss = _counting_bareiss(monkeypatch)
-    for unlucky in (PRIMES[0], PRIMES[1]):
-        def kernel_p(exact, p, unlucky=unlucky):
-            return None if p == unlucky else _standard_kernel(exact, p)
-
-        bareiss.clear()
-        assert _certified(NEEDS_CRT, kernel_p) == bareiss_kernel(NEEDS_CRT)
-        assert bareiss == [NEEDS_CRT]
-
-
 def test_certified_kernel_rejects_primes_that_disagree_on_free_columns(monkeypatch):
-    # the third prime loses the last kernel vector; its residues alone would
-    # still lift and verify, so only the free-column comparison catches it
-    def kernel_p(exact, p):
-        basis, free = _standard_kernel(exact, p)
-        return (basis[:-1], free[:-1]) if p == PRIMES[2] else (basis, free)
+    # the third prime loses the last kernel vector.  The free-column
+    # comparison rejects the three-prime rung before anything is lifted;
+    # without it the short kernel would be broadcast over the combination,
+    # lifted, rejected by the exact check and answered by the same Bareiss
+    # run, so only the lifted moduli show the comparison at work
+    def losing(matrix, p):
+        basis, pivots, free = kernel_mod(matrix, p)
+        return (basis[:, :-1], pivots, free[:-1]) if p == PRIMES[2] else (basis, pivots, free)
 
+    lift, lifted = linalg.lift_residue_vector, set()
+    monkeypatch.setattr(linalg, "lift_residue_vector",
+                        lambda residues, modulus: lifted.add(modulus) or lift(residues, modulus))
+    monkeypatch.setattr(linalg, "kernel_mod", losing)
     bareiss = _counting_bareiss(monkeypatch)
-    assert _certified(NEEDS_CRT, kernel_p) == [[10**12, 10**6, 1, 0], [0, 0, 0, 1]]
+    assert _certified(NEEDS_CRT) == [[10**12, 10**6, 1, 0], [0, 0, 0, 1]]
     assert bareiss == [NEEDS_CRT]
+    assert lifted == {PRIMES[0], PRIMES[0] * PRIMES[1]}
 
 
 def _plain_kernel_mod(matrix, p):

@@ -1,13 +1,23 @@
 """Grid sweeps: symmetry dedupe, determinism, and table formatting."""
 
 import zlib
-from itertools import product
+from fractions import Fraction
+from functools import cache
+from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from multider import ArrangementError, catalog, find_free_basis, index_symmetries, run_sweep
+from multider import (
+    Arrangement,
+    ArrangementError,
+    LinearForm,
+    catalog,
+    find_free_basis,
+    index_symmetries,
+    run_sweep,
+)
 from multider.sweep import (
     evaluate_point,
     format_tsv,
@@ -16,6 +26,8 @@ from multider.sweep import (
     parse_ranges,
     row_seed,
 )
+
+from test_linalg import _fraction_rank, oracle_rref
 
 
 def test_parse_ranges():
@@ -39,6 +51,109 @@ def test_symmetry_group_is_a_group():
     for p in group:
         for q in group:
             assert tuple(p[i] for i in q) in group
+
+
+# -- the Fraction reference ---------------------------------------------------
+# The symmetry search the package ran before integer frame coordinates: each
+# form is expressed in a basis by Gauss-Jordan in Fractions, and the map from
+# the base frame to each ordered target frame is assembled from the scales
+# its unit forces.
+
+
+def _express(form, basis):
+    """Coefficients lam with form = sum lam_i basis_i, None if not in span."""
+    n = len(basis)
+    reduced, pivots = oracle_rref(list(zip(*(b.coeffs for b in basis), form.coeffs)))
+    lam = [Fraction(0)] * n
+    for row, p in zip(reduced, pivots):
+        if p == n:
+            return None  # pivot in the right-hand side: outside the span
+        lam[p] = row[n]
+    return tuple(lam)
+
+
+def _frame(a):
+    """The first l+1 hyperplanes with every l of them independent, or None."""
+    n, l = len(a.forms), a.nvars
+    for combo in combinations(range(n), l + 1):
+        if all(_fraction_rank([a.forms[i].coeffs for i in sub]) == l for sub in combinations(combo, l)):
+            return combo
+    return None
+
+
+def fraction_symmetries(a):
+    """`index_symmetries` by the Fraction search (the oracle)."""
+    n, l = len(a.forms), a.nvars
+    identity = tuple(range(n))
+    if _fraction_rank([f.coeffs for f in a.forms]) < l:
+        return (identity,)
+    if n == l:
+        return tuple(sorted(permutations(range(n))))
+    frame = _frame(a)
+    if frame is None:
+        return (identity,)
+    base = [a.forms[i] for i in frame[:l]]
+    lam = _express(a.forms[frame[l]], base)
+    canon = {f.coeffs: i for i, f in enumerate(a.forms)}
+    coords = [_express(f, base) for f in a.forms]
+    found = {identity}
+    # whether l forms are independent does not depend on their order
+    independent = cache(lambda subset: _fraction_rank([a.forms[i].coeffs for i in subset]) == l)
+    for targets in permutations(range(n), l + 1):
+        tbase = [a.forms[i] for i in targets[:l]]
+        if not independent(frozenset(targets[:l])):
+            continue
+        mu = _express(a.forms[targets[l]], tbase)
+        if mu is None or not all(mu):
+            continue
+        scale = [m / v for m, v in zip(mu, lam)]
+        perm = []
+        for vec in coords:
+            image = [Fraction(0)] * l
+            for i in range(l):
+                if vec[i]:
+                    sv = vec[i] * scale[i]
+                    for c, coeff in enumerate(tbase[i].coeffs):
+                        image[c] += sv * coeff
+            lead = next((v for v in image if v), None)
+            hit = None if lead is None else canon.get(tuple(v / lead for v in image))
+            if hit is None:
+                break
+            perm.append(hit)
+        else:
+            if len(set(perm)) == n:
+                found.add(tuple(perm))
+    return tuple(sorted(found))
+
+
+@st.composite
+def small_arrangements(draw):
+    """l = 2..4 variables and l to l+3 distinct forms with entries in -2..2.
+
+    For l >= 3, half of the draws take every form from the span of l - 1
+    random vectors, so the arrangement is not essential.  Small entries make
+    tuples that are not frames, arrangements with no frame at all and
+    nontrivial symmetries likely.
+    """
+    nvars = draw(st.integers(2, 4))
+    count = draw(st.integers(nvars, nvars + 3))
+    entries = st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars)
+    rows = draw(st.lists(entries, min_size=count, max_size=3 * count))
+    if nvars >= 3 and draw(st.booleans()):
+        span = draw(st.lists(entries, min_size=nvars - 1, max_size=nvars - 1))
+        rows = [[sum(c * v[j] for c, v in zip(row, span)) for j in range(nvars)] for row in rows]
+    forms = {}
+    for row in rows:
+        if any(row):
+            forms.setdefault(LinearForm(row).coeffs, row)
+    assume(len(forms) >= count)
+    return Arrangement(nvars, list(forms.values())[:count])
+
+
+@given(small_arrangements())
+@settings(max_examples=30, deadline=None)
+def test_index_symmetries_match_the_fraction_search(a):
+    assert index_symmetries(a) == fraction_symmetries(a)
 
 
 def test_symmetries_preserve_exponents():
