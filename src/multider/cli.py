@@ -54,6 +54,16 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _nonnegative_int(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value!r}")
+    return n
+
+
 def _catalog_params(args) -> dict:
     params = {}
     for entry in args.param or []:
@@ -293,7 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graded-dim", parents=[common],
                        help="dimensions of the graded pieces")
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=_nonnegative_int, required=True,
+                   help="last degree listed, at least 0")
 
     p = sub.add_parser("is-critical", parents=[common],
                        help="degreewise criticality of the module")
@@ -330,8 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma subset of free,exponents,universal")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes, at least 1")
-    p.add_argument("--max-total", type=int, default=None,
-                   help="skip grid points whose multiplicities sum beyond this")
+    p.add_argument("--max-total", type=_nonnegative_int, default=None,
+                   help="skip grid points whose multiplicities sum beyond this, at least 0")
     p.add_argument("--dedupe", action="store_true",
                    help="keep one representative per symmetry orbit")
     return parser

@@ -305,6 +305,20 @@ def test_sweep_rejects_nonpositive_jobs(capsys, jobs):
     assert "--jobs" in captured.err and "positive integer" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("graded-dim", "catalog:A2", "--max-degree", "-1"),
+    ("sweep", "catalog:A2", "--range", "a=0..1,b=0..1,c=0..1", "--max-total", "-1"),
+])
+def test_negative_bounds_exit_2(capsys, argv):
+    # a negative bound used to print an empty answer with exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[-2] in captured.err and "nonnegative integer" in captured.err
+
+
 def test_internal_failures_exit_3(capsys, monkeypatch):
     def boom(ma, seed=0):
         raise InternalCheckError("forced")

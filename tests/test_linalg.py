@@ -13,7 +13,11 @@ from hypothesis import strategies as st
 from multider import Poly, linalg
 from multider.errors import InternalCheckError
 from multider.linalg import (
+    _SMALL_CELLS,
     PRIMES,
+    _annihilates,
+    _kernel_mod_numpy,
+    _kernel_mod_rows,
     _modular_kernel,
     bareiss_kernel,
     certified_kernel,
@@ -403,11 +407,14 @@ def _plain_kernel_mod(matrix, p):
 
 
 def _assert_matches_plain_kernel(matrix, p):
-    basis, pivots, free = kernel_mod(matrix, p)
+    # both paths, whatever the size: these matrices are small, and the numpy
+    # path's singleton waves need checking too
     want_basis, want_pivots, want_free = _plain_kernel_mod(matrix, p)
-    assert pivots == want_pivots and free == want_free
-    assert basis.dtype == want_basis.dtype and basis.shape == want_basis.shape
-    assert (basis == want_basis).all()
+    for path in (_kernel_mod_rows, _kernel_mod_numpy):
+        basis, pivots, free = path(matrix, p)
+        assert pivots == want_pivots and free == want_free
+        assert basis.dtype == want_basis.dtype and basis.shape == want_basis.shape
+        assert (basis == want_basis).all()
     assert pivots == sorted(pivots)
     assert sorted(pivots + free) == list(range(matrix.shape[1]))
     return pivots
@@ -531,3 +538,114 @@ def test_rref_mod_matches_full_row_gauss_jordan(case):
     assert pivots == want_pivots
     assert rref.dtype == np.int64 and rref.shape == (len(want), matrix.shape[1])
     assert rref.tolist() == want
+
+
+@st.composite
+def kernel_mod_matrices(draw):
+    """Matrices at or below `_SMALL_CELLS` cells or above it, int64 or beyond 2**63.
+
+    Entries are negative, multiples of p or beyond p; some rows are zero or
+    singletons, some columns zero, some rows dependent, some matrices zero.
+    """
+    p = draw(st.sampled_from(PRIMES[:3]))
+    if draw(st.booleans()):
+        nrows = draw(st.integers(0, 12))
+        ncols = draw(st.integers(1, max(1, _SMALL_CELLS // max(nrows, 1))))
+    else:
+        nrows = draw(st.integers(9, 16))
+        ncols = draw(st.integers(_SMALL_CELLS // nrows + 1, 24))
+    entry = st.one_of(st.sampled_from([0, 0, 0, 1, -1, -3, p, -2 * p, p - 1, p + 1]),
+                      st.integers(-2**40, 2**40))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if rows and draw(st.booleans()):
+        rows = [[0] * ncols for _ in rows]
+    for i in draw(st.lists(st.integers(0, nrows - 1), max_size=3)) if nrows else ():
+        c = draw(st.integers(-1, ncols - 1))  # -1: a zero row, else a singleton at c
+        rows[i] = [draw(entry) if j == c else 0 for j in range(ncols)]
+    for c in draw(st.lists(st.integers(0, ncols - 1), max_size=3)):
+        for row in rows:
+            row[c] = 0
+    if nrows >= 2 and draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, nrows - 1)) for _ in range(3))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    matrix = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+    if draw(st.booleans()):
+        matrix = matrix.astype(object) + p * 2**64 * draw(st.integers(-2**20, 2**20))
+    return matrix, p
+
+
+def _full_rows_kernel(matrix, p):
+    """The standard kernel read off `_rref_mod_full_rows` (oracle for both paths)."""
+    rref, pivots = _rref_mod_full_rows(matrix, p)
+    free = [c for c in range(matrix.shape[1]) if c not in pivots]
+    basis = [[int(c == f) for f in free] for c in range(matrix.shape[1])]
+    for row, c in zip(rref, pivots):
+        basis[c] = [-row[f] % p for f in free]
+    return basis, pivots, free
+
+
+@given(kernel_mod_matrices())
+@settings(max_examples=200, deadline=None)
+def test_kernel_mod_paths_agree_with_each_other_and_full_row_gauss_jordan(case):
+    matrix, p = case
+    before = matrix.copy()
+    rows, numpy_path = _kernel_mod_rows(matrix, p), _kernel_mod_numpy(matrix, p)
+    assert (matrix == before).all() and matrix.dtype == before.dtype
+    assert rows[1:] == numpy_path[1:]
+    assert rows[0].dtype == numpy_path[0].dtype == np.int64
+    assert rows[0].shape == numpy_path[0].shape == (matrix.shape[1], len(rows[2]))
+    assert (rows[0] == numpy_path[0]).all()
+    basis, pivots, free = _full_rows_kernel(matrix, p)
+    assert (rows[0].tolist(), rows[1], rows[2]) == (basis, pivots, free)
+
+
+def test_kernel_mod_chooses_its_path_by_cell_count(monkeypatch):
+    chosen = []
+    for name in ("_kernel_mod_rows", "_kernel_mod_numpy"):
+        path = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda matrix, p, name=name, path=path: chosen.append(name) or path(matrix, p))
+    for shape in ((0, 4), (1, 1), (10, 16), (16, 10), (1, _SMALL_CELLS), (1, _SMALL_CELLS + 1),
+                  (7, 23), (8, 21)):
+        chosen.clear()
+        kernel_mod(np.ones(shape, dtype=np.int64), PRIMES[0])
+        small = shape[0] * shape[1] <= _SMALL_CELLS
+        assert chosen == ["_kernel_mod_rows" if small else "_kernel_mod_numpy"], shape
+
+
+def _on_both_paths(matrix, vectors):
+    """`_annihilates` with the Python-row check and with the numpy check."""
+    answers = []
+    for cells in (matrix.size, matrix.size - 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "_SMALL_CELLS", cells)
+            answers.append(_annihilates(matrix, vectors))
+    return answers
+
+
+@given(kernel_mod_matrices(), st.integers(0, 2**80))
+@settings(max_examples=100, deadline=None)
+def test_annihilates_paths_agree_on_members_and_non_members(case, scale):
+    matrix, _ = case
+    if not matrix.size:
+        return
+    members = [[scale * v for v in vec] for vec in bareiss_kernel(matrix)]
+    assert _on_both_paths(matrix, members) == [True, True]
+    nonzero = np.flatnonzero(matrix.any(axis=0))
+    if nonzero.size:
+        # a unit vector on a nonzero column is no member, scaled beyond int64 or not
+        miss = [int(c == nonzero[0]) * (scale or 1) for c in range(matrix.shape[1])]
+        assert _on_both_paths(matrix, members + [miss]) == [False, False]
+        assert _on_both_paths(matrix, [miss] + members) == [False, False]
+
+
+def test_annihilates_does_not_wrap_around_int64():
+    # 2**32 * 2**31 twice is 2**64, which int64 arithmetic would read as 0
+    matrix = np.array([[2**32, 2**32], [1, -1]], dtype=np.int64)
+    assert _on_both_paths(matrix, [[2**31, 2**31]]) == [False, False]
+    assert _on_both_paths(matrix, [[2**70, -2**70]]) == [False, False]
+    assert _on_both_paths(matrix, [[0, 0]]) == [True, True]
+    assert _on_both_paths(matrix, []) == [True, True]
+    big = matrix.astype(object) * 2**70
+    assert _on_both_paths(big, [[1, 1]]) == [False, False]
