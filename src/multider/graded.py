@@ -36,12 +36,12 @@ them):
   other free columns and zero after its own: primitive, it is the child's
   j-th standard vector, the one the full solve returns.  A parent in any
   other form leaves K V out of that form, which a check of its nonzero
-  pattern catches; its rows are then reduced exactly (`linalg.rref`,
-  pivoting from the last column), so the answer is a function of the span
-  of the parent alone.  Membership follows from the certified parent and
-  the exact image check, and the dimension is the verified nullity of the
-  image, so no mod-p answer goes unverified.  The divisibility matrix of m
-  is never built.
+  pattern catches; its rows are then reduced over the integers (`linalg.rref`
+  of the reversed rows, each made primitive), so the answer is a function of
+  the span of the parent alone.  Membership follows from the certified parent
+  and the exact image check, and the dimension is the verified nullity of
+  the image, so no mod-p answer goes unverified.  The divisibility matrix of
+  m is never built.
 - full: the divisibility matrix, built once per solve.  It serves cache
   misses and is the reference the restriction is tested against.
 
@@ -68,7 +68,6 @@ from .linalg import (
     _max_abs,
     _normalize,
     certified_kernel,
-    primitive_integer_vector,
     rref,
 )
 from .polyring import monomial_count, monomial_exponents, monomial_index
@@ -202,8 +201,8 @@ def _is_standard(rows: np.ndarray) -> bool:
 
 def _standard_rows(rows: np.ndarray) -> list[list[int]]:
     """The standard primitive basis of the row space: reduced echelon form pivoting from the last column."""
-    reduced, _ = rref([row[::-1] for row in rows.tolist()])
-    return [primitive_integer_vector(row[::-1]) for row in reversed(reduced)]
+    reduced, _, _ = rref([row[::-1] for row in rows.tolist()])
+    return [_normalize(row[::-1]) for row in reversed(reduced)]
 
 
 class _Engine:

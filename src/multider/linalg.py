@@ -1,10 +1,10 @@
 """Exact linear algebra: one elimination over the integers, Gauss-Jordan mod p.
 
-`echelon` is the one fraction-free forward pass (Bareiss 1968).  Its pivot
-count is a rank, its last pivot a determinant, `rref` back-substitutes it in
-`Fraction`s and `bareiss_kernel` reads a kernel from it.  Callers hand it
-integer rows (a rational row scaled by `primitive_integer_vector` keeps its
-rank, row space and pivots).
+`echelon` is the one fraction-free forward pass (Bareiss 1968), `rref` the
+one back substitution: its pivot count is a rank, its last pivot d a
+determinant, `rref` returns the integer matrix d RREF and `bareiss_kernel`
+reads a kernel from that.  Callers hand them integer rows (a rational row
+scaled by `primitive_integer_vector` keeps its rank, row space and pivots).
 
 Mod p, `kernel_mod` picks its elimination by the matrix's cell count
 (rows x cols).  At or below `_SMALL_CELLS` = 160 cells it runs Gauss-Jordan
@@ -36,8 +36,8 @@ reduces A mod p itself.  The loop tries:
    (computed once and reused by the next rung) and combines the residues by
    Garner's mixed-radix method over the whole kernel, one modular inverse per
    prime (Garner 1959); the primes must agree on the free columns;
-3. `bareiss_kernel`, the kernel of `echelon`: slow but elementary, the
-   reference implementation.
+3. `bareiss_kernel`, the kernel read off `rref`: exact over the integers
+   with no prime, so it cannot fail to lift, only be slower.
 
 Every answer passes the exact check A v = 0 over the integers.
 Soundness does not rest on the lift: a mod-p reduction of the exact matrix
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -305,38 +304,42 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
     return len(echelon(rows)[1])
 
 
-def rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in `Fraction`s and pivot columns; unique per row space."""
+def rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """d times the reduced row echelon form, pivot columns and d, all integral.
+
+    d is `echelon`'s last pivot, a maximal minor (1 at rank 0).  Row i is
+    (d e_i - sum_{k>i} e_i[p_k] row_k) / e_i[p_i] for the echelon rows e, an
+    exact division; pivot columns hold d or 0, so only the others are computed.
+    """
     ech, pivots, _ = echelon(rows)
-    reduced: list[list[Fraction]] = []
+    if not pivots:
+        return [], [], 1
+    d, n = ech[-1][pivots[-1]], len(ech[0])
+    free = sorted(set(range(n)) - set(pivots))
+    tails: list[list[int]] = []  # the rows below, on the free columns
     for i in range(len(pivots) - 1, -1, -1):
-        row = [Fraction(v, ech[i][pivots[i]]) for v in ech[i]]
-        for c, below in zip(pivots[i + 1:], reduced):
-            f = row[c]
-            row = [v - f * w for v, w in zip(row, below)]
-        reduced.insert(0, row)
-    return reduced, pivots
+        e = ech[i]
+        tail = [d * e[c] for c in free]
+        for c, below in zip(pivots[i + 1:], tails):
+            if e[c]:
+                tail = [v - e[c] * w for v, w in zip(tail, below)]
+        tails.insert(0, [v // e[pivots[i]] for v in tail])
+    at = {c: j for j, c in enumerate(free)}
+    return [[tail[at[c]] if c in at else d * (c == p) for c in range(n)]
+            for p, tail in zip(pivots, tails)], pivots, d
 
 
 def bareiss_kernel(matrix: np.ndarray | Sequence[Sequence[int]]) -> list[list[int]]:
-    """Kernel basis from `echelon` by back substitution; primitive integer vectors.
+    """Kernel basis read off `rref`: d at free column f, -reduced[i][f] at pivot p_i; primitive.
 
     A 2-D array with no rows keeps its column count: its kernel is everything.
     """
     rows = np.array(matrix, dtype=object, ndmin=2)
     n = rows.shape[1]
-    a, pivots, _ = echelon(rows.tolist())
-    free = sorted(set(range(n)) - set(pivots))
-    basis: list[list[int]] = []
-    for f in free:
-        vec: list[Fraction] = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for i in range(len(pivots) - 1, -1, -1):
-            c = pivots[i]
-            accum = sum((Fraction(a[i][j]) * vec[j] for j in range(c + 1, n) if a[i][j]), Fraction(0))
-            vec[c] = -accum / a[i][c]
-        basis.append(primitive_integer_vector(vec))
-    return basis
+    reduced, pivots, d = rref(rows.tolist())
+    row_of = dict(zip(pivots, reduced))
+    return [_normalize([-row_of[c][f] if c in row_of else d * (c == f) for c in range(n)])
+            for f in range(n) if f not in row_of]
 
 
 def _max_abs(rows) -> int:

@@ -35,7 +35,11 @@ def grlex_key(exponent: tuple[int, ...]) -> tuple:
     return (-sum(exponent), tuple(-e for e in exponent))
 
 
-@lru_cache(maxsize=None)
+# keys per monomial table; a benchmark workload process holds at most 68
+_MONOMIAL_CACHE_LIMIT = 1024
+
+
+@lru_cache(maxsize=_MONOMIAL_CACHE_LIMIT)
 def monomial_exponents(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All exponent tuples of the given total degree, in graded lex order."""
     if degree < 0:
@@ -49,7 +53,7 @@ def monomial_exponents(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MONOMIAL_CACHE_LIMIT)
 def monomial_index(nvars: int, degree: int) -> dict[tuple[int, ...], int]:
     return {e: i for i, e in enumerate(monomial_exponents(nvars, degree))}
 

@@ -16,6 +16,7 @@ non-canonical grid points loses nothing.
 from __future__ import annotations
 
 import math
+import os
 import zlib
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
@@ -24,7 +25,7 @@ from typing import Iterator
 
 from .arrangement import Arrangement, Multiarrangement, catalog
 from .errors import ArrangementError
-from .linalg import _normalize, echelon
+from .linalg import _normalize, rref
 from .logder import DEFAULT_SEED, _find_universal, find_free_basis
 
 __all__ = [
@@ -67,9 +68,9 @@ def parse_ranges(spec: str) -> list[tuple[str, range]]:
 def _frame_coordinates(a: Arrangement, frame: tuple[int, ...]) -> list[tuple[int, ...]] | None:
     """Every form's projective coordinates in an ordered frame, or None if it is not one.
 
-    With B the first l forms of `frame` as columns, one `echelon` of
-    [B | forms] and back substitution give each form f its Cramer minors
-    v = c B^-1 f, integers for the common scale c = +-det B; w, the minors
+    With B the first l forms of `frame` as columns, `rref` of [B | forms] is
+    d [I | B^-1 forms], so its columns l.. are each form f's Cramer minors
+    v = c B^-1 f, integers for the common scale c = d = +-det B; w, the minors
     of the last frame form (the unit), are the signed maximal minors of
     [B | unit].  The tuple is a frame (every l of its forms independent)
     iff det B != 0 and every w_j != 0, and f then has coordinates v_j / w_j
@@ -77,17 +78,10 @@ def _frame_coordinates(a: Arrangement, frame: tuple[int, ...]) -> list[tuple[int
     """
     l = a.nvars
     prims = [f.primitive for f in a.forms]
-    rows, pivots, _ = echelon(list(zip(*(prims[i] for i in frame[:l]), *prims)))
+    reduced, pivots, _ = rref(list(zip(*(prims[i] for i in frame[:l]), *prims)))
     if pivots != list(range(l)):
         return None
-    scale = rows[-1][l - 1]
-    minors = []
-    for col in range(l, len(rows[0])):
-        v = [0] * l
-        for i in range(l - 1, -1, -1):
-            tail = sum(rows[i][c] * v[c] for c in range(i + 1, l))
-            v[i] = (scale * rows[i][col] - tail) // rows[i][i]
-        minors.append(v)
+    minors = list(zip(*(row[l:] for row in reduced)))
     w = minors[frame[l]]
     if not all(w):
         return None
@@ -213,8 +207,8 @@ def run_sweep(
 ) -> list[SweepRow]:
     """Evaluate every grid point; rows come back in grid order.
 
-    With jobs > 1 the rows go to min(jobs, rows) "spawn" workers, which start
-    from a fresh import (fork is unsafe in a process with threads), so a
+    Rows go to min(jobs, rows, CPUs) "spawn" workers (serially for 1), which
+    start from a fresh import (fork is unsafe in a process with threads), so a
     script calling this must do so under `if __name__ == "__main__":`.
     """
     params = params or {}
@@ -235,9 +229,9 @@ def run_sweep(
     frozen_params = tuple(sorted(params.items()))
     tasks = [(name, frozen_params, mult, tuple(predicates), row_seed(seed, mult))
              for mult in grid]
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [_eval_task(t) for t in tasks]
-    workers = min(jobs, len(tasks))
     chunk = max(1, len(tasks) // (workers * 8))
     with get_context("spawn").Pool(workers) as pool:
         return list(pool.imap(_eval_task, tasks, chunksize=chunk))

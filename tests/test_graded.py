@@ -33,7 +33,13 @@ from multider.graded import (
     _template_bytes,
 )
 from multider.linalg import _INT64_SAFE
-from multider.polyring import LinearForm, Poly, monomial_exponents, monomial_index
+from multider.polyring import (
+    _MONOMIAL_CACHE_LIMIT,
+    LinearForm,
+    Poly,
+    monomial_exponents,
+    monomial_index,
+)
 
 from conftest import oracle_graded_dimension
 
@@ -138,6 +144,26 @@ def test_clear_caches_empties_the_monomial_tables():
     graded_basis_vectors(catalog("A3", (1, 1, 1, 1, 1, 1)), 3)
     monomial_index(3, 2)
     assert monomial_exponents.cache_info().currsize and monomial_index.cache_info().currsize
+    clear_caches()
+    assert monomial_exponents.cache_info().currsize == 0
+    assert monomial_index.cache_info().currsize == 0
+
+
+def test_monomial_tables_stay_bounded():
+    # one- and two-variable degrees are cheap; a walk past the bound evicts
+    # the old keys and rebuilds them unchanged
+    clear_caches()
+    cubic = monomial_exponents(3, 4)
+    for degree in range(2 * _MONOMIAL_CACHE_LIMIT):
+        monomial_exponents(1, degree)
+        monomial_index(2, degree % 40)
+        monomial_index(1, degree)
+        assert monomial_exponents.cache_info().currsize <= _MONOMIAL_CACHE_LIMIT
+        assert monomial_index.cache_info().currsize <= _MONOMIAL_CACHE_LIMIT
+    assert monomial_exponents.cache_info().currsize == _MONOMIAL_CACHE_LIMIT
+    assert monomial_index.cache_info().currsize == _MONOMIAL_CACHE_LIMIT
+    assert monomial_exponents(3, 4) == cubic
+    assert monomial_index(3, 4) == {e: i for i, e in enumerate(cubic)}
     clear_caches()
     assert monomial_exponents.cache_info().currsize == 0
     assert monomial_index.cache_info().currsize == 0

@@ -100,10 +100,19 @@ def exact_matrices(draw, square=False):
 def test_echelon_rank_and_rref_match_the_fraction_reference(rows):
     expected, expected_pivots = oracle_rref(rows)
     ints = [primitive_integer_vector(row) for row in rows]
-    reduced, pivots = rref(ints)
-    assert pivots == expected_pivots and reduced == expected
-    assert all(type(v) is Fraction for row in reduced for v in row)
-    assert rank(ints) == len(expected_pivots) == len(echelon(ints)[0])
+    reduced, pivots, d = rref(ints)
+    # d RREF over the integers: divided by d it is the Fraction reference
+    assert pivots == expected_pivots
+    assert [[Fraction(v, d) for v in row] for row in reduced] == expected
+    assert all(type(v) is int for row in reduced for v in row) and type(d) is int
+    # d is echelon's last pivot, 1 at rank 0
+    ech = echelon(ints)[0]
+    assert d == (ech[-1][pivots[-1]] if pivots else 1) and d != 0
+    for i, c in enumerate(pivots):
+        assert [row[c] for row in reduced] == [d if j == i else 0 for j in range(len(pivots))]
+    assert rank(ints) == len(expected_pivots) == len(ech)
+    if not pivots:
+        assert (reduced, pivots, d) == ([], [], 1)
 
 
 @given(exact_matrices(square=True))
@@ -115,7 +124,8 @@ def test_echelon_determinant_matches_polyring(rows):
 
 def test_echelon_edge_cases():
     assert echelon([]) == ([], [], 1)
-    assert rref([]) == ([], []) and rank([]) == 0
+    assert rref([]) == ([], [], 1) and rank([]) == 0
+    assert rref([[0, 0], [0, 0]]) == ([], [], 1)
     assert echelon([[0, 0], [0, 0]]) == ([], [], 1)
     assert rank([[0, 0, 0], [1, 2, 3], [2, 4, 6]]) == 1
     # one swap flips the sign, two restore it
@@ -125,9 +135,13 @@ def test_echelon_edge_cases():
     big = 2**64 + 13
     assert _determinant([[big, 1], [1, big]]) == big * big - 1
     assert _determinant([[Fraction(1, 2), Fraction(1, 3)], [1, 1]]) == Fraction(1, 6)
-    # a zero column between pivots: rref skips it and pivots stay in order
+    # a zero column between pivots: rref skips it and pivots stay in order;
+    # d = 6 is echelon's last pivot and the rows are 6 times [0, 1, 0, 2]
+    # and [0, 0, 1, 1]
     assert rref([[0, 2, 0, 4], [0, 1, 3, 5]]) == (
-        [[0, 1, 0, 2], [0, 0, 1, 1]], [1, 2])
+        [[0, 6, 0, 12], [0, 0, 6, 6]], [1, 2], 6)
+    # a negative d: the pivot columns hold it, the others divide exactly
+    assert rref([[1, 1, 1], [1, -1, 0]]) == ([[-2, 0, -1], [0, -2, -1]], [0, 1], -2)
 
 
 def _in_span(vec, basis):
@@ -170,6 +184,38 @@ def test_bareiss_and_certified_agree(matrix):
         assert math.gcd(*vec) in (0, 1)
         lead = next((v for v in vec if v), 0)
         assert lead >= 0
+
+
+def _oracle_kernel(rows):
+    """Standard kernel basis read off the Fraction reference, one vector per free column."""
+    ncols = len(rows[0])
+    reduced, pivots = oracle_rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(int(c == f)) for c in range(ncols)]
+        for row, c in zip(reduced, pivots):
+            vec[c] = -row[f]
+        basis.append(vec)
+    return free, basis
+
+
+@given(exact_matrices())
+@settings(max_examples=200, deadline=None)
+def test_bareiss_kernel_matches_the_fraction_reference(rows):
+    # rows scaled to primitive integers: entries past 2**63, zero and dependent rows
+    ints = [primitive_integer_vector(row) for row in rows]
+    ncols = len(rows[0]) if rows else 1
+    kernel = bareiss_kernel(ints if ints else np.zeros((0, ncols), dtype=object))
+    free, expected = _oracle_kernel(ints if ints else [[0] * ncols])
+    assert len(kernel) == len(expected)
+    for vec, want, f in zip(kernel, expected, free):
+        # the same free column, the same vector up to a positive scale
+        assert all(type(v) is int for v in vec)
+        assert [v for v in vec if v][0] > 0
+        assert [Fraction(v, vec[f]) for v in vec] == want
+        assert primitive_integer_vector(want) == vec
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in ints)
 
 
 def test_rref_mod_structure():

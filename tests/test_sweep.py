@@ -230,12 +230,51 @@ def test_run_sweep_requests_the_spawn_start_method(monkeypatch):
         return Recording(method)
 
     monkeypatch.setattr(sweep, "get_context", recording)
+    # enough CPUs that the row count, not the host, sets the pool size
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
     ranges = parse_ranges("a=1..2,b=1,c=1")
     # more jobs than rows: one worker per row, no idle interpreters
     assert run_sweep("A2", ranges, predicates=("free",), jobs=8) == run_sweep(
         "A2", ranges, predicates=("free",), jobs=1)
     assert requested == ["spawn"]
     assert sizes == [2]
+
+
+@pytest.mark.parametrize("cpus, jobs, workers", [
+    (2, 10_000, 2),   # never more workers than CPUs
+    (None, 10_000, 0),  # an unknown CPU count counts as one: serial
+    (1, 8, 0),        # one CPU: serial
+    (64, 10_000, 8),  # never more workers than rows
+    (64, 3, 3),
+])
+def test_run_sweep_caps_its_pool_at_the_cpu_count(monkeypatch, cpus, jobs, workers):
+    # a fake context whose pool starts no process and maps in this one
+    from multider import sweep
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks, chunksize=1):
+            return map(func, tasks)
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(sweep, "get_context", lambda method=None: FakeContext())
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    ranges = parse_ranges("a=1..2,b=1..2,c=1..2")
+    rows = run_sweep("A2", ranges, predicates=("free",), jobs=jobs)
+    assert sizes == ([workers] if workers else [])
+    assert rows == run_sweep("A2", ranges, predicates=("free",), jobs=1)
 
 
 def test_evaluate_point_runs_find_free_basis_once(monkeypatch):
