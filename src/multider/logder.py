@@ -12,7 +12,7 @@ rows (`_member`).  `membership`, by repeated exact division by each linear
 form, is the independent public oracle, as `saito_check` and
 `saito_determinant` are for the determinant.
 
-Three standard facts are used without proof and recorded here:
+Four standard facts are used without proof and recorded here:
 
 * for derivations theta_1..theta_l in D(A, m), det(theta_i(x_j)) is divisible
   by the defining polynomial Q(A, m), hence c * Q for a constant c when their
@@ -22,11 +22,18 @@ Three standard facts are used without proof and recorded here:
 * for a linear form alpha, (nabla_{d/dx_i} theta)(alpha) = d/dx_i
   (theta(alpha)), and a derivative of a multiple of alpha^{m+1} is a multiple
   of alpha^m, so theta in D(A, m+1) puts every gradient nabla_{d/dx_i} theta
-  in D(A, m), and
+  in D(A, m),
 * a free module determines its exponents through the dimensions of its graded
   pieces, which makes the degree-tuple search below exhaustive rather than
   heuristic: every candidate degree lies in [0, |m|] because exponents are
-  nonnegative and sum to |m|.
+  nonnegative and sum to |m|, and
+* a universal derivation theta for m on an essential irreducible
+  arrangement spans D(A, m+1)_{|m|/l + 1} (Abe, Roehrle, Stump and
+  Yoshinaga, after Abe, Terao and Wakefield): nabla theta maps D(A, 1)
+  isomorphically onto D(A, m+1), and D(A, 1)_1 holds only the Euler
+  derivation.  `find_universal` therefore tests that piece's one basis
+  vector with `is_universal` and needs neither the exponents of m nor a
+  criticality scan; `is_k_critical` stays a public query.
 """
 
 from __future__ import annotations
@@ -46,12 +53,7 @@ from .arrangement import (
     irreducible_component_count,
     is_essential,
 )
-from .errors import (
-    ArrangementError,
-    HypothesisError,
-    InternalCheckError,
-    MembershipError,
-)
+from .errors import ArrangementError, HypothesisError, MembershipError
 from .graded import graded_basis_vectors, graded_dimension, graded_member, hilbert_dims
 from .linalg import echelon, primitive_integer_vector, rank
 from .polyring import (
@@ -522,18 +524,16 @@ def exponents(ma: Multiarrangement, seed: int = DEFAULT_SEED) -> tuple[int, ...]
 
 def is_k_critical(ma: Multiarrangement, k: int) -> bool:
     """D(A, m)_k != 0, all lower pieces vanish, and every single-hyperplane
-    increment m + delta_H kills the degree-k piece as well."""
-    if k < 0:
+    increment m + delta_H kills the degree-k piece as well.
+
+    D(A, m) is an S-module inside a free one, so x_1 * theta != 0 carries a
+    nonzero theta of degree j into degree j + 1: the lower pieces all vanish
+    exactly when D(A, m)_{k-1} does.  That check is an early exit: a lower
+    theta would also put alpha_H * theta into every D(A, m + delta_H)_k.
+    """
+    if k < 0 or graded_dimension(ma, k - 1) or not graded_dimension(ma, k):
         return False
-    for j in range(k):
-        if graded_dimension(ma, j):
-            return False
-    if not graded_dimension(ma, k):
-        return False
-    for i in range(len(ma.forms)):
-        if graded_dimension(ma.plus_delta(i), k):
-            return False
-    return True
+    return not any(graded_dimension(ma.plus_delta(i), k) for i in range(len(ma.forms)))
 
 
 def is_universal(theta: Derivation, ma_base: Multiarrangement) -> bool:
@@ -575,23 +575,13 @@ def is_universal(theta: Derivation, ma_base: Multiarrangement) -> bool:
 def find_universal(ma_base: Multiarrangement, seed: int = DEFAULT_SEED) -> Derivation | None:
     """Find a universal derivation for m, or None when none exists.
 
-    Route: the existence criterion.  A universal derivation exists iff the
-    exponents of m are all equal to d = |m|/l and D(A, m+1) is (d+1)-critical;
-    when both hold, any nonzero element of D(A, m+1)_{d+1} works and is unique
-    up to a scalar.  The returned element is cross-validated with the direct
-    characterization in `is_universal`; a disagreement raises
-    `InternalCheckError` naming the forms, the multiplicity, the degree and
-    the seed.
-    """
-    return _find_universal(ma_base, seed)
-
-
-def _find_universal(ma_base: Multiarrangement, seed: int,
-                    cert: FreenessCertificate | None = None) -> Derivation | None:
-    """`find_universal`, reading the exponents off `cert` when one is given.
-
-    `cert` must be `find_free_basis(ma_base, seed=seed)`; without it the
-    certificate is computed here, and only when |m| is divisible by l.
+    Route: the direct characterization.  A universal derivation has degree
+    d + 1 with d = |m|/l and spans D(A, m+1)_{d+1} (the last fact in the
+    module docstring), so there is at most one candidate, that piece's basis
+    vector when the piece is a line, and `is_universal` decides it exactly.
+    A positive answer is certified; a negative one rests on that fact.
+    `seed` is still accepted (reports echo it) but no longer changes the
+    answer.
     """
     if not is_essential(ma_base.arrangement):
         raise ArrangementError("find_universal needs an essential arrangement")
@@ -602,23 +592,11 @@ def _find_universal(ma_base: Multiarrangement, seed: int,
     if total % l:
         return None
     d = total // l
-    if cert is None:
-        cert = find_free_basis(ma_base, seed=seed)
-    if not cert.free or cert.exponents != (d,) * l:
+    vectors = graded_basis_vectors(ma_base.plus_ones(), d + 1)
+    if len(vectors) != 1:
         return None
-    lifted = ma_base.plus_ones()
-    if not is_k_critical(lifted, d + 1):
-        return None
-    vectors = graded_basis_vectors(lifted, d + 1)
-    context = (f"for forms {[f.primitive for f in ma_base.forms]} with multiplicity "
-               f"{ma_base.mult}, degree {d + 1}, seed {seed}")
-    if not vectors:
-        raise InternalCheckError(f"critical degree lost its nonzero element {context}")
     theta = derivation_from_vector(l, d + 1, vectors[0])
-    if not is_universal(theta, ma_base):
-        raise InternalCheckError(
-            f"criticality route disagrees with the direct characterization {context}")
-    return theta
+    return theta if is_universal(theta, ma_base) else None
 
 
 # -- JSON ------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Iterator
 from .arrangement import Arrangement, Multiarrangement, catalog
 from .errors import ArrangementError
 from .linalg import _normalize, rref
-from .logder import DEFAULT_SEED, _find_universal, find_free_basis
+from .logder import DEFAULT_SEED, find_free_basis, find_universal
 
 __all__ = [
     "PREDICATES",
@@ -148,15 +148,19 @@ def row_seed(base_seed: int, mult: tuple[int, ...]) -> int:
 
 
 def evaluate_point(ma: Multiarrangement, predicates, seed: int) -> SweepRow:
-    """One row; the universality test reuses the row's freeness certificate."""
+    """One row; a freeness certificate, when computed, gates the universality test.
+
+    The gradients of a universal derivation are a basis of D(A, m) of equal
+    degrees, so a row that is not free with all-equal exponents has none.
+    """
     cert = free = exps = None
     if "free" in predicates or "exponents" in predicates:
         cert = find_free_basis(ma, seed=seed)
         free = cert.free
         exps = cert.exponents
     degree = None
-    if "universal" in predicates:
-        theta = _find_universal(ma, seed, cert)
+    if "universal" in predicates and (cert is None or (cert.free and len(set(cert.exponents)) == 1)):
+        theta = find_universal(ma, seed=seed)
         if theta is not None:
             degree = theta.homogeneous_degree()
     return SweepRow(tuple(ma.mult), seed, free, exps, degree)

@@ -7,14 +7,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multider import (
     Arrangement,
     ArrangementError,
     Derivation,
-    InternalCheckError,
     Poly,
     catalog,
     covariant_derivative,
@@ -43,6 +42,8 @@ from multider.linalg import _INT64_SAFE, echelon, primitive_integer_vector, rank
 from multider.logder import FreenessCertificate, GradedPiece, _member
 from multider.polyring import monomial_exponents
 from multider.rank2 import delta
+
+from test_rank2 import _LINE, _direction
 
 scalars = st.integers(-3, 3).map(Fraction)
 
@@ -568,14 +569,106 @@ def test_is_k_critical():
     assert graded_dimension(lifted, 5) > 0
 
 
-def test_find_universal_cross_check_failure_names_the_instance(monkeypatch):
-    monkeypatch.setattr("multider.logder.is_universal", lambda theta, ma: False)
-    with pytest.raises(InternalCheckError) as info:
-        find_universal(catalog("B2", (2, 4, 1, 1)), seed=7)
-    message = str(info.value)
-    assert "multiplicity (2, 4, 1, 1)" in message
-    assert "degree 5" in message and "seed 7" in message
-    assert str([f.primitive for f in catalog("B2").forms]) in message
+def _is_k_critical_degree_by_degree(ma, k):
+    """The former `is_k_critical`: every piece below k checked on its own."""
+    return (k >= 0 and not any(graded_dimension(ma, j) for j in range(k))
+            and bool(graded_dimension(ma, k))
+            and not any(graded_dimension(ma.plus_delta(i), k) for i in range(len(ma.forms))))
+
+
+@pytest.mark.parametrize("name,mult", [
+    ("B2", (3, 5, 2, 2)), ("B2", (0, 0, 1, 3)), ("A2", (2, 2, 2)), ("A2", (3, 3, 3)),
+    ("A2", (0, 0, 0)), ("X3", (3, 3, 3, 2, 2, 2)), ("deletedA3", (2, 2, 3, 2, 2)),
+])
+def test_is_k_critical_matches_the_degree_by_degree_scan(name, mult):
+    ma = catalog(name, mult)
+    verdicts = [is_k_critical(ma, k) for k in range(-1, 9)]
+    assert verdicts == [_is_k_critical_degree_by_degree(ma, k) for k in range(-1, 9)]
+
+
+def _criticality_route(ma):
+    """The former `find_universal`, kept as its oracle: exponents all |m|/l,
+    then (|m|/l + 1)-criticality of m+1, then that piece's first vector."""
+    l, total = ma.nvars, ma.order()
+    if total % l:
+        return None
+    d = total // l
+    cert = find_free_basis(ma)
+    if not cert.free or cert.exponents != (d,) * l:
+        return None
+    lifted = ma.plus_ones()
+    if not is_k_critical(lifted, d + 1):
+        return None
+    return derivation_from_vector(l, d + 1, graded_basis_vectors(lifted, d + 1)[0])
+
+
+@st.composite
+def rank2_universality_cases(draw):
+    """Essential rank-2 multiarrangements of 3-6 lines with multiplicities 0-6.
+
+    Three lines are the one size where balance (2 max m <= |m|) decides
+    universality, so half of those draws are built on a chosen side of it.
+    """
+    lines = draw(st.lists(_LINE, min_size=3, max_size=6, unique_by=_direction))
+    n = len(lines)
+    if n == 3 and draw(st.booleans()):
+        a, b = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+        if draw(st.booleans()):
+            c = draw(st.integers(abs(a - b), a + b))
+        else:
+            c = draw(st.integers(a + b + 1, 6))
+        mult = draw(st.permutations((a, b, c)))
+    else:
+        mult = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    return Arrangement(2, lines).with_multiplicity(tuple(mult))
+
+
+@given(rank2_universality_cases())
+@example(catalog("A2", (1, 1, 2)))
+@example(catalog("A2", (1, 1, 4)))
+@example(catalog("B2", (2, 4, 1, 1)))
+@example(catalog("B2", (1, 3, 1, 1)))
+@settings(max_examples=150, deadline=None)
+def test_find_universal_matches_the_criticality_route_in_rank_two(ma):
+    assert find_universal(ma) == _criticality_route(ma), ma.mult
+
+
+@st.composite
+def rank3_universality_cases(draw):
+    """A3, X3 or deletedA3 with multiplicities 0-3, half of them within one of
+    a constant, where the universal ones lie."""
+    name = draw(st.sampled_from(("A3", "X3", "deletedA3")))
+    size = RANK3_SIZES[name]
+    if draw(st.booleans()):
+        base = draw(st.integers(0, 2))
+        mult = [base + draw(st.integers(0, 1)) for _ in range(size)]
+    else:
+        mult = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    return catalog(name, tuple(mult))
+
+
+@given(rank3_universality_cases())
+@example(catalog("A3", (2, 2, 2, 2, 2, 2)))
+@example(catalog("A3", (1, 1, 1, 0, 0, 0)))
+@example(catalog("deletedA3", (1, 1, 2, 1, 1)))
+@example(catalog("X3", (2, 2, 2, 1, 1, 1)))
+@settings(max_examples=100, deadline=None)
+def test_find_universal_matches_the_criticality_route_in_rank_three(ma):
+    assert find_universal(ma) == _criticality_route(ma), (ma.mult, ma.forms)
+
+
+def test_find_universal_needs_neither_exponents_nor_criticality(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_universal ran the criticality route")
+
+    monkeypatch.setattr("multider.logder.find_free_basis", refuse)
+    monkeypatch.setattr("multider.logder.is_k_critical", refuse)
+    base = catalog("B2", (2, 4, 1, 1))
+    theta = find_universal(base, seed=7)
+    assert theta is not None and theta.homogeneous_degree() == 5 and is_universal(theta, base)
+    # exponents (3, 3, 3), but D(A, m+1)_4 = 0
+    assert find_universal(catalog("X3", (2, 2, 2, 1, 1, 1))) is None
+    assert find_universal(catalog("B2", (1, 3, 1, 1))) is None
 
 
 def test_find_universal_b2():

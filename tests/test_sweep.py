@@ -293,10 +293,40 @@ def test_evaluate_point_runs_find_free_basis_once(monkeypatch):
     monkeypatch.setattr(logder, "find_free_basis", counted)
     row = evaluate_point(catalog("A2", (2, 2, 2)), ("free", "exponents", "universal"), 5)
     assert row == expected and calls == [((2, 2, 2), 5)]
-    # without a certificate, the universality test computes its own
+    # without a certificate, the universality test computes none
     calls.clear()
     row = evaluate_point(catalog("A2", (2, 2, 2)), ("universal",), 5)
-    assert row.universal_degree == 4 and calls == [((2, 2, 2), 5)]
+    assert row.universal_degree == 4 and calls == []
+
+
+@pytest.mark.parametrize("name,spec,max_total,universal_rows", [
+    ("A3", "a=0..2,b=0..2,c=0..2,d=0..2,e=0..2,f=0..2", 8, 15),
+    ("deletedA3", "a=0..2,b=0..2,c=0..3,d=0..2,e=0..2", None, 18),
+])
+def test_certificate_gate_keeps_the_universal_column(monkeypatch, name, spec, max_total,
+                                                     universal_rows):
+    # a row that is not free with equal exponents skips find_universal; the
+    # universal-only sweep has no certificate and runs it on every row
+    from multider import sweep
+
+    calls = []
+    real = sweep.find_universal
+
+    def counted(ma, seed):
+        calls.append(ma.mult)
+        return real(ma, seed=seed)
+
+    monkeypatch.setattr(sweep, "find_universal", counted)
+    ranges = parse_ranges(spec)
+    full = run_sweep(name, ranges, max_total=max_total)
+    gated = [r.mult for r in full if r.free and len(set(r.exponents)) == 1]
+    assert calls == gated and len(gated) < len(full) / 2
+    calls.clear()
+    alone = run_sweep(name, ranges, predicates=("universal",), max_total=max_total)
+    assert len(calls) == len(alone)
+    assert [r.mult for r in alone] == [r.mult for r in full]
+    assert [r.universal_degree for r in alone] == [r.universal_degree for r in full]
+    assert sum(r.universal_degree is not None for r in full) == universal_rows
 
 
 def test_run_sweep_max_total_and_dedupe():
