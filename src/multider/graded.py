@@ -23,9 +23,10 @@ block m(H) vanishes.  A solve with a cached basis V of some D(A, m - delta_H)_k
 applies the new block to V exactly, giving the image (block rows x dim V);
 if the block does not exist at degree k or the image vanishes, V is the
 answer unchanged.  Every other solve builds one exact integer matrix A and
-hands it to `linalg.certified_kernel`, which computes its kernel K and
-certifies it by A K = 0 over the integers; the solver itself holds no kernel
-or check code.  The two routes differ only in A (`solve_routes` counts
+hands it to `linalg.certified_kernel`, which computes its kernel K (by
+Bareiss elimination at most 160 cells, else mod one prime, then up to ten,
+then by Bareiss) and certifies it by A K = 0 over the integers; the solver
+itself holds no kernel or check code.  The two routes differ only in A (`solve_routes` counts
 them):
 
 - restricted: the image.  The answer is the rows of K V, computed exactly

@@ -1,50 +1,52 @@
-"""Exact linear algebra: one elimination over the integers, Gauss-Jordan mod p.
+"""Exact linear algebra: one elimination over the integers, one mod p.
 
 `echelon` is the one fraction-free forward pass (Bareiss 1968), `rref` the
 one back substitution: its pivot count is a rank, its last pivot d a
 determinant, `rref` returns the integer matrix d RREF and `bareiss_kernel`
 reads a kernel from that.  Callers hand them integer rows (a rational row
 scaled by `primitive_integer_vector` keeps its rank, row space and pivots).
-
-Mod p, `kernel_mod` picks its elimination by the matrix's cell count
-(rows x cols).  At or below `_SMALL_CELLS` = 160 cells it runs Gauss-Jordan
-mod p on the Python integer rows of `matrix.tolist()`; above, it deletes
-singleton rows and the columns they force to zero, then row reduces the rest
-with vectorized numpy (`rref_mod`, which updates only the live columns at and
-right of each pivot).  Both return the same standard basis, pivots and free
-columns.  The exact check `_annihilates` splits at the same size: dot
-products of Python integer rows below, one numpy product above.  The constant
-is the measured crossover: numpy pays a fixed cost per call and per pivot.
-Timed one by one on 1,382 kernels from A3, B3 and deletedA3 sweeps and B2
-deltas (2-core Linux host), the row path took 168 us a kernel on average
-against numpy's 178 us at 131-160 cells, and 231 against 197 us at
-161-200 cells; at most 32 cells it took 21 against 78 us.  The B2 deltas
-with |m| <= 10 eliminate no matrix above 90 cells.
+Mod p, `kernel_mod` deletes singleton rows and the columns they force to
+zero, then row reduces the rest with vectorized numpy (`rref_mod`, which
+updates only the live columns at and right of each pivot).
 
 `certified_kernel` is the only escalation loop in the package.  It is handed
 one exact integer matrix A (int64 or Python integers) and certifies every
 answer itself by A v = 0 over the integers (`_annihilates`), so a caller
 builds its matrix once: the graded solver hands it a divisibility matrix, or
-the small image of a known larger kernel under one new block.  `kernel_mod`
-reduces A mod p itself.  The loop tries:
+the small image of a known larger kernel under one new block.  It picks its
+route by the cell count rows x cols:
 
-1. one 31-bit prime: `lift_residue_vector` lifts each standard kernel vector
-   mod p straight to a primitive integer vector (rational reconstruction,
-   Monagan 2004);
-2. the first two primes, then the first three, when a vector fails to lift
-   or the exact check rejects it.  Each rung adds one prime's kernel
-   (computed once and reused by the next rung) and combines the residues by
-   Garner's mixed-radix method over the whole kernel, one modular inverse per
-   prime (Garner 1959); the primes must agree on the free columns;
-3. `bareiss_kernel`, the kernel read off `rref`: exact over the integers
-   with no prime, so it cannot fail to lift, only be slower.
+- at most `_SMALL_CELLS` = 160 cells: `bareiss_kernel`, exact with no
+  prime, where numpy's fixed cost per call and per pivot would dominate.
+  Timed one by one on the 1,823 such kernels of the three benchmark
+  workloads (2-core Linux host, best of 5, two runs), it took with its exact
+  check 32-39 us a kernel at most 32 cells, 103-107 at 33-64 and 146-193 at
+  65-100, against 151, 268 and 332 us up the prime ladder.  On 258 kernels
+  of 101-400 cells from A3, deletedA3 and B3 sweeps the two routes were
+  within run-to-run noise of each other.  Every B2 delta with |m| <= 10
+  eliminates at most 90 cells.
+- above: the prime ladder.
+  1. one 31-bit prime: `kernel_mod` reduces A mod p itself, and
+     `lift_residue_vector` lifts each standard kernel vector mod p straight
+     to a primitive integer vector (rational reconstruction, Monagan 2004);
+  2. the first two primes, then the first three, and so on through all ten
+     `PRIMES`, when a vector fails to lift or the exact check rejects it.
+     Each rung adds one prime's kernel (computed once and reused by the next
+     rung) and combines the residues by Garner's mixed-radix method over the
+     whole kernel, one modular inverse per prime (Garner 1959); the primes
+     must agree on the free columns.  A lift needs a modulus of about twice
+     the bits of the answer: X3 (7,7,7,6,6,6) at degree 18 needs five
+     primes, B3 (3^9) at degree 17 four;
+  3. `bareiss_kernel`, which cannot fail to lift, only be slower.
 
-Every answer passes the exact check A v = 0 over the integers.
-Soundness does not rest on the lift: a mod-p reduction of the exact matrix
-can only enlarge the kernel (an exact dependency survives reduction, so
-null_Q <= null_p), and the verified vectors are echelon-patterned hence
-independent, so exhibiting null_p exact kernel vectors pins the dimension.
-A Bareiss basis that fails the check raises `InternalCheckError`.
+Every answer passes the exact check A v = 0 over the integers, which splits
+at the same size: dot products of Python integer rows at most 160 cells,
+one numpy product above.  Soundness does not rest on the lift: a mod-p
+reduction of the exact matrix can only enlarge the kernel (an exact
+dependency survives reduction, so null_Q <= null_p), and the verified
+vectors are echelon-patterned hence independent, so exhibiting null_p exact
+kernel vectors pins the dimension.  A Bareiss basis that fails the check
+raises `InternalCheckError`.
 
 Kernel bases are primitive integer vectors (content 1, first nonzero entry
 positive) in the standard free-column order, so every route produces
@@ -71,8 +73,9 @@ PRIMES: tuple[int, ...] = (
 
 _INT64_SAFE = 2**62
 
-# Cell count (rows x cols) at or below which `kernel_mod` and `_annihilates`
-# work on Python integer rows; the module docstring has the measured crossover.
+# Cell count (rows x cols) at or below which `certified_kernel` runs Bareiss
+# with no prime and `_annihilates` works on Python integer rows; the module
+# docstring has the measured crossover.
 _SMALL_CELLS = 160
 
 
@@ -117,56 +120,7 @@ def kernel_mod(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[
     (the kernel vector that is 1 at one free column and 0 at the others) are
     those of a plain Gauss-Jordan reduction of the whole matrix mod p, and so
     depend only on the matrix and p.  The input, int64 or of Python integers,
-    is reduced mod p here and left unchanged.  Two implementations return
-    them, chosen by the cell count rows x cols: at or below `_SMALL_CELLS`
-    (160), `_kernel_mod_rows` eliminates Python integer rows; above it,
-    `_kernel_mod_numpy` deletes singletons and runs `rref_mod`.  160 cells is
-    the measured crossover: 168 against 178 us a kernel at 131-160 cells,
-    231 against 197 us at 161-200 (the module docstring has the sample).
-    """
-    if matrix.size <= _SMALL_CELLS:
-        return _kernel_mod_rows(matrix, p)
-    return _kernel_mod_numpy(matrix, p)
-
-
-def _kernel_mod_rows(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """`kernel_mod` by Gauss-Jordan mod p on the rows of `matrix.tolist()`.
-
-    Zero rows are dropped first.  A pivot step at column c updates the other
-    rows at c and after only: left of c the pivot row is zero, as in
-    `rref_mod`.
-    """
-    ncols = matrix.shape[1]
-    a = [row for row in ([v % p for v in row] for row in matrix.tolist()) if any(row)]
-    pivots: list[int] = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(a):
-            break
-        i = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if i is None:
-            continue
-        a[r], a[i] = a[i], a[r]
-        row = a[r]
-        inv = pow(row[c], -1, p)
-        if inv != 1:
-            row[c:] = [v * inv % p for v in row[c:]]
-        tail = row[c:]
-        for other in a:
-            f = other[c]
-            if f and other is not row:
-                other[c:] = [(v - f * w) % p for v, w in zip(other[c:], tail)]
-        pivots.append(c)
-    taken = set(pivots)
-    free = [c for c in range(ncols) if c not in taken]
-    basis = [[int(c == f) for f in free] for c in range(ncols)]
-    for row, c in zip(a, pivots):
-        basis[c] = [-row[f] % p for f in free]
-    return np.array(basis, dtype=np.int64).reshape(ncols, len(free)), pivots, free
-
-
-def _kernel_mod_numpy(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """`kernel_mod` by vectorized numpy: singleton rows first, then `rref_mod`.
+    is reduced mod p here and left unchanged.
 
     Singleton rows go first (the opening step of structured Gaussian
     elimination, LaMacchia & Odlyzko 1990): a row with one nonzero entry
@@ -403,15 +357,19 @@ def _modular_kernel(matrix: np.ndarray, primes: Sequence[int], kernels: dict) ->
 def certified_kernel(matrix: np.ndarray) -> list[list[int]]:
     """Certified rational kernel of an exact integer matrix, as primitive vectors.
 
-    `matrix` is a 2-D array, int64 or of Python integers.  Tries one prime,
-    then two, then three, adding one prime at a time (`kernel_mod` runs at
-    most once per prime), then Bareiss; every answer passes `_annihilates`.
+    `matrix` is a 2-D array, int64 or of Python integers.  At most
+    `_SMALL_CELLS` cells go straight to `bareiss_kernel`.  A larger matrix
+    tries the first one prime, then two, and so on through all of `PRIMES`,
+    adding one prime at a time (`kernel_mod` runs at most once per prime),
+    then Bareiss.  Every answer passes `_annihilates`; a Bareiss basis that
+    fails it raises `InternalCheckError`.
     """
-    kernels: dict = {}
-    for prime_count in (1, 2, 3):
-        vectors = _modular_kernel(matrix, PRIMES[:prime_count], kernels)
-        if vectors is not None and _annihilates(matrix, vectors):
-            return vectors
+    if matrix.size > _SMALL_CELLS:
+        kernels: dict = {}
+        for prime_count in range(1, len(PRIMES) + 1):
+            vectors = _modular_kernel(matrix, PRIMES[:prime_count], kernels)
+            if vectors is not None and _annihilates(matrix, vectors):
+                return vectors
     vectors = bareiss_kernel(matrix)
     if not _annihilates(matrix, vectors):
         raise InternalCheckError("reference elimination produced a non-member")

@@ -269,10 +269,14 @@ ROUTE_CASES = [
 def _bases_by_route(monkeypatch, failing_moduli):
     """Graded bases of ROUTE_CASES with the lift failing for the given moduli.
 
-    Returns the bases, how many mod-p eliminations and Bareiss runs the
-    solves took, and the moduli lifted.
+    Every matrix takes the prime ladder, however small (`_SMALL_CELLS` is
+    -1).  Returns the bases, how many mod-p eliminations and Bareiss runs
+    the solves took, and the moduli lifted.
     """
+    from multider import linalg
+
     with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_SMALL_CELLS", -1)
         calls = _count_kernel_calls(patch)
         lifted = _fail_lift(patch, failing_moduli)
         clear_caches()
@@ -330,18 +334,23 @@ def test_escalation_routes_give_identical_bases(monkeypatch):
     assert lifted == {PRIMES[0]}
     # a solve with a trivial kernel lifts nothing, so it never escalates
     escalated = solves - sum(1 for basis in one_prime if not basis)
-    # failing below the product of two primes fails PRIMES[0] alone; each rung
-    # adds one prime's kernel and reuses the ones before it
-    for primes in (2, 3):
+    # failing below the product of the first n primes fails every shorter
+    # rung; each rung adds one prime's kernel and reuses the ones before it
+    for primes in range(2, len(PRIMES) + 1):
         modulus = math.prod(PRIMES[:primes])
         bases, calls, lifted = _bases_by_route(monkeypatch, lambda m: m < modulus)
         assert bases == one_prime
         assert calls == {"kernel_mod": solves + (primes - 1) * escalated, "bareiss_kernel": 0}
         assert lifted == {modulus}
     bareiss, calls, lifted = _bases_by_route(monkeypatch, lambda modulus: True)
-    assert calls == {"kernel_mod": solves + 2 * escalated, "bareiss_kernel": escalated}
+    assert calls == {"kernel_mod": solves + (len(PRIMES) - 1) * escalated, "bareiss_kernel": escalated}
     assert bareiss == one_prime and lifted == set()
     assert any(one_prime) and not all(one_prime)
+    # at the default size constant the small pieces go to Bareiss directly
+    clear_caches()
+    assert [graded_basis_vectors(catalog(name, mult), k)
+            for name, mult, kmax in ROUTE_CASES for k in range(kmax + 1)] == one_prime
+    clear_caches()
 
 
 def _template_by_substitution(primitive, k):
@@ -593,14 +602,17 @@ def _is_one_of(matrix, matrices):
 
 
 def test_restriction_escalates_to_crt_without_the_full_matrix(monkeypatch):
+    from multider import linalg
     from multider.linalg import PRIMES
 
+    # every matrix takes the prime ladder, however small
+    monkeypatch.setattr(linalg, "_SMALL_CELLS", -1)
     name, start, _ = FIXED_WALK
     one_prime = _fixed_walk_under(monkeypatch, lambda m: False)
     routes = one_prime.routes
     assert routes["restricted"] and routes["full"] == 1
     escalated = routes["restricted"] + routes["full"] - sum(1 for basis in one_prime.bases if not basis)
-    for primes in (2, 3):
+    for primes in range(2, len(PRIMES) + 1):
         modulus = math.prod(PRIMES[:primes])
         run = _fixed_walk_under(monkeypatch, lambda m: m < modulus)
         assert run.bases == one_prime.bases

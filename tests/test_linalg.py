@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from multider import Poly, linalg
 from multider.errors import InternalCheckError
@@ -16,8 +17,6 @@ from multider.linalg import (
     _SMALL_CELLS,
     PRIMES,
     _annihilates,
-    _kernel_mod_numpy,
-    _kernel_mod_rows,
     _modular_kernel,
     bareiss_kernel,
     certified_kernel,
@@ -271,11 +270,11 @@ def test_crt_pair():
 
 @st.composite
 def prime_kernels(draw):
-    """Residue kernels for the first one, two or three primes, with the same free columns.
+    """Residue kernels for the first one to ten primes, with the same free columns.
 
     Kernels may be empty; residues 0 and p - 1 are drawn often.
     """
-    primes = PRIMES[:draw(st.integers(1, 3))]
+    primes = PRIMES[:draw(st.integers(1, len(PRIMES)))]
     ncols = draw(st.integers(1, 6))
     free = sorted(draw(st.lists(st.integers(0, ncols - 1), unique=True, max_size=4)))
     nvectors = len(free)
@@ -291,7 +290,8 @@ def prime_kernels(draw):
 @settings(max_examples=150, deadline=None)
 def test_garner_over_whole_kernels_matches_the_crt_pair_fold(case):
     # the lift is replaced by the identity, so `_modular_kernel` returns the
-    # combined residues; three primes pass 2**62 and take Python integers.
+    # combined residues; from three primes on the product passes 2**62 and
+    # the combination takes Python integers.
     # Every prime's kernel is handed over already computed, so no matrix is
     # reduced.
     primes, kernels = case
@@ -390,11 +390,20 @@ def test_certified_kernel_rejects_a_bad_reference_basis(monkeypatch):
         certified_kernel(np.array([[1, 2, 3], [2, 4, 7]], dtype=np.int64))
 
 
-# the kernel vector (10**12, 10**6, 1, 0) outgrows a one- and a two-prime
-# lift, so certification needs three primes; (10**8, 10**4, 1, 0) lifts from
-# two; (0, 0, 0, 1) lifts from any prime
+# the kernel vector (10**18, 10**9, 1, 0) outgrows a three-prime lift, so
+# certification needs four primes; (10**12, 10**6, 1, 0) outgrows a one- and
+# a two-prime lift and needs three; (10**8, 10**4, 1, 0) lifts from two;
+# (0, 0, 0, 1) lifts from any prime
+NEEDS_FOUR_PRIMES = [[1, -10**9, 0, 0], [0, 1, -10**9, 0]]
 NEEDS_CRT = [[1, -10**6, 0, 0], [0, 1, -10**6, 0]]
 NEEDS_TWO_PRIMES = [[1, -10**4, 0, 0], [0, 1, -10**4, 0]]
+
+
+def _past_small_cells(rows):
+    """`rows` with zero rows appended until there are more than `_SMALL_CELLS`
+    cells, so `certified_kernel` takes the prime ladder; the kernel is the same."""
+    ncols = len(rows[0])
+    return rows + [[0] * ncols] * (_SMALL_CELLS // ncols + 1 - len(rows))
 
 
 def _counting_bareiss(monkeypatch):
@@ -407,24 +416,30 @@ def _counting_bareiss(monkeypatch):
     return calls
 
 
+def _counting_kernel_mod(monkeypatch):
+    asked = []
+    monkeypatch.setattr(linalg, "kernel_mod", lambda matrix, p: asked.append(p) or kernel_mod(matrix, p))
+    return asked
+
+
 def test_certified_kernel_lifts_by_crt_when_one_prime_is_not_enough(monkeypatch):
     # primes are added one at a time, each prime's kernel computed once
     bareiss = _counting_bareiss(monkeypatch)
-    asked = []
-    monkeypatch.setattr(linalg, "kernel_mod", lambda matrix, p: asked.append(p) or kernel_mod(matrix, p))
-    for matrix, lead, primes in ((NEEDS_TWO_PRIMES, 10**4, 2), (NEEDS_CRT, 10**6, 3)):
+    asked = _counting_kernel_mod(monkeypatch)
+    for matrix, lead, primes in ((NEEDS_TWO_PRIMES, 10**4, 2), (NEEDS_CRT, 10**6, 3),
+                                 (NEEDS_FOUR_PRIMES, 10**9, 4)):
         asked.clear()
-        assert _certified(matrix) == [[lead * lead, lead, 1, 0], [0, 0, 0, 1]]
+        assert _certified(_past_small_cells(matrix)) == [[lead * lead, lead, 1, 0], [0, 0, 0, 1]]
         assert asked == list(PRIMES[:primes])
     assert bareiss == []
 
 
 def test_certified_kernel_rejects_primes_that_disagree_on_free_columns(monkeypatch):
     # the third prime loses the last kernel vector.  The free-column
-    # comparison rejects the three-prime rung before anything is lifted;
-    # without it the short kernel would be broadcast over the combination,
-    # lifted, rejected by the exact check and answered by the same Bareiss
-    # run, so only the lifted moduli show the comparison at work
+    # comparison rejects every rung from three primes on before anything is
+    # lifted; without it the short kernel would be broadcast over the
+    # combination, lifted, rejected by the exact check and answered by the
+    # same Bareiss run, so only the lifted moduli show the comparison at work
     def losing(matrix, p):
         basis, pivots, free = kernel_mod(matrix, p)
         return (basis[:, :-1], pivots, free[:-1]) if p == PRIMES[2] else (basis, pivots, free)
@@ -434,9 +449,25 @@ def test_certified_kernel_rejects_primes_that_disagree_on_free_columns(monkeypat
                         lambda residues, modulus: lifted.add(modulus) or lift(residues, modulus))
     monkeypatch.setattr(linalg, "kernel_mod", losing)
     bareiss = _counting_bareiss(monkeypatch)
-    assert _certified(NEEDS_CRT) == [[10**12, 10**6, 1, 0], [0, 0, 0, 1]]
-    assert bareiss == [NEEDS_CRT]
+    matrix = _past_small_cells(NEEDS_CRT)
+    assert _certified(matrix) == [[10**12, 10**6, 1, 0], [0, 0, 0, 1]]
+    assert bareiss == [matrix]
     assert lifted == {PRIMES[0], PRIMES[0] * PRIMES[1]}
+
+
+def test_certified_kernel_chooses_its_route_by_cell_count(monkeypatch):
+    # at most `_SMALL_CELLS` cells only Bareiss runs; above, PRIMES[0] first,
+    # and the all-ones kernel lifts from it
+    bareiss = _counting_bareiss(monkeypatch)
+    asked = _counting_kernel_mod(monkeypatch)
+    for shape in ((0, 4), (1, 1), (10, 16), (16, 10), (1, _SMALL_CELLS), (1, _SMALL_CELLS + 1),
+                  (7, 23), (8, 21)):
+        asked.clear()
+        bareiss.clear()
+        matrix = np.ones(shape, dtype=np.int64)
+        assert certified_kernel(matrix) == bareiss_kernel(matrix)
+        small = shape[0] * shape[1] <= _SMALL_CELLS
+        assert (len(bareiss), asked) == ((1, []) if small else (0, [PRIMES[0]])), shape
 
 
 def _plain_kernel_mod(matrix, p):
@@ -453,14 +484,13 @@ def _plain_kernel_mod(matrix, p):
 
 
 def _assert_matches_plain_kernel(matrix, p):
-    # both paths, whatever the size: these matrices are small, and the numpy
-    # path's singleton waves need checking too
+    before = matrix.copy()
     want_basis, want_pivots, want_free = _plain_kernel_mod(matrix, p)
-    for path in (_kernel_mod_rows, _kernel_mod_numpy):
-        basis, pivots, free = path(matrix, p)
-        assert pivots == want_pivots and free == want_free
-        assert basis.dtype == want_basis.dtype and basis.shape == want_basis.shape
-        assert (basis == want_basis).all()
+    basis, pivots, free = kernel_mod(matrix, p)
+    assert (matrix == before).all() and matrix.dtype == before.dtype
+    assert pivots == want_pivots and free == want_free
+    assert basis.dtype == want_basis.dtype == np.int64 and basis.shape == want_basis.shape
+    assert (basis == want_basis).all()
     assert pivots == sorted(pivots)
     assert sorted(pivots + free) == list(range(matrix.shape[1]))
     return pivots
@@ -587,14 +617,15 @@ def test_rref_mod_matches_full_row_gauss_jordan(case):
 
 
 @st.composite
-def kernel_mod_matrices(draw):
+def kernel_mod_matrices(draw, small=None):
     """Matrices at or below `_SMALL_CELLS` cells or above it, int64 or beyond 2**63.
 
-    Entries are negative, multiples of p or beyond p; some rows are zero or
-    singletons, some columns zero, some rows dependent, some matrices zero.
+    `small` picks the side; None draws it.  Entries are negative, multiples
+    of p or beyond p; some rows are zero or singletons, some columns zero,
+    some rows dependent, some matrices zero.
     """
     p = draw(st.sampled_from(PRIMES[:3]))
-    if draw(st.booleans()):
+    if small if small is not None else draw(st.booleans()):
         nrows = draw(st.integers(0, 12))
         ncols = draw(st.integers(1, max(1, _SMALL_CELLS // max(nrows, 1))))
     else:
@@ -602,7 +633,7 @@ def kernel_mod_matrices(draw):
         ncols = draw(st.integers(_SMALL_CELLS // nrows + 1, 24))
     entry = st.one_of(st.sampled_from([0, 0, 0, 1, -1, -3, p, -2 * p, p - 1, p + 1]),
                       st.integers(-2**40, 2**40))
-    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    rows = draw(hnp.arrays(np.int64, (nrows, ncols), elements=entry)).tolist()
     if rows and draw(st.booleans()):
         rows = [[0] * ncols for _ in rows]
     for i in draw(st.lists(st.integers(0, nrows - 1), max_size=3)) if nrows else ():
@@ -621,43 +652,28 @@ def kernel_mod_matrices(draw):
     return matrix, p
 
 
-def _full_rows_kernel(matrix, p):
-    """The standard kernel read off `_rref_mod_full_rows` (oracle for both paths)."""
-    rref, pivots = _rref_mod_full_rows(matrix, p)
-    free = [c for c in range(matrix.shape[1]) if c not in pivots]
-    basis = [[int(c == f) for f in free] for c in range(matrix.shape[1])]
-    for row, c in zip(rref, pivots):
-        basis[c] = [-row[f] % p for f in free]
-    return basis, pivots, free
-
-
 @given(kernel_mod_matrices())
 @settings(max_examples=200, deadline=None)
-def test_kernel_mod_paths_agree_with_each_other_and_full_row_gauss_jordan(case):
-    matrix, p = case
-    before = matrix.copy()
-    rows, numpy_path = _kernel_mod_rows(matrix, p), _kernel_mod_numpy(matrix, p)
-    assert (matrix == before).all() and matrix.dtype == before.dtype
-    assert rows[1:] == numpy_path[1:]
-    assert rows[0].dtype == numpy_path[0].dtype == np.int64
-    assert rows[0].shape == numpy_path[0].shape == (matrix.shape[1], len(rows[2]))
-    assert (rows[0] == numpy_path[0]).all()
-    basis, pivots, free = _full_rows_kernel(matrix, p)
-    assert (rows[0].tolist(), rows[1], rows[2]) == (basis, pivots, free)
+def test_kernel_mod_matches_the_plain_rref_kernel_on_both_sides_of_small_cells(case):
+    _assert_matches_plain_kernel(*case)
 
 
-def test_kernel_mod_chooses_its_path_by_cell_count(monkeypatch):
-    chosen = []
-    for name in ("_kernel_mod_rows", "_kernel_mod_numpy"):
-        path = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name,
-                            lambda matrix, p, name=name, path=path: chosen.append(name) or path(matrix, p))
-    for shape in ((0, 4), (1, 1), (10, 16), (16, 10), (1, _SMALL_CELLS), (1, _SMALL_CELLS + 1),
-                  (7, 23), (8, 21)):
-        chosen.clear()
-        kernel_mod(np.ones(shape, dtype=np.int64), PRIMES[0])
-        small = shape[0] * shape[1] <= _SMALL_CELLS
-        assert chosen == ["_kernel_mod_rows" if small else "_kernel_mod_numpy"], shape
+def _by_the_ladder(matrix):
+    """`certified_kernel` with every matrix sent up the prime ladder."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_SMALL_CELLS", -1)
+        return certified_kernel(matrix)
+
+
+@given(st.one_of(kernel_mod_matrices(small=True).map(lambda case: case[0]),
+                 exact_matrices().filter(lambda rows: rows).map(
+                     lambda rows: np.array([primitive_integer_vector(row) for row in rows], dtype=object))))
+@settings(max_examples=150, deadline=None)
+def test_small_kernels_by_bareiss_equal_the_prime_ladder(matrix):
+    # the exact elimination and the ladder return the same standard basis,
+    # whatever rung the ladder stops at (Bareiss too, past ten primes)
+    assert matrix.size <= _SMALL_CELLS
+    assert certified_kernel(matrix) == _by_the_ladder(matrix)
 
 
 def _on_both_paths(matrix, vectors):
