@@ -448,6 +448,7 @@ BIG = Arrangement(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2**40, 0), (1, 1, 2**
 
 
 def test_big_coefficients_take_one_object_matrix_per_solve(monkeypatch):
+    from multider import linalg
     from multider.graded import _Engine
 
     build = _Engine._matrix
@@ -456,6 +457,9 @@ def test_big_coefficients_take_one_object_matrix_per_solve(monkeypatch):
         for k in range(4):
             built = []
             with monkeypatch.context() as patch:
+                # the first solve takes the prime ladder, however small
+                patch.setattr(linalg, "_SMALL_CELLS", -1)
+                calls = _count_kernel_calls(patch)
                 patch.setattr(_Engine, "_matrix", lambda self, *args: built.append(
                     build(self, *args)) or built[-1])
                 clear_caches()
@@ -467,6 +471,8 @@ def test_big_coefficients_take_one_object_matrix_per_solve(monkeypatch):
             # one full solve each, so one matrix each; Bareiss reads the same one
             assert [m.dtype == object for m in built] == [k > 0] * 2
             assert basis == bareiss
+            # both solves start up the ladder at PRIMES[0]
+            assert calls["kernel_mod"] >= 2
             assert len(basis) == oracle_graded_dimension(ma, k)
 
 
@@ -561,7 +567,8 @@ def test_fixed_walk_takes_every_route():
 def _fixed_walk_under(monkeypatch, failing_moduli):
     """FIXED_WALK at degree 2, with the lift failing for the given moduli.
 
-    Returns the bases, the routes, the mod-p elimination and Bareiss counts
+    Every matrix takes the prime ladder, however small (`_SMALL_CELLS` is
+    -1).  Returns the bases, the routes, the mod-p elimination and Bareiss counts
     (`calls`), the multiplicities `_matrix` built the divisibility matrix for
     (`assembled`) and those matrices (`built`), the matrices the exact check
     `linalg._annihilates` was handed (`checked`), the matrices Bareiss
@@ -582,6 +589,7 @@ def _fixed_walk_under(monkeypatch, failing_moduli):
         return run.built[-1]
 
     with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_SMALL_CELLS", -1)
         run.calls = _count_kernel_calls(patch)
         counted_bareiss = linalg.bareiss_kernel
         patch.setattr(linalg, "bareiss_kernel",
@@ -602,11 +610,8 @@ def _is_one_of(matrix, matrices):
 
 
 def test_restriction_escalates_to_crt_without_the_full_matrix(monkeypatch):
-    from multider import linalg
     from multider.linalg import PRIMES
 
-    # every matrix takes the prime ladder, however small
-    monkeypatch.setattr(linalg, "_SMALL_CELLS", -1)
     name, start, _ = FIXED_WALK
     one_prime = _fixed_walk_under(monkeypatch, lambda m: False)
     routes = one_prime.routes
@@ -635,6 +640,8 @@ def test_restricted_solves_check_only_their_image(monkeypatch, failing):
     name, start, _ = FIXED_WALK
     run = _fixed_walk_under(monkeypatch, failing)
     assert run.routes["restricted"] >= 5 and run.routes["full"] == 1
+    # each solve went up the ladder from PRIMES[0]
+    assert run.calls["kernel_mod"] >= run.routes["restricted"] + run.routes["full"]
     assert run.assembled == [tuple(start)]
     assert [_is_one_of(matrix, run.built) for matrix in run.checked] == [True] + [False] * run.routes["restricted"]
     n = 3 * math.comb(2 + 2, 2)
@@ -642,6 +649,8 @@ def test_restricted_solves_check_only_their_image(monkeypatch, failing):
 
 
 def test_failed_lifts_reach_bareiss_on_the_image(monkeypatch):
+    from multider.linalg import PRIMES
+
     expected = _fixed_walk_under(monkeypatch, lambda modulus: False)
     run = _fixed_walk_under(monkeypatch, lambda modulus: True)
     assert run.bases == expected.bases
@@ -650,6 +659,10 @@ def test_failed_lifts_reach_bareiss_on_the_image(monkeypatch):
     # (a trivial kernel lifts nothing, so it never escalates)
     assert run.calls["bareiss_kernel"] == len(run.eliminated) == (
         run.routes["restricted"] + run.routes["full"] - sum(1 for basis in expected.bases if not basis))
+    # one mod-p elimination per solve at PRIMES[0], and each escalated solve
+    # tried every other prime before Bareiss
+    assert expected.calls == {"kernel_mod": run.routes["restricted"] + run.routes["full"], "bareiss_kernel": 0}
+    assert run.calls["kernel_mod"] == expected.calls["kernel_mod"] + (len(PRIMES) - 1) * run.calls["bareiss_kernel"]
     # the walk's start eliminates its divisibility matrix; every later run
     # eliminates the image its restricted solve checked
     assert run.assembled == [FIXED_WALK[1]]
@@ -711,6 +724,7 @@ def test_restriction_rank_drop_mod_p_fails_the_prime(monkeypatch, name, mult, id
     # image vanish there, so the image's kernel mod that prime is too large
     # and every pass through the prime fails; Bareiss on the image answers,
     # and K V made primitive is the same basis
+    from multider import linalg
     from multider.linalg import PRIMES
 
     parent = mult[:idx] + (mult[idx] - 1,) + mult[idx + 1:]
@@ -721,10 +735,14 @@ def test_restriction_rank_drop_mod_p_fails_the_prime(monkeypatch, name, mult, id
     planted = (tuple(PRIMES[0] * v for v in basis[0]),) + basis[1:]
     _engine(catalog(name).arrangement).bases[(parent, k)] = planted
     with monkeypatch.context() as patch:
+        # the image takes the prime ladder, however small
+        patch.setattr(linalg, "_SMALL_CELLS", -1)
         calls = _count_kernel_calls(patch)
         assert graded_basis_vectors(catalog(name, mult), k) == expected
     assert solve_routes() == {"unchanged": 0, "restricted": 1, "full": 1}
-    assert calls["bareiss_kernel"] == 1
+    # PRIMES[1] disagrees with PRIMES[0] on the free columns, so every rung
+    # stops at the second prime and Bareiss answers
+    assert calls == {"kernel_mod": 2, "bareiss_kernel": 1}
     clear_caches()
 
 

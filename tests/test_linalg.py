@@ -633,7 +633,7 @@ def kernel_mod_matrices(draw, small=None):
         ncols = draw(st.integers(_SMALL_CELLS // nrows + 1, 24))
     entry = st.one_of(st.sampled_from([0, 0, 0, 1, -1, -3, p, -2 * p, p - 1, p + 1]),
                       st.integers(-2**40, 2**40))
-    rows = draw(hnp.arrays(np.int64, (nrows, ncols), elements=entry)).tolist()
+    rows = draw(hnp.arrays(np.int64, (nrows, ncols), elements=entry, fill=st.nothing())).tolist()
     if rows and draw(st.booleans()):
         rows = [[0] * ncols for _ in rows]
     for i in draw(st.lists(st.integers(0, nrows - 1), max_size=3)) if nrows else ():
