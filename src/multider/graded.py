@@ -8,26 +8,35 @@ first new variable, divisibility means "all coefficients with first-variable
 exponent below m(H) vanish".  Those vanishing conditions are the rows of the
 divisibility matrix (`_Engine._matrix`); the graded piece is its rational kernel.
 
-The per-hyperplane substitution rows depend only on (form, degree), so
-`_build_template` builds them in closed form, one matrix per (form, degree),
-kept in an LRU bounded by bytes (`_template`) and reused across every
-multiplicity and sweep case; the rows for every multiplicity are prefixes of
-that matrix.  The same exact rows, one hyperplane at a time, decide
-membership of any one coefficient vector (`graded_member`).  A multiplicity
-with no positive entry yields no rows and so the whole space of degree-k
-derivations.
+A coordinate hyperplane x_i = 0 (a form whose primitive is the unit vector
+e_i) needs no substitution: theta(x_i) is the coefficient theta_i, so
+divisibility by x_i^m says only that theta_i has no monomial with x_i-exponent
+below m.  Those conditions are unit rows, one per column (i, a) with a_i < m,
+and they are solved in closed form: the column is forced to zero.  No
+coordinate hyperplane gets a template, a row or an image product.
 
-Hyperplane H contributes the blocks e = 0..m(H) - 1 of first-variable
-exponents, so D(A, m + delta_H)_k is the set of theta in D(A, m)_k whose
-block m(H) vanishes.  A solve with a cached basis V of some D(A, m - delta_H)_k
-applies the new block to V exactly, giving the image (block rows x dim V);
-if the block does not exist at degree k or the image vanishes, V is the
-answer unchanged.  Every other solve builds one exact integer matrix A and
-hands it to `linalg.certified_kernel`, which computes its kernel K (by
-Bareiss elimination at most 160 cells, else mod one prime, then up to ten,
-then by Bareiss) and certifies it by A K = 0 over the integers; the solver
-itself holds no kernel or check code.  The two routes differ only in A (`solve_routes` counts
-them):
+Every other hyperplane contributes substitution rows that depend only on
+(form, degree), so `_build_template` builds them in closed form, one matrix
+per (form, degree), kept in an LRU bounded by bytes (`_template`) and reused
+across every multiplicity and sweep case; the rows for every multiplicity are
+prefixes of that matrix.  The same exact conditions, one hyperplane at a
+time, decide membership of any one coefficient vector (`graded_member`).  A
+multiplicity with no positive entry yields no rows and so the whole space of
+degree-k derivations.
+
+Hyperplane H contributes the conditions e = 0..m(H) - 1 of first-variable
+exponents (for x_i = 0, of x_i-exponents), so D(A, m + delta_H)_k is the set
+of theta in D(A, m)_k whose block m(H) vanishes.  A solve with a cached basis
+V of some D(A, m - delta_H)_k applies the new block to V exactly, giving the
+image (block rows x dim V): the template block times theta(alpha_H), or for
+x_i = 0 the columns of V at the theta_i coefficients of the monomials with
+x_i-exponent m(H) - 1.  If the block does not exist at degree k or the image
+vanishes, V is the answer unchanged.  Every other solve builds one exact
+integer matrix A and hands it to `linalg.certified_kernel`, which computes its
+kernel K (by Bareiss elimination at most 160 cells, else mod one prime, then
+up to ten, then by Bareiss) and certifies it by A K = 0 over the integers;
+the solver itself holds no kernel or check code.  The two routes differ only
+in A (`solve_routes` counts them):
 
 - restricted: the image.  The answer is the rows of K V, computed exactly
   and made primitive.  Every stored basis is `_solve` output, the standard
@@ -43,8 +52,17 @@ them):
   and the exact image check, and the dimension is the verified nullity of
   the image, so no mod-p answer goes unverified.  The divisibility matrix of
   m is never built.
-- full: the divisibility matrix, built once per solve.  It serves cache
-  misses and is the reference the restriction is tested against.
+- full: the divisibility matrix of the non-coordinate hyperplanes of the
+  support, on the live columns only (those no coordinate hyperplane forces),
+  built once per solve.  Its kernel, with zeros written into the forced
+  columns, is the kernel of the whole matrix, whose unit rows say just that
+  those entries vanish.  The standard basis is the same too: padding keeps
+  each vector's last nonzero position, and the free columns are the last
+  nonzero positions of kernel vectors (each forced column is a pivot of the
+  whole matrix, since its unit row lies in the row space).  The coordinate
+  conditions hold by construction and `_annihilates` checks the rest, so
+  the certificate stays complete.  The full route serves cache misses and is
+  the reference the restriction is tested against.
 
 Cache state chooses the route, never the answer: every route returns the
 same primitive vectors in the same order.  An engine's one store is the LRU
@@ -71,7 +89,7 @@ from .linalg import (
     certified_kernel,
     rref,
 )
-from .polyring import monomial_count, monomial_exponents, monomial_index
+from .polyring import _MONOMIAL_CACHE_LIMIT, monomial_count, monomial_exponents, monomial_index
 
 _BASIS_CACHE_LIMIT = 2048
 _ENGINE_CACHE_LIMIT = 64
@@ -193,6 +211,35 @@ def _divisible_rows(primitive: tuple[int, ...], k: int, m: int) -> tuple[np.ndar
     return rows[:starts[m]], max(maxes[:m], default=0)
 
 
+def _axis(primitive: tuple[int, ...]) -> int | None:
+    """i when the form is the coordinate x_i (its primitive is the unit vector e_i), else None."""
+    return primitive.index(1) if sum(map(abs, primitive)) == 1 else None
+
+
+@lru_cache(maxsize=_MONOMIAL_CACHE_LIMIT)
+def _coordinate_columns(nvars: int, axis: int, k: int, low: int, high: int) -> np.ndarray:
+    """Columns of a degree-k vector at theta_axis's monomials with x_axis-exponent in [low, high)."""
+    monos = monomial_exponents(nvars, k)
+    cols = np.array([axis * len(monos) + j for j, a in enumerate(monos) if low <= a[axis] < high],
+                    dtype=np.intp)
+    cols.flags.writeable = False
+    return cols
+
+
+def _padded(vectors: list[list[int]], live: np.ndarray) -> list[list[int]]:
+    """Vectors on the live columns, with zeros written into the others."""
+    if live.all():
+        return vectors
+    cols = np.flatnonzero(live).tolist()
+    padded = []
+    for v in vectors:
+        row = [0] * live.size
+        for c, x in zip(cols, v):
+            row[c] = x
+        padded.append(row)
+    return padded
+
+
 def _is_standard(rows: np.ndarray) -> bool:
     """Whether the last nonzero columns of the rows ascend strictly and each row is zero at the others'."""
     nonzero = rows != 0
@@ -220,18 +267,28 @@ class _Engine:
     def _support(self, mult: Sequence[int]) -> list[int]:
         return [i for i, m in enumerate(mult) if m > 0]
 
-    def _matrix(self, support: list[int], mult: Sequence[int], k: int) -> np.ndarray:
-        """The exact divisibility matrix of (m, k), whose kernel is D(A, m)_k.
+    def _matrix(self, support: list[int], mult: Sequence[int], k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The exact divisibility matrix of (m, k) on its live columns, and the live-column mask.
 
-        For each H in the support, the template rows of H with column block i
-        scaled by coordinate i of alpha_H: int64 when max |template entry| *
-        max |coordinate| < 2**62, Python integers otherwise.
+        A column (i, a) is forced to zero, and left out, when the support
+        holds x_i = 0 with a_i < m(H); D(A, m)_k is the kernel padded with
+        zeros there.  For each other H in the support, the template rows of H
+        with column block i scaled by coordinate i of alpha_H: int64 when
+        max |template entry| * max |coordinate| < 2**62, Python integers
+        otherwise.
         """
-        parts = [(*_divisible_rows(self.prims[idx], k, mult[idx]), self.prims[idx])
-                 for idx in support]
+        n = monomial_count(self.nvars, k)
+        live = np.ones(self.nvars * n, dtype=bool)
+        parts = []
+        for idx in support:
+            prim = self.prims[idx]
+            axis = _axis(prim)
+            if axis is None:
+                parts.append((*_divisible_rows(prim, k, mult[idx]), prim))
+            else:
+                live[_coordinate_columns(self.nvars, axis, k, 0, mult[idx])] = False
         fits = all(max_abs * max(map(abs, prim)) < _INT64_SAFE for _, max_abs, prim in parts)
         dtype = np.int64 if fits else object
-        n = monomial_count(self.nvars, k)
         matrix = np.empty((sum(len(rows) for rows, _, _ in parts), self.nvars * n), dtype)
         start = 0
         for rows, _, prim in parts:
@@ -239,7 +296,7 @@ class _Engine:
             for i, a in enumerate(prim):
                 matrix[start:start + len(rows), i * n:(i + 1) * n] = rows * a
             start += len(rows)
-        return matrix
+        return (matrix, live) if live.all() else (matrix[:, live], live)
 
     def _vectors(self, vectors: Sequence[Sequence[int]]) -> np.ndarray:
         """Degree-k vectors as one array: int64 when every theta(alpha_H) of them fits."""
@@ -247,10 +304,21 @@ class _Engine:
         fits = _max_abs(vectors) * coord * self.nvars < _INT64_SAFE
         return np.array(vectors, dtype=np.int64 if fits else object)
 
-    def _image(self, idx: int, rows: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        """Exact `rows` times the coefficients of theta(alpha_idx), one column per vector theta."""
+    def _image(self, idx: int, k: int, low: int, high: int, vectors: np.ndarray) -> np.ndarray:
+        """Hyperplane idx's conditions of exponents low..high - 1 on degree-k vectors, one column per vector.
+
+        For x_i = 0 they read the vectors' theta_i coefficients at the
+        monomials with x_i-exponent in that range; otherwise they are the
+        template blocks, exactly times the coefficients of theta(alpha_idx).
+        """
+        prim = self.prims[idx]
+        axis = _axis(prim)
+        if axis is not None:
+            return vectors[:, _coordinate_columns(self.nvars, axis, k, low, high)].T
+        rows, starts, _ = _template(prim, k)
+        rows = rows[starts[low]:starts[min(high, k + 1)]]
         n = rows.shape[1]
-        polys = sum(a * vectors[:, i * n:(i + 1) * n] for i, a in enumerate(self.prims[idx]) if a)
+        polys = sum(a * vectors[:, i * n:(i + 1) * n] for i, a in enumerate(prim) if a)
         return _exact_product(rows, polys.T)
 
     # -- solving ----------------------------------------------------------
@@ -259,7 +327,7 @@ class _Engine:
         support = self._support(mult)
         found = self._restriction(support, mult, k)
         if found is None:
-            route, matrix = "full", self._matrix(support, mult, k)
+            route, (matrix, live) = "full", self._matrix(support, mult, k)
         elif found[1] is None:
             _routes["unchanged"] += 1
             return found[0]
@@ -271,7 +339,9 @@ class _Engine:
         except InternalCheckError as exc:
             raise InternalCheckError(f"{exc} for forms {self.prims} with multiplicity {mult}, "
                                      f"degree {k}, {route} route") from exc
-        if route == "restricted" and basis:
+        if route == "full":
+            basis = _padded(basis, live)
+        elif basis:
             product = _exact_product(basis, parent)
             basis = map(_normalize, product.tolist()) if _is_standard(product) else _standard_rows(product)
         return tuple(tuple(v) for v in basis)
@@ -294,9 +364,8 @@ class _Engine:
         e = mult[idx] - 1
         if not parent or e > k:
             return parent, None
-        rows, starts, _ = _template(self.prims[idx], k)
         vm = self._vectors(parent)
-        image = self._image(idx, rows[starts[e]:starts[e + 1]], vm)
+        image = self._image(idx, k, e, e + 1, vm)
         return (vm, image) if image.any() else (parent, None)
 
     # -- public -----------------------------------------------------------
@@ -337,14 +406,14 @@ def graded_basis_vectors(ma: Multiarrangement, k: int) -> tuple[tuple[int, ...],
 def graded_member(ma: Multiarrangement, k: int, vector: Sequence[int]) -> bool:
     """Whether an integer degree-k coefficient vector lies in D(A, m)_k.
 
-    Decided one hyperplane at a time by the exact divisibility rows whose
-    stack certifies every full solve; the layout is that of
-    `graded_basis_vectors`.
+    Decided one hyperplane at a time by the exact conditions whose stack
+    certifies every full solve: for x_i = 0 the vector's theta_i coefficients
+    at the monomials with x_i-exponent below m(H), otherwise the divisibility
+    rows; the layout is that of `graded_basis_vectors`.
     """
     eng = _engine(ma.arrangement)
     vm = eng._vectors([list(vector)])
-    return not any(eng._image(idx, _divisible_rows(eng.prims[idx], k, ma.mult[idx])[0], vm).any()
-                   for idx in eng._support(ma.mult))
+    return not any(eng._image(idx, k, 0, ma.mult[idx], vm).any() for idx in eng._support(ma.mult))
 
 
 def hilbert_dims(ma: Multiarrangement, max_degree: int) -> tuple[int, ...]:
@@ -356,7 +425,7 @@ def solve_routes() -> dict[str, int]:
     """How many graded solves took each route since the last `clear_caches`.
 
     "unchanged" reused a cached D(A, m - delta_H)_k basis as it was,
-    "restricted" cut it down by one template block, and "full" solved the
+    "restricted" cut it down by one block of conditions, and "full" solved the
     whole matrix; both of the last two run the same certified kernel loop.
     """
     return {route: _routes[route] for route in ("unchanged", "restricted", "full")}
@@ -366,6 +435,7 @@ def clear_caches() -> None:
     _engine.cache_clear()
     _sub.cache_clear()
     _template.clear()
+    _coordinate_columns.cache_clear()
     monomial_exponents.cache_clear()
     monomial_index.cache_clear()
     _routes.clear()

@@ -286,11 +286,16 @@ def rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int
 def bareiss_kernel(matrix: np.ndarray | Sequence[Sequence[int]]) -> list[list[int]]:
     """Kernel basis read off `rref`: d at free column f, -reduced[i][f] at pivot p_i; primitive.
 
-    A 2-D array with no rows keeps its column count: its kernel is everything.
+    An array is read with one `tolist()`, which yields Python integers from
+    int64 and object entries alike.  A 2-D array with no rows keeps its
+    column count: its kernel is everything.
     """
-    rows = np.array(matrix, dtype=object, ndmin=2)
-    n = rows.shape[1]
-    reduced, pivots, d = rref(rows.tolist())
+    if isinstance(matrix, np.ndarray):
+        rows, n = matrix.tolist(), matrix.shape[1]
+    else:
+        rows = [list(row) for row in matrix]
+        n = len(rows[0]) if rows else 0
+    reduced, pivots, d = rref(rows)
     row_of = dict(zip(pivots, reduced))
     return [_normalize([-row_of[c][f] if c in row_of else d * (c == f) for c in range(n)])
             for f in range(n) if f not in row_of]

@@ -419,9 +419,11 @@ def test_multiplicity_rows_are_prefix_views_of_one_matrix_per_degree():
                 assert np.shares_memory(rows, matrix_k)
                 assert (rows.dtype == np.int64) == (fits or k < 2)
                 # the solve's one exact matrix: column block i is the rows
-                # times coordinate i, int64 while entry times coordinate fits
-                matrix = eng._matrix([0], (cap,), k)
+                # times coordinate i, int64 while entry times coordinate fits;
+                # no coordinate hyperplane, so every column is live
+                matrix, live = eng._matrix([0], (cap,), k)
                 n = rows.shape[1]
+                assert live.shape == (3 * n,) and live.all()
                 assert matrix.shape == (rows.shape[0], 3 * n)
                 assert all((matrix[:, i * n:(i + 1) * n] == rows.astype(object) * a).all()
                            for i, a in enumerate(primitive))
@@ -469,7 +471,11 @@ def test_big_coefficients_take_one_object_matrix_per_solve(monkeypatch):
                 bareiss = graded_basis_vectors(ma, k)
             clear_caches()
             # one full solve each, so one matrix each; Bareiss reads the same one
-            assert [m.dtype == object for m in built] == [k > 0] * 2
+            assert [matrix.dtype == object for matrix, _ in built] == [k > 0] * 2
+            # the coordinate hyperplanes x, y, z force their columns out of it
+            forced = sum(math.comb(k + 2, 2) - math.comb(k - m + 2, 2) for m in mult[:3] if m)
+            assert all(matrix.shape[1] == live.sum() == 3 * math.comb(k + 2, 2) - forced
+                       for matrix, live in built)
             assert basis == bareiss
             # both solves start up the ladder at PRIMES[0]
             assert calls["kernel_mod"] >= 2
@@ -484,8 +490,13 @@ def test_catalog_matrices_stay_int64(name, params):
     arr = catalog(name, **params).arrangement
     eng = _engine(arr)
     mult = (4,) * len(arr.forms)
+    # every catalog arrangement has a hyperplane that is no coordinate, whose
+    # rows the matrix holds at every degree
+    assert any(sum(map(abs, f.primitive)) > 1 for f in arr.forms)
     for k in range(10):
-        assert eng._matrix(list(range(len(mult))), mult, k).dtype == np.int64
+        matrix, live = eng._matrix(list(range(len(mult))), mult, k)
+        assert matrix.dtype == np.int64
+        assert len(matrix) and matrix.shape[1] == live.sum()
     clear_caches()
 
 
@@ -585,8 +596,9 @@ def _fixed_walk_under(monkeypatch, failing_moduli):
 
     def building(self, support, mult, k):
         run.assembled.append(mult)
-        run.built.append(build(self, support, mult, k))
-        return run.built[-1]
+        matrix, live = build(self, support, mult, k)
+        run.built.append(matrix)
+        return matrix, live
 
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "_SMALL_CELLS", -1)

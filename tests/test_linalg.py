@@ -359,6 +359,32 @@ def test_integer_lift_matches_rational_reference(values, prime_count):
     )
 
 
+@pytest.mark.parametrize("dtype,scale", [(np.int64, 2**60), (object, 2**64)])
+def test_bareiss_kernel_reads_arrays_of_either_dtype(dtype, scale):
+    # int64 entries up to about 2**62 and object entries past 2**63 give the
+    # kernel of the same rows as Python lists, in Python integers
+    rng = random.Random(7)
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[rng.choice((0, 1, -1, 3)) * scale + rng.randint(-5, 5) for _ in range(ncols)]
+                for _ in range(nrows)]
+        if nrows >= 2:
+            rows[-1] = rows[0][:]
+        array = np.array(rows, dtype=dtype)
+        assert array.dtype == dtype
+        kernel = bareiss_kernel(array)
+        assert kernel == bareiss_kernel(rows)
+        assert all(type(v) is int for vec in kernel for v in vec)
+        free, expected = _oracle_kernel(rows)
+        assert len(kernel) == len(expected)
+        for vec, want, f in zip(kernel, expected, free):
+            assert [Fraction(v, vec[f]) for v in vec] == want
+    # an array with no rows keeps its column count: the unit vectors
+    for ncols in (0, 1, 3):
+        assert bareiss_kernel(np.zeros((0, ncols), dtype=dtype)) == [
+            [int(c == f) for c in range(ncols)] for f in range(ncols)]
+
+
 def test_primitive_integer_vector():
     assert primitive_integer_vector([Fraction(2, 3), Fraction(-4, 3)]) == [1, -2]
     assert primitive_integer_vector([Fraction(-2), Fraction(4)]) == [1, -2]
