@@ -34,7 +34,8 @@ from .errors import (
     MembershipError,
     MultiderError,
 )
-from .graded import clear_caches, graded_basis_vectors, graded_dimension, hilbert_dims, solve_routes
+from . import graded, rank2
+from .graded import graded_basis_vectors, graded_dimension, hilbert_dims, solve_routes
 from .logder import (
     DEFAULT_SEED,
     Derivation,
@@ -85,3 +86,9 @@ from .rank2 import (
 from .sweep import index_symmetries, run_sweep
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every cache: the graded engines and their tables, and the rank-2 order bases."""
+    graded.clear_caches()
+    rank2._order_bases.clear()

@@ -2,9 +2,12 @@
 
 Rank-two modules are always free (Ziegler), so every multiplicity carries a
 well defined exponent pair (d1, d2) with d1 + d2 = |m| and a gap
-Delta = d2 - d1.  Freeness fixes the Hilbert function, so one exact graded
-dimension, at degree ceil(|m|/2) - 1, determines the pair: `delta` runs no
-basis search and no Saito certification.  The gap is a
+Delta = d2 - d1, and any homogeneous basis of D(A, m) has degrees d1, d2.
+`delta` reads them off an order basis built one condition at a time (the
+order-basis step of Beckermann and Labahn, "A uniform approach for the fast
+computation of matrix-type Pade approximants", SIAM J. Matrix Anal. Appl. 15,
+1994): D(A, m + delta_H) is one exact integer step from D(A, m), so it runs
+no graded solve, no basis search and no Saito certification.  The gap is a
 Lipschitz function on the multiplicity lattice: a single-hyperplane change
 moves it by exactly one.  Balanced multiplicities with a nonzero gap fall
 into finite components with a unique local maximum of Delta called the peak
@@ -16,9 +19,11 @@ linear algebra entirely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .arrangement import (
+    Arrangement,
     Multiarrangement,
     Multiplicity,
     essentialize,
@@ -30,7 +35,6 @@ from .errors import (
     InternalCheckError,
     MembershipError,
 )
-from .graded import graded_dimension
 from .logder import Derivation, _member
 
 __all__ = [
@@ -100,27 +104,136 @@ def _essential_rank2(ma: Multiarrangement) -> Multiarrangement:
     return ess
 
 
-def delta(ma: Multiarrangement) -> DeltaValue:
-    """Exponent pair and gap of a rank-2 multiarrangement, from one dimension.
+# order bases kept, the same bound as a graded engine's basis cache
+_ORDER_BASIS_LIMIT = 2048
+# (essential arrangement, m) -> a homogeneous basis of D(A, m), least recently
+# used first; `multider.clear_caches` empties it
+_order_bases: dict = {}
 
-    D(A, m) is free with exponents d1 <= d2 summing to |m|, so
-    dim D(A, m)_k = (k - d1 + 1)_+ + (k - d2 + 1)_+.  At k = ceil(|m|/2) - 1
-    the second term vanishes (d2 >= ceil(|m|/2) > k) and the first is
-    ceil(|m|/2) - d1, so the single exact dimension dim D(A, m)_k gives
-    d1 = ceil(|m|/2) - dim and d2 = |m| - d1.  No basis, determinant or
-    Q(A, m) is built.  Since 0 <= d1 <= floor(|m|/2), the dimension must lie
-    in [|m| mod 2, ceil(|m|/2)]; anything else is an internal error.
+# D(A, 0): the partial derivatives d/dx and d/dy
+_UNIT_BASIS = (((1,), (0,)), ((0,), (1,)))
+
+
+def _step_value(theta, form: tuple[int, int], j: int) -> int:
+    """[t^j] theta(alpha)(p + t e), for alpha = a x + b y with alpha^j | theta(alpha).
+
+    theta = f d/dx + g d/dy has coefficient tuples indexed by y-power.  p =
+    (-b, a) spans the line, and e = e_1 (e_2 if a = 0) leaves it, so the value
+    is alpha(e)^j times the cofactor theta(alpha) / alpha^j at p: zero exactly
+    when alpha^(j+1) divides theta(alpha).  With c the coefficients of
+    theta(alpha) and d its degree, it is sum_i c_i C(d - i, j) p0^(d-i-j) p1^i,
+    one Horner pass; for the line x = 0 only c_(d-j) survives, and for y = 0
+    (where e = e_2) only c_j.  Below degree j, theta(alpha) = 0.
+    """
+    f, g = theta
+    a, b = form
+    n = len(f) - 1 - j
+    if n < 0:
+        return 0
+    if a == 0:
+        return (-b) ** n * b * g[j]
+    p0, p1 = -b, a
+    if p0 == 0:
+        return (a * f[n] + b * g[n]) * p1 ** n
+    acc, power = 0, 1
+    for i in range(n + 1):
+        acc = acc * p0 + (a * f[i] + b * g[i]) * math.comb(n + j - i, j) * power
+        power *= p1
+    return acc
+
+
+def _step(basis, forms, mult: Multiplicity, h: int):
+    """A basis of D(A, m + delta_h) from one of D(A, m).
+
+    The pivot is the element of lower degree whose step value is nonzero; the
+    other element is cleared by r_piv beta(p)^e theta - r beta^e pivot, with
+    beta the variable nonzero at p and e the degree difference, and the pivot
+    is multiplied by alpha_h.  The determinant gains alpha_h times a nonzero
+    constant, so by Saito's criterion the result is a basis again.  Both
+    values vanishing would put a basis of D(A, m) inside D(A, m + delta_h),
+    which freeness rules out.
+    """
+    form, j = forms[h], mult[h]
+    r0, r1 = _step_value(basis[0], form, j), _step_value(basis[1], form, j)
+    if not (r0 or r1):
+        raise InternalCheckError(
+            f"both basis elements of degrees {[len(f) - 1 for f, _ in basis]} already lie in "
+            f"D(A, m + delta_{h}), stepping hyperplane {h} from multiplicity {mult}, "
+            f"for forms {list(forms)}")
+    piv = 0 if r0 and (not r1 or len(basis[0][0]) <= len(basis[1][0])) else 1
+    pivot, other = basis[piv], basis[1 - piv]
+    r_piv, r = (r0, r1) if piv == 0 else (r1, r0)
+    a, b = form
+    if r:
+        e = len(other[0]) - len(pivot[0])
+        p0, p1 = -b, a
+        scale = r_piv * (p0 if p0 else p1) ** e
+        pad = (0,) * e
+        shifted = [c + pad if p0 else pad + c for c in pivot]
+        other = [[scale * u - r * v for u, v in zip(c, s)] for c, s in zip(other, shifted)]
+        content = math.gcd(*other[0], *other[1])
+        other = tuple(tuple([u // content for u in c]) for c in other)
+    pivot = tuple(tuple([a * u + b * v for u, v in zip(c + (0,), (0,) + c)]) for c in pivot)
+    return (pivot, other) if piv == 0 else (other, pivot)
+
+
+def _lowered(mult: Multiplicity, i: int) -> Multiplicity:
+    return mult[:i] + (mult[i] - 1,) + mult[i + 1:]
+
+
+def _order_basis(arrangement: Arrangement, mult: Multiplicity):
+    """A homogeneous basis of D(A, m): two (f, g) pairs of coefficient tuples.
+
+    Walks down from m, one hyperplane at a time, to the first point whose
+    basis is cached or to zero, then steps back up, caching every point on
+    the way.  Each point goes down to a cached m - delta_i when there is one,
+    trying the last hyperplane first (in grid order its neighbour is the
+    newest), and otherwise lowers its largest entry.
+    """
+    chain = []
+    while True:
+        hit = _order_bases.pop((arrangement, mult), None)
+        if hit is not None:
+            _order_bases[arrangement, mult] = hit
+            break
+        if not any(mult):
+            hit = _UNIT_BASIS
+            break
+        below = next((i for i in range(len(mult) - 1, -1, -1)
+                      if mult[i] and (arrangement, _lowered(mult, i)) in _order_bases),
+                     mult.index(max(mult)))
+        chain.append((mult, below))
+        mult = _lowered(mult, below)
+    forms = [f.primitive for f in arrangement.forms]
+    basis = hit
+    for point, h in reversed(chain):
+        basis = _step(basis, forms, _lowered(point, h), h)
+        _order_bases[arrangement, point] = basis
+    while len(_order_bases) > _ORDER_BASIS_LIMIT:
+        del _order_bases[next(iter(_order_bases))]
+    return basis
+
+
+def delta(ma: Multiarrangement) -> DeltaValue:
+    """Exponent pair and gap of a rank-2 multiarrangement, from an order basis.
+
+    The degrees of the basis `_order_basis` builds are the exponents; they
+    sum to |m| by construction.  The lower one is checked against the two
+    theorems the lattice rests on: a dominated multiplicity (2 m(H) > |m|)
+    has exponents (|m| - m(H), m(H)), and a balanced one has a gap of at most
+    n - 2 on n lines, so ceil((|m| - n + 2) / 2) <= d1 <= floor(|m| / 2).  A
+    d1 outside that range is an internal error.
     """
     ess = _essential_rank2(ma)
-    total = ess.order()
-    half = (total + 1) // 2
-    dim = graded_dimension(ess, half - 1)
-    if not total % 2 <= dim <= half:
+    total, top = ess.order(), max(ess.mult)
+    first, second = _order_basis(ess.arrangement, ess.mult)
+    d1 = min(len(first[0]), len(second[0])) - 1
+    lo, hi = ((total - len(ess.mult) + 3) // 2, total // 2) if 2 * top <= total else (total - top,) * 2
+    if not lo <= d1 <= hi:
         raise InternalCheckError(
-            f"dim D(A, m)_{half - 1} = {dim} lies outside [{total % 2}, {half}] "
+            f"d1 = {d1} lies outside [{lo}, {hi}] "
             f"for forms {[f.primitive for f in ess.forms]} with multiplicity {ess.mult}"
         )
-    d1 = half - dim
     return DeltaValue(d1, total - d1)
 
 

@@ -16,13 +16,17 @@ from multider import (
     catalog,
     classify_component,
     classify_universal_rank2,
+    clear_caches,
     delta,
     essentialize,
     find_free_basis,
     find_universal,
+    graded_dimension,
     graded_piece,
     is_balanced,
     lattice_distance,
+    localize,
+    rank2_flats,
     saito_determinant,
     wakamiko_exponents,
 )
@@ -128,36 +132,166 @@ def test_delta_matches_saito_search(ma):
     assert delta(ma).pair == cert.exponents
 
 
-def test_delta_is_one_graded_dimension(monkeypatch):
+def _graded_delta(ma):
+    """The exponent pair from one exact graded dimension: the oracle for `delta`.
+
+    D(A, m) is free with exponents d1 <= d2 summing to |m|, so at
+    k = ceil(|m|/2) - 1 only d1 contributes and dim D(A, m)_k = ceil(|m|/2) - d1.
+    """
+    ess = essentialize(ma)[0]
+    total = ess.order()
+    half = (total + 1) // 2
+    d1 = half - graded_dimension(ess, half - 1)
+    return (d1, total - d1)
+
+
+def test_delta_runs_no_graded_solve_and_no_basis_search(monkeypatch):
+    import multider.graded
     import multider.logder
-    import multider.rank2
-
-    calls = []
-    solve = multider.rank2.graded_dimension
-
-    def counted(ma, k):
-        calls.append(k)
-        return solve(ma, k)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("delta ran a Saito basis search")
+        raise AssertionError("delta reached the graded engine or a Saito basis search")
 
-    monkeypatch.setattr(multider.rank2, "graded_dimension", counted)
+    clear_caches()
+    monkeypatch.setattr(multider.graded._Engine, "basis", forbidden)
+    monkeypatch.setattr(multider.graded, "graded_dimension", forbidden)
+    monkeypatch.setattr(multider.logder, "graded_dimension", forbidden)
     monkeypatch.setattr(multider.logder, "find_free_basis", forbidden)
     assert delta(catalog("B2", (3, 5, 2, 2))).pair == (5, 7)
-    assert calls == [5]
-    calls.clear()
     assert delta(catalog("A2", (1, 1, 5))).pair == (2, 5)
-    assert calls == [3]
+    assert classify_component(catalog("B2", (3, 4, 2, 2))).peak == (3, 5, 2, 2)
 
 
-def test_delta_rejects_impossible_dimension(monkeypatch):
+def test_delta_rejects_impossible_exponents(monkeypatch):
     import multider.rank2
 
-    for bad in (0, 7):  # outside [|m| mod 2, ceil(|m|/2)] = [1, 6] for |m| = 11
-        monkeypatch.setattr(multider.rank2, "graded_dimension", lambda ma, k, bad=bad: bad)
-        with pytest.raises(InternalCheckError, match="outside"):
-            delta(catalog("B2", (3, 4, 2, 2)))
+    # a step value that never vanishes always multiplies the lower element,
+    # so the degrees stay balanced, d1 = floor(|m|/2); a dominated
+    # multiplicity has exponents (|m| - m(H), m(H)), so d1 = |m| - m(H) is
+    # the only value the range check lets through
+    monkeypatch.setattr(multider.rank2, "_step_value", lambda theta, form, j: 1)
+    for mult, lo in (((1, 1, 5), 2), ((1, 5, 1), 2), ((7, 1, 2, 2), 5)):
+        clear_caches()
+        name = "A2" if len(mult) == 3 else "B2"
+        with pytest.raises(InternalCheckError, match=rf"outside \[{lo}, {lo}\]"):
+            delta(catalog(name, mult))
+    clear_caches()
+
+
+def test_both_vanishing_step_values_name_the_step(monkeypatch):
+    import multider.rank2
+
+    clear_caches()
+    monkeypatch.setattr(multider.rank2, "_step_value", lambda theta, form, j: 0)
+    with pytest.raises(InternalCheckError) as info:
+        delta(catalog("B2", (0, 0, 1, 0)))
+    message = str(info.value)
+    assert "degrees [0, 0]" in message
+    assert "stepping hyperplane 2 from multiplicity (0, 0, 0, 0)" in message
+    assert str([f.primitive for f in catalog("B2").forms]) in message
+    clear_caches()
+
+
+@st.composite
+def essential_rank2(draw):
+    """Three to six lines a x + b y with a, b in -5..5 and multiplicities 0-8."""
+    line = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any)
+    lines = draw(st.lists(line, min_size=3, max_size=6, unique_by=_direction))
+    mult = draw(st.lists(st.integers(0, 8), min_size=len(lines), max_size=len(lines)))
+    return Arrangement(2, lines).with_multiplicity(mult)
+
+
+@settings(max_examples=40, deadline=None)
+@given(essential_rank2())
+@example(Arrangement(2, [(1, 0), (0, 1), (1, 1)]).with_multiplicity((0, 8, 0)))
+@example(Arrangement(2, [(3, -5), (1, 4), (2, 5), (0, 1)]).with_multiplicity((8, 0, 0, 1)))
+def test_delta_matches_the_graded_route(ma):
+    clear_caches()
+    assert delta(ma).pair == _graded_delta(ma)
+    # warm: the box one below m in grid order, each point stepping from cached
+    # neighbours
+    clear_caches()
+    box = [range(max(v - 1, 0), v + 1) for v in ma.mult]
+    for mult in itertools.product(*box):
+        point = ma.with_mult(mult)
+        assert delta(point).pair == _graded_delta(point), mult
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(("A3", "B3", "deletedA3")).flatmap(
+    lambda name: st.tuples(st.just(name), st.lists(st.integers(0, 8), min_size=len(catalog(name).forms),
+                                                   max_size=len(catalog(name).forms)))))
+def test_delta_matches_the_graded_route_on_localizations(case):
+    name, mult = case
+    ma = catalog(name, mult)
+    clear_caches()
+    for flat in rank2_flats(ma.arrangement):
+        local = essentialize(localize(ma, flat))[0]
+        assert delta(local).pair == _graded_delta(local), flat.indices
+
+
+def test_steps_past_the_degree_read_zero(monkeypatch):
+    import multider.rank2
+
+    real = multider.rank2._step_value
+    past = []
+
+    def spy(theta, form, j):
+        value = real(theta, form, j)
+        if j > len(theta[0]) - 1:
+            past.append(value)
+        return value
+
+    monkeypatch.setattr(multider.rank2, "_step_value", spy)
+    clear_caches()
+    for mult in ((0, 8, 0), (2, 8, 1), (8, 0, 0)):
+        ma = catalog("A2", mult)
+        assert delta(ma).pair == _graded_delta(ma)
+    # theta(alpha) of degree below j is divisible by alpha^j only as zero
+    assert past and not any(past)
+
+
+def test_queries_step_from_cached_neighbours(monkeypatch):
+    import multider.rank2
+
+    steps = []
+    real = multider.rank2._step
+
+    def counted(basis, forms, mult, h):
+        steps.append((mult, h))
+        return real(basis, forms, mult, h)
+
+    monkeypatch.setattr(multider.rank2, "_step", counted)
+    clear_caches()
+    # cold: one chain up from zero, every point on it cached
+    assert delta(catalog("B2", (3, 1, 2, 2))).pair == (3, 5)
+    assert len(steps) == len(multider.rank2._order_bases) == 8
+    steps.clear()
+    # (3, 1, 3, 2) - delta_2 is cached: one step, and a repeat takes none
+    assert delta(catalog("B2", (3, 1, 3, 2))).pair == (4, 5)
+    assert delta(catalog("B2", (3, 1, 3, 2))).pair == (4, 5)
+    assert steps == [((3, 1, 2, 2), 2)]
+    clear_caches()
+
+
+def test_order_basis_cache_stays_bounded():
+    import multider.rank2
+
+    clear_caches()
+    top = 20
+    for mult in itertools.product(range(top + 1), repeat=4):
+        if sum(mult) <= top:
+            delta(catalog("B2", mult))
+    assert len(multider.rank2._order_bases) == multider.rank2._ORDER_BASIS_LIMIT
+    clear_caches()
+    assert not multider.rank2._order_bases
+
+
+def test_long_chains_need_no_recursion():
+    # a cold query walks 1,201 steps up from zero in one loop
+    clear_caches()
+    assert delta(catalog("A2", (400, 400, 401))).pair == (600, 601) == wakamiko_exponents(400, 400, 401)
+    clear_caches()
 
 
 def test_lattice_distance():
