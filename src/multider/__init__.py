@@ -92,3 +92,4 @@ def clear_caches() -> None:
     """Empty every cache: the graded engines and their tables, and the rank-2 order bases."""
     graded.clear_caches()
     rank2._order_bases.clear()
+    rank2._order_bytes = 0

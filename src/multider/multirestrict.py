@@ -3,11 +3,10 @@
 Restricting a multiarrangement to a hyperplane H0 with m(H0) >= 1 assigns
 every rank-2 flat X through H0 an Euler multiplicity mu*(X) = deg theta, where
 (theta, psi) is a special basis of the free local module: psi lies in
-alpha_0 * Der and theta does not.  (theta, alpha_0 * phi) is such a basis
-exactly when (theta, phi) is one for m_X - delta_0, so mu*(X) = |m_X| - deg psi
-with deg psi the one exponent gained from m_X - delta_0 to m_X: two
-`rank2.delta` calls.  `special_rank2_basis` builds the witnesses from residues
-on the line alpha_0 = 0, certified by exact division, as an independent oracle.
+alpha_0 * Der and theta does not.  One order-basis step at H0 from
+m_X - delta_0 is such a basis (`rank2._special_basis`), so
+`euler_multiplicity` reads mu*(X) off its degree and `special_rank2_basis`
+returns it as a pair of derivations.
 
 On top of the restriction sit the boundary polynomial B (a gate on theta(
 alpha_0) for members of the module), the resulting non-criticality test, and
@@ -19,9 +18,7 @@ report for universal derivations over a supersolvable multiplicity.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arrangement import (
     Arrangement,
@@ -47,8 +44,8 @@ from .logder import (
     find_free_basis,
     find_universal,
 )
-from .polyring import LinearForm, Poly, product_of_forms, try_divide_linear
-from .rank2 import delta, is_balanced
+from .polyring import LinearForm, Poly, product_of_forms
+from .rank2 import _special_basis, delta, is_balanced
 
 __all__ = [
     "Filtration",
@@ -165,69 +162,38 @@ def load_filtration(arrangement: Arrangement, path: str) -> Filtration:
 # -- the special rank-2 basis and the Euler multiplicity -------------------
 
 
-def _parallel_ratio(r1, r2) -> Fraction | None:
-    """lam with r2 == lam * r1 for nonzero 2-vectors, None if independent."""
-    if r1[0] * r2[1] - r1[1] * r2[0]:
-        return None
-    i = 0 if r1[0] else 1
-    return r2[i] / r1[i]
-
-
 def special_rank2_basis(ma: Multiarrangement, alpha0: LinearForm) -> tuple[Derivation, Derivation]:
     """Basis (theta, psi) of a rank-2 module with psi inside alpha0 * Der.
 
-    Returned on the essential two-variable coordinates of the localization.
-    theta keeps a coefficient not divisible by alpha0 while every coefficient
-    of psi is divisible; both facts are certified by exact division.  The
-    construction takes any free basis (b1, b2) with degrees d1 <= d2 and
-    looks at the coefficient residues on the line alpha0 = 0: a basis element
-    with zero residue is already divisible, and otherwise the residues must
-    be parallel, so subtracting the matching multiple of b1 (scaled by a
-    linear form that is 1 on the residue point) pushes b2 into alpha0 * Der.
+    Returned on the essential two-variable coordinates of the localization:
+    the order-basis step at alpha0 from m - delta_0 (`rank2._special_basis`),
+    so psi is alpha0 times a derivation and theta is not divisible.  theta is
+    certified by one evaluation: a coefficient nonzero at the point spanning
+    alpha0 = 0.
     """
     if alpha0 not in ma.forms:
         raise ArrangementError("alpha0 must be one of the localization's forms")
-    if not ma.mult[ma.forms.index(alpha0)]:
+    h = ma.forms.index(alpha0)
+    if not ma.mult[h]:
         raise HypothesisError("a special basis needs positive multiplicity on alpha0")
-    ess, change = essentialize(ma)
+    ess, _ = essentialize(ma)
     if ess.nvars != 2:
         raise ArrangementError("special basis needs a rank-2 localization")
-    a0 = change.map_form(alpha0)
-    context = (f"for forms {[f.primitive for f in ma.forms]} with multiplicity {ma.mult}, "
-               f"boundary form {alpha0.primitive}")
-    cert = find_free_basis(ess)
-    if not cert.free or cert.exponents is None:
-        raise InternalCheckError(f"rank-2 localizations are always free, but not {context}")
-    b1, b2 = cert.basis
-    d1, d2 = cert.exponents
-    w = a0.kernel_point_2d()
-    r1 = tuple(p.evaluate(w) for p in b1.coeffs)
-    r2 = tuple(p.evaluate(w) for p in b2.coeffs)
-    if not any(r2):
-        theta, psi = b1, b2
-    elif not any(r1):
-        theta, psi = b2, b1
-    else:
-        lam = _parallel_ratio(r1, r2)
-        if lam is None:
-            raise InternalCheckError(f"independent residues leave no special basis {context}")
-        j = next(i for i, v in enumerate(w) if v)
-        unit = Poly.variable(2, j) * Fraction(1, w[j])
-        g = unit ** (d2 - d1) * lam
-        theta = b1
-        psi = b2 - Derivation(g * p for p in b1.coeffs)
-    for p in psi.coeffs:
-        if p and try_divide_linear(p, a0) is None:
-            raise InternalCheckError(f"special element failed exact division {context}")
-    if all((not p) or try_divide_linear(p, a0) is not None for p in theta.coeffs):
-        raise InternalCheckError(f"both basis elements are divisible by the boundary form {context}")
-    return theta, psi
+    theta, psi = _special_basis(ess, h)
+    p0, p1 = ess.forms[h].kernel_point_2d()
+    if not any(sum(c * p0 ** (len(cs) - 1 - i) * p1 ** i for i, c in enumerate(cs)) for cs in theta):
+        raise InternalCheckError(
+            f"both basis elements are divisible by the boundary form for forms "
+            f"{[f.primitive for f in ma.forms]} with multiplicity {ma.mult}, boundary form {alpha0.primitive}")
+    return tuple(Derivation(Poly(2, {(len(cs) - 1 - i, i): c for i, c in enumerate(cs)}) for cs in element)
+                 for element in (theta, psi))
 
 
 @dataclass(frozen=True)
 class FlatRestriction:
-    """One point of the restricted arrangement; its witnesses (theta, psi),
-    deg theta == mu, are `special_rank2_basis(localize(ma, flat), ma.forms[h0])`."""
+    """One point of the restricted arrangement: mu is deg theta of the special
+    basis (theta, psi) that `special_rank2_basis(localize(ma, flat),
+    ma.forms[h0])` returns, and local_order is deg theta + deg psi."""
 
     flat: Flat
     mu: int
@@ -254,29 +220,22 @@ def euler_multiplicity(ma: Multiarrangement, h0: int) -> EulerRestriction:
     """Euler multiplicity of every flat of the restriction to hyperplane h0.
 
     Flats are the rank-2 intersections through h0, ordered by their index
-    lists.  Lowering m(h0) by one lowers exactly one exponent of each
-    localization, deg psi of its special basis, so mu* = |m_X| - deg psi is
-    read off the two exponent pairs; a gained multiset other than one
-    exponent breaks the rank-2 step law and is an internal error.
+    lists.  mu*(X) is deg theta of the special basis (theta, psi) of the
+    localization at X: one order-basis step at h0 from m_X - delta_0
+    (`rank2._special_basis`), whose other element psi carries the one
+    exponent the step gains.
     """
     if not 0 <= h0 < len(ma.forms):
         raise ArrangementError(f"hyperplane index {h0} out of range")
     if not ma.mult[h0]:
         raise HypothesisError(f"Euler multiplicity needs m(H{h0}) >= 1")
-    lowered = ma.with_mult(ma.mult[:h0] + (ma.mult[h0] - 1,) + ma.mult[h0 + 1:])
     records = []
     for fl in rank2_flats(ma.arrangement):
         if h0 not in fl.indices:
             continue
         local = localize(ma, fl)
-        before = delta(localize(lowered, fl)).pair
-        after = delta(local).pair
-        gained = list((Counter(after) - Counter(before)).elements())
-        if len(gained) != 1:
-            raise InternalCheckError(
-                f"exponents {before} -> {after} break the step law at flat {fl.indices}, h0 {h0}, "
-                f"for forms {[f.primitive for f in ma.forms]} with multiplicity {ma.mult}")
-        records.append(FlatRestriction(fl, local.order() - gained[0], local.order()))
+        theta, _ = _special_basis(local, fl.indices.index(h0))
+        records.append(FlatRestriction(fl, len(theta[0]) - 1, local.order()))
     return EulerRestriction(ma, h0, tuple(records))
 
 
@@ -311,8 +270,9 @@ def b_polynomial(ma: Multiarrangement, h0: int) -> BPolynomialData:
 
     The input multiplicity plays the role of m+1, so m0 is the input value at
     h0 plus one.  Each flat X through h0 contributes the exponent d_X its
-    localization gains when h0 is raised, i.e. the raised local order minus
-    the Euler multiplicity of `euler_multiplicity(ma.plus_delta(h0), h0)`;
+    localization gains when h0 is raised: deg psi of the raised special
+    basis, the raised local order minus the Euler multiplicity of
+    `euler_multiplicity(ma.plus_delta(h0), h0)`;
     the chosen representative H_X is the lowest-index hyperplane of the flat
     other than h0.  Negative factor exponents d_X - m0 are rejected.
     """

@@ -7,7 +7,13 @@ Delta = d2 - d1, and any homogeneous basis of D(A, m) has degrees d1, d2.
 order-basis step of Beckermann and Labahn, "A uniform approach for the fast
 computation of matrix-type Pade approximants", SIAM J. Matrix Anal. Appl. 15,
 1994): D(A, m + delta_H) is one exact integer step from D(A, m), so it runs
-no graded solve, no basis search and no Saito certification.  The gap is a
+no graded solve, no basis search and no Saito certification.  The step is
+also the special basis (theta, psi) of the Euler multiplicity (Abe, Terao
+and Wakefield, J. London Math. Soc. 2008): psi is alpha_H times the pivot,
+and theta, the cleared element, is never divisible by alpha_H, because
+P * (-b d/dx + a d/dy), with alpha_H = a x + b y and P the product of the
+other forms to their multiplicities, lies in D(A, m + delta_H) but not in
+alpha_H * Der.  The gap is a
 Lipschitz function on the multiplicity lattice: a single-hyperplane change
 moves it by exactly one.  Balanced multiplicities with a nonzero gap fall
 into finite components with a unique local maximum of Delta called the peak
@@ -104,11 +110,20 @@ def _essential_rank2(ma: Multiarrangement) -> Multiarrangement:
     return ess
 
 
-# order bases kept, the same bound as a graded engine's basis cache
-_ORDER_BASIS_LIMIT = 2048
-# (essential arrangement, m) -> a homogeneous basis of D(A, m), least recently
-# used first; `multider.clear_caches` empties it
+# bytes of order bases kept, by `_basis_bytes`; rank2-lattice's 1,000 B2 bases
+# (|m| <= 10) take 0.84 MiB, and a cold A2 (400, 400, 401) chain 65 MiB
+_ORDER_BASIS_BYTES = 8 * 2**20
+# (essential arrangement, m) -> (basis of D(A, m), its bytes), least recently
+# used first, holding `_order_bytes` in all; `multider.clear_caches` empties it
 _order_bases: dict = {}
+_order_bytes = 0
+
+
+def _basis_bytes(basis) -> int:
+    """What `sys.getsizeof` counts for a basis, from above: a tuple of n
+    integers takes 40 + 8 n bytes and an integer of b bits at most 28 + b / 7.5."""
+    (f1, g1), (f2, g2) = basis
+    return 160 + 72 * (len(f1) + len(f2)) + sum(map(int.bit_length, f1 + g1 + f2 + g2)) // 7
 
 # D(A, 0): the partial derivatives d/dx and d/dy
 _UNIT_BASIS = (((1,), (0,)), ((0,), (1,)))
@@ -143,15 +158,15 @@ def _step_value(theta, form: tuple[int, int], j: int) -> int:
 
 
 def _step(basis, forms, mult: Multiplicity, h: int):
-    """A basis of D(A, m + delta_h) from one of D(A, m).
+    """The special basis (theta, psi) of D(A, m + delta_h) from a basis of D(A, m).
 
     The pivot is the element of lower degree whose step value is nonzero; the
     other element is cleared by r_piv beta(p)^e theta - r beta^e pivot, with
-    beta the variable nonzero at p and e the degree difference, and the pivot
-    is multiplied by alpha_h.  The determinant gains alpha_h times a nonzero
-    constant, so by Saito's criterion the result is a basis again.  Both
-    values vanishing would put a basis of D(A, m) inside D(A, m + delta_h),
-    which freeness rules out.
+    beta the variable nonzero at p and e the degree difference, and becomes
+    theta; psi is the pivot multiplied by alpha_h.  The determinant gains
+    alpha_h times a nonzero constant, so by Saito's criterion the result is a
+    basis again.  Both values vanishing would put a basis of D(A, m) inside
+    D(A, m + delta_h), which freeness rules out.
     """
     form, j = forms[h], mult[h]
     r0, r1 = _step_value(basis[0], form, j), _step_value(basis[1], form, j)
@@ -173,12 +188,19 @@ def _step(basis, forms, mult: Multiplicity, h: int):
         other = [[scale * u - r * v for u, v in zip(c, s)] for c, s in zip(other, shifted)]
         content = math.gcd(*other[0], *other[1])
         other = tuple(tuple([u // content for u in c]) for c in other)
-    pivot = tuple(tuple([a * u + b * v for u, v in zip(c + (0,), (0,) + c)]) for c in pivot)
-    return (pivot, other) if piv == 0 else (other, pivot)
+    return other, tuple(tuple([a * u + b * v for u, v in zip(c + (0,), (0,) + c)]) for c in pivot)
 
 
 def _lowered(mult: Multiplicity, i: int) -> Multiplicity:
     return mult[:i] + (mult[i] - 1,) + mult[i + 1:]
+
+
+def _special_basis(ma: Multiarrangement, h: int):
+    """(theta, psi) of D(A, m), m(H_h) >= 1, on the essential model: one `_step`
+    at h from the order basis of m - delta_h, so psi is in alpha_h * Der."""
+    ess = _essential_rank2(ma)
+    below = _lowered(ess.mult, h)
+    return _step(_order_basis(ess.arrangement, below), [f.primitive for f in ess.forms], below, h)
 
 
 def _order_basis(arrangement: Arrangement, mult: Multiplicity):
@@ -186,31 +208,38 @@ def _order_basis(arrangement: Arrangement, mult: Multiplicity):
 
     Walks down from m, one hyperplane at a time, to the first point whose
     basis is cached or to zero, then steps back up, caching every point on
-    the way.  Each point goes down to a cached m - delta_i when there is one,
-    trying the last hyperplane first (in grid order its neighbour is the
-    newest), and otherwise lowers its largest entry.
+    the way and evicting the oldest while over `_ORDER_BASIS_BYTES`.  Each
+    point goes down to a cached m - delta_i when there is one, trying the
+    last hyperplane first (in grid order its neighbour is the newest), and
+    otherwise lowers its largest entry.
     """
+    global _order_bytes
     chain = []
     while True:
-        hit = _order_bases.pop((arrangement, mult), None)
+        key = arrangement, mult
+        hit = _order_bases.pop(key, None)
         if hit is not None:
-            _order_bases[arrangement, mult] = hit
+            _order_bases[key] = hit
+            basis = hit[0]
             break
         if not any(mult):
-            hit = _UNIT_BASIS
+            basis = _UNIT_BASIS
             break
-        below = next((i for i in range(len(mult) - 1, -1, -1)
-                      if mult[i] and (arrangement, _lowered(mult, i)) in _order_bases),
-                     mult.index(max(mult)))
-        chain.append((mult, below))
-        mult = _lowered(mult, below)
+        for h in range(len(mult) - 1, -1, -1):
+            if mult[h] and (arrangement, _lowered(mult, h)) in _order_bases:
+                break
+        else:
+            h = mult.index(max(mult))
+        mult = _lowered(mult, h)
+        chain.append((key, mult, h))
     forms = [f.primitive for f in arrangement.forms]
-    basis = hit
-    for point, h in reversed(chain):
-        basis = _step(basis, forms, _lowered(point, h), h)
-        _order_bases[arrangement, point] = basis
-    while len(_order_bases) > _ORDER_BASIS_LIMIT:
-        del _order_bases[next(iter(_order_bases))]
+    for key, below, h in reversed(chain):
+        basis = _step(basis, forms, below, h)
+        size = _basis_bytes(basis)
+        _order_bases[key] = basis, size
+        _order_bytes += size
+        while _order_bytes > _ORDER_BASIS_BYTES:
+            _order_bytes -= _order_bases.pop(next(iter(_order_bases)))[1]
     return basis
 
 
@@ -271,39 +300,41 @@ def classify_component(ma: Multiarrangement) -> ComponentClassification:
     neighbors (hyperplane index ascending, increment before decrement) take
     the first with a strictly larger gap, until none exists; the endpoint is
     the peak of the component and the gap drops by one per step away from it.
+    The walk moves on multiplicity tuples and reads each gap off the degrees
+    of the tuple's order basis.
     """
     ess = _essential_rank2(ma)
+
+    def gap(mult: Multiplicity) -> int:
+        first, second = _order_basis(ess.arrangement, mult)
+        return abs(len(first[0]) - len(second[0]))
+
     start = ess.mult
-    dv = delta(ess)
-    if dv.delta == 0:
+    current_delta = gap(start)
+    if current_delta == 0:
         raise HypothesisError("a zero gap lies outside every component")
     total = ess.order()
     for i, v in enumerate(start):
         if 2 * v > total:
             return ComponentClassification(True, i, None, None, None, (start,))
     current = start
-    current_delta = dv.delta
     path = [start]
     climbing = True
     while climbing:
         climbing = False
         for i in range(len(current)):
             for step in (1, -1):
-                cand = list(current)
-                cand[i] += step
-                if cand[i] < 0:
+                cand = current[:i] + (current[i] + step,) + current[i + 1:]
+                if cand[i] < 0 or 2 * max(cand) > sum(cand):
                     continue
-                cand_ma = ess.with_mult(cand)
-                if not is_balanced(cand_ma):
-                    continue
-                cand_delta = delta(cand_ma).delta
+                cand_delta = gap(cand)
                 if cand_delta > current_delta:
                     if cand_delta != current_delta + 1:
                         raise InternalCheckError(
                             f"gap moved by more than one step, from {current_delta} at multiplicity "
-                            f"{current} to {cand_delta} at {tuple(cand)}, "
+                            f"{current} to {cand_delta} at {cand}, "
                             f"for forms {[f.primitive for f in ess.forms]}")
-                    current = tuple(cand)
+                    current = cand
                     current_delta = cand_delta
                     path.append(current)
                     climbing = True

@@ -89,15 +89,15 @@ def oracle_graded_dimension(ma: Multiarrangement, k: int) -> int:
 
 @pytest.fixture
 def gap_jumps(monkeypatch):
-    """`plant(start)`: every multiplicity but `start` reports the gap 5, exponents (0, 5)."""
+    """`plant(start)`: every multiplicity but `start` reads an order basis of degrees (0, 5), gap 5."""
     import multider.rank2
-    from multider.rank2 import DeltaValue
 
-    real = multider.rank2.delta
+    real = multider.rank2._order_basis
+    degrees_0_5 = (((1,), (0,)), ((0,) * 6, (1,) + (0,) * 5))
 
     def plant(start):
-        monkeypatch.setattr(multider.rank2, "delta",
-                            lambda ma: real(ma) if ma.mult == start else DeltaValue(0, 5))
+        monkeypatch.setattr(multider.rank2, "_order_basis",
+                            lambda arrangement, mult: real(arrangement, mult) if mult == start else degrees_0_5)
 
     return plant
 

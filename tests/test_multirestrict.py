@@ -2,20 +2,21 @@
 
 import itertools
 import json
+import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multider.multirestrict as multirestrict_module
 from multider import (
     Arrangement,
     ArrangementError,
-    DeltaValue,
+    Derivation,
     Filtration,
     FiltrationError,
-    FreenessCertificate,
     HypothesisError,
     InternalCheckError,
     LinearForm,
@@ -44,6 +45,7 @@ from multider import (
     universal_obstruction_report,
 )
 from multider.polyring import try_divide_linear
+from test_rank2 import essential_rank2
 
 
 # -- filtrations -----------------------------------------------------------
@@ -109,6 +111,69 @@ def test_filtration_json_round_trip(tmp_path):
 # -- special rank-2 basis and Euler multiplicities -------------------------
 
 
+def _residue_special_basis(ma, alpha0):
+    """(theta, psi) from residues on the line alpha0 = 0: the oracle for `special_rank2_basis`.
+
+    Takes the Saito search's free basis (b1, b2), degrees d1 <= d2, on the
+    essential model and evaluates both at the point w spanning alpha0 = 0.  A
+    basis element with zero residue is already divisible by alpha0;
+    otherwise the residues are parallel, r2 = lam r1, and
+    b2 - lam (x_j / w_j)^(d2 - d1) b1, with x_j a variable nonzero at w,
+    vanishes at w.  Exact division certifies psi; theta must keep a
+    coefficient alpha0 does not divide.
+    """
+    ess, change = essentialize(ma)
+    a0 = change.map_form(alpha0)
+    cert = find_free_basis(ess)
+    assert cert.free
+    (b1, b2), (d1, d2) = cert.basis, cert.exponents
+    w = a0.kernel_point_2d()
+    r1 = tuple(p.evaluate(w) for p in b1.coeffs)
+    r2 = tuple(p.evaluate(w) for p in b2.coeffs)
+    if not any(r2):
+        theta, psi = b1, b2
+    elif not any(r1):
+        theta, psi = b2, b1
+    else:
+        assert r1[0] * r2[1] == r1[1] * r2[0], "independent residues leave no special basis"
+        i = 0 if r1[0] else 1
+        j = next(k for k, v in enumerate(w) if v)
+        g = (Poly.variable(2, j) * Fraction(1, w[j])) ** (d2 - d1) * (r2[i] / r1[i])
+        theta, psi = b1, b2 - Derivation(g * p for p in b1.coeffs)
+    assert all((not p) or try_divide_linear(p, a0) is not None for p in psi.coeffs)
+    assert any(p and try_divide_linear(p, a0) is None for p in theta.coeffs)
+    return theta, psi
+
+
+@st.composite
+def catalog_localizations(draw):
+    """A rank-2 localization of A3, B3 or deletedA3 with multiplicities 0-6."""
+    name = draw(st.sampled_from(["A3", "B3", "deletedA3"]))
+    n = len(catalog(name).forms)
+    ma = catalog(name, tuple(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))))
+    return localize(ma, draw(st.sampled_from(rank2_flats(ma.arrangement))))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(essential_rank2(), catalog_localizations()))
+@example(catalog("A2", (2, 1, 2)))
+@example(Arrangement(2, [(1, 0), (0, 1)]).with_multiplicity((3, 0)))
+def test_special_rank2_basis_matches_the_residue_oracle(ma):
+    ess, change = essentialize(ma)
+    for alpha0, m0 in zip(ma.forms, ma.mult):
+        if not m0:
+            continue
+        theta, psi = special_rank2_basis(ma, alpha0)
+        expected = _residue_special_basis(ma, alpha0)
+        assert (theta.homogeneous_degree(), psi.homogeneous_degree()) == tuple(
+            d.homogeneous_degree() for d in expected)
+        a0 = change.map_form(alpha0)
+        assert all((not p) or try_divide_linear(p, a0) is not None for p in psi.coeffs)
+        assert any(p and try_divide_linear(p, a0) is None for p in theta.coeffs)
+        ok, const = saito_check([theta, psi], ess)
+        assert ok and const != 0
+
+
 def test_special_rank2_basis_division_certificates():
     ma = catalog("A2", (2, 1, 2))
     alpha0 = ma.forms[0]
@@ -142,12 +207,19 @@ def test_special_rank2_basis_on_localizations():
 
 
 def test_special_rank2_basis_errors_name_the_instance(monkeypatch):
-    def not_free(ma, seed=None):
-        return FreenessCertificate(False, (), None, None, (), "forced")
+    # theta is certified by a coefficient nonzero on alpha0 = 0; a step
+    # returning psi twice fails that certificate
+    real = multirestrict_module._special_basis
 
-    monkeypatch.setattr(multirestrict_module, "find_free_basis", not_free)
+    def psi_twice(ma, h):
+        _, psi = real(ma, h)
+        return psi, psi
+
+    monkeypatch.setattr(multirestrict_module, "_special_basis", psi_twice)
     ma = catalog("B2", (3, 1, 4, 2))
-    expected = r"always free.* multiplicity \(3, 1, 4, 2\), boundary form \(0, 1\)"
+    expected = (r"both basis elements are divisible by the boundary form for forms "
+                + re.escape(str([f.primitive for f in ma.forms]))
+                + r" with multiplicity \(3, 1, 4, 2\), boundary form \(0, 1\)")
     with pytest.raises(InternalCheckError, match=expected):
         special_rank2_basis(ma, ma.forms[1])
 
@@ -181,14 +253,14 @@ def restriction_instances(draw):
 @given(restriction_instances())
 @settings(max_examples=100, deadline=None)
 def test_euler_multiplicity_matches_special_basis_degrees(instance):
-    # the exponent-pair rule against the residue construction of the witnesses
+    # the order-basis step against the residue construction of the witnesses
     ma, h0 = instance
     out = euler_multiplicity(ma, h0)
     assert [fr.flat.indices for fr in out.flats] == [
         fl.indices for fl in rank2_flats(ma.arrangement) if h0 in fl.indices]
     for fr in out.flats:
         local = localize(ma, fr.flat)
-        theta, psi = special_rank2_basis(local, ma.forms[h0])
+        theta, psi = _residue_special_basis(local, ma.forms[h0])
         assert fr.local_order == local.order()
         assert fr.mu == theta.homogeneous_degree()
         assert fr.local_order - fr.mu == psi.homogeneous_degree()
@@ -204,26 +276,10 @@ def test_zero_multiplicity_at_the_restriction_hyperplane_is_a_hypothesis_error()
     assert euler_multiplicity(ma, 1).mu_values() == (1,)
 
 
-def test_euler_multiplicity_step_law_violation_is_internal(monkeypatch):
-    # lowering m(h0) by one must lower exactly one exponent; a pair that
-    # moves both breaks the rank-2 step law
-    real = multirestrict_module.delta
-
-    def jumping(ma):
-        # the lowered localization at the first flat (0, 1, 3) claims (0, |m|)
-        return real(ma) if ma.mult[0] == 2 else DeltaValue(0, ma.order())
-
-    monkeypatch.setattr(multirestrict_module, "delta", jumping)
-    ma = catalog("A3", (2, 2, 2, 1, 1, 1))
-    expected = (r"break the step law at flat \(0, 1, 3\), h0 0, for forms .* "
-                r"with multiplicity \(2, 2, 2, 1, 1, 1\)")
-    with pytest.raises(InternalCheckError, match=expected):
-        euler_multiplicity(ma, 0)
-
-
 def test_restriction_paths_read_exponent_pairs_only(monkeypatch):
-    # the witnesses are an oracle: no restriction path builds them, and the
-    # criterion's only basis search is the rank-3 one for its exponents
+    # the restriction paths read the degrees of the order-basis step and
+    # build no derivations from it, and the criterion's only basis search is
+    # the rank-3 one for its exponents
     def forbidden(*args, **kwargs):
         raise AssertionError("special_rank2_basis called")
 
@@ -234,11 +290,17 @@ def test_restriction_paths_read_exponent_pairs_only(monkeypatch):
         searches.append(ma.mult)
         return real(ma, *args, **kwargs)
 
+    def no_delta(*args, **kwargs):
+        raise AssertionError("delta called")
+
     monkeypatch.setattr(multirestrict_module, "special_rank2_basis", forbidden)
     monkeypatch.setattr(multirestrict_module, "find_free_basis", counted)
+    monkeypatch.setattr(multirestrict_module, "delta", no_delta)
     ma = catalog("A3", (2, 2, 2, 1, 1, 1))
     assert euler_multiplicity(ma.plus_delta(2), 2).mu_values() == (3, 3, 1)
     assert b_polynomial(ma, 2).m0 == 3
+    # the witnesses themselves come from the same step, with no basis search
+    special_rank2_basis(localize(ma, rank2_flats(ma.arrangement)[0]), ma.forms[0])
     assert searches == []
     fan = catalog("fan2d", (4, 2, 1, 1, 1, 1, 1), h=4, slopes=(1, 2, 3, 4))
     assert noncritical_criterion(fan, 3)
@@ -374,8 +436,8 @@ def test_boundary_degree_gate_forces_next_membership():
 
 
 def test_local_exponents_match_saito_search():
-    # the restriction reads each localization's pair off one graded
-    # dimension; the basis search on the essentialized localization must agree
+    # `delta` reads each localization's pair off an order basis; the basis
+    # search on the essentialized localization must agree
     for name, mult in [("A3", (2, 2, 2, 1, 1, 1)), ("deletedA3", (1, 1, 2, 1, 1)),
                        ("B3", (1, 2, 3, 1, 0, 2, 1, 1, 1))]:
         ma = catalog(name, mult)
@@ -394,7 +456,7 @@ def test_boundary_factor_identity():
     flats = [fl for fl in rank2_flats(ma.arrangement) if h0 in fl.indices]
     assert [f.flat for f in bdata.factors] == flats
     for factor in bdata.factors:
-        theta, psi = special_rank2_basis(localize(bumped, factor.flat), ma.forms[h0])
+        theta, psi = _residue_special_basis(localize(bumped, factor.flat), ma.forms[h0])
         assert factor.d_x == psi.homogeneous_degree()
         local_total = sum(bumped.mult[i] for i in factor.flat.indices)
         assert factor.d_x + theta.homogeneous_degree() == local_total

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from multider import (
     ArrangementError,
     HypothesisError,
     InternalCheckError,
+    Multiarrangement,
     catalog,
     classify_component,
     classify_universal_rank2,
@@ -148,6 +150,7 @@ def _graded_delta(ma):
 def test_delta_runs_no_graded_solve_and_no_basis_search(monkeypatch):
     import multider.graded
     import multider.logder
+    import multider.rank2
 
     def forbidden(*args, **kwargs):
         raise AssertionError("delta reached the graded engine or a Saito basis search")
@@ -159,7 +162,16 @@ def test_delta_runs_no_graded_solve_and_no_basis_search(monkeypatch):
     monkeypatch.setattr(multider.logder, "find_free_basis", forbidden)
     assert delta(catalog("B2", (3, 5, 2, 2))).pair == (5, 7)
     assert delta(catalog("A2", (1, 1, 5))).pair == (2, 5)
-    assert classify_component(catalog("B2", (3, 4, 2, 2))).peak == (3, 5, 2, 2)
+    # the walk reads order bases of multiplicity tuples: no delta call and
+    # no Multiarrangement per neighbour
+    start = catalog("B2", (3, 4, 2, 2))
+    built = []
+    real_init = Multiarrangement.__init__
+    monkeypatch.setattr(multider.rank2, "delta", forbidden)
+    monkeypatch.setattr(Multiarrangement, "__init__",
+                        lambda self, *args: built.append(args) or real_init(self, *args))
+    assert classify_component(start).peak == (3, 5, 2, 2)
+    assert built == []
 
 
 def test_delta_rejects_impossible_exponents(monkeypatch):
@@ -277,14 +289,25 @@ def test_queries_step_from_cached_neighbours(monkeypatch):
 def test_order_basis_cache_stays_bounded():
     import multider.rank2
 
+    # the B2 grid with |m| <= 20 holds 10,625 bases of about 15 MiB, the A2
+    # chain to (400, 400, 401) 1,201 of about 65 MiB; each must be evicted
+    # down to the byte budget, newest kept
+    budget = multider.rank2._ORDER_BASIS_BYTES
+    cache = multider.rank2._order_bases
+    for name, grid in (("B2", [m for m in itertools.product(range(21), repeat=4) if sum(m) <= 20]),
+                       ("A2", [(400, 400, 401)])):
+        clear_caches()
+        for mult in grid:
+            delta(catalog(name, mult))
+        held = multider.rank2._order_bytes
+        assert held == sum(multider.rank2._basis_bytes(basis) for basis, _ in cache.values())
+        assert budget - 2**20 < held <= budget
+        assert next(reversed(cache))[1] == grid[-1]
+    # the size counted is at least what sys.getsizeof reports
+    for basis, size in cache.values():
+        assert size >= sum(sys.getsizeof(c) + sum(map(sys.getsizeof, c)) for element in basis for c in element)
     clear_caches()
-    top = 20
-    for mult in itertools.product(range(top + 1), repeat=4):
-        if sum(mult) <= top:
-            delta(catalog("B2", mult))
-    assert len(multider.rank2._order_bases) == multider.rank2._ORDER_BASIS_LIMIT
-    clear_caches()
-    assert not multider.rank2._order_bases
+    assert not cache and multider.rank2._order_bytes == 0
 
 
 def test_long_chains_need_no_recursion():
