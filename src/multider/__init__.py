@@ -34,7 +34,7 @@ from .errors import (
     MembershipError,
     MultiderError,
 )
-from . import graded, rank2
+from . import arrangement, cache, graded, polyring
 from .graded import graded_basis_vectors, graded_dimension, hilbert_dims, solve_routes
 from .logder import (
     DEFAULT_SEED,
@@ -89,7 +89,12 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every cache: the graded engines and their tables, and the rank-2 order bases."""
-    graded.clear_caches()
-    rank2._order_bases.clear()
-    rank2._order_bytes = 0
+    """Empty the store of templates, graded and order bases (`cache.store`) and
+    every functools cache, and reset `solve_routes`."""
+    cache.store.clear()
+    graded._engine.cache_clear()
+    graded._coordinate_columns.cache_clear()
+    graded._routes.clear()
+    arrangement._sub.cache_clear()
+    polyring.monomial_exponents.cache_clear()
+    polyring.monomial_index.cache_clear()

@@ -17,12 +17,12 @@ coordinate hyperplane gets a template, a row or an image product.
 
 Every other hyperplane contributes substitution rows that depend only on
 (form, degree), so `_build_template` builds them in closed form, one matrix
-per (form, degree), kept in an LRU bounded by bytes (`_template`) and reused
-across every multiplicity and sweep case; the rows for every multiplicity are
-prefixes of that matrix.  The same exact conditions, one hyperplane at a
-time, decide membership of any one coefficient vector (`graded_member`).  A
-multiplicity with no positive entry yields no rows and so the whole space of
-degree-k derivations.
+per (form, degree), kept in the shared byte-bounded store (`cache.store`,
+through `_template`) and reused across every multiplicity and sweep case;
+the rows for every multiplicity are prefixes of that matrix.  The same exact
+conditions, one hyperplane at a time, decide membership of any one
+coefficient vector (`graded_member`).  A multiplicity with no positive entry
+yields no rows and so the whole space of degree-k derivations.
 
 Hyperplane H contributes the conditions e = 0..m(H) - 1 of first-variable
 exponents (for x_i = 0, of x_i-exponents), so D(A, m + delta_H)_k is the set
@@ -65,21 +65,23 @@ in A (`solve_routes` counts them):
   the reference the restriction is tested against.
 
 Cache state chooses the route, never the answer: every route returns the
-same primitive vectors in the same order.  An engine's one store is the LRU
-of its last `_BASIS_CACHE_LIMIT` bases; a dimension is the length of a basis.
+same primitive vectors in the same order.  An engine keeps its bases in the
+shared store, keyed by (arrangement, m, k) and sized by `cache.rows_bytes`,
+and nowhere else; a dimension is the length of a basis.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from collections import Counter, OrderedDict
+from collections import Counter
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .arrangement import Arrangement, Multiarrangement, _sub
+from .arrangement import Arrangement, Multiarrangement
+from .cache import rows_bytes, store
 from .errors import InternalCheckError
 from .linalg import (
     _INT64_SAFE,
@@ -89,13 +91,9 @@ from .linalg import (
     certified_kernel,
     rref,
 )
-from .polyring import _MONOMIAL_CACHE_LIMIT, monomial_count, monomial_exponents, monomial_index
+from .polyring import _MONOMIAL_CACHE_LIMIT, monomial_count, monomial_exponents
 
-_BASIS_CACHE_LIMIT = 2048
 _ENGINE_CACHE_LIMIT = 64
-# bytes of divisibility templates kept; an X3 exponents query at
-# m = (7, 7, 7, 6, 6, 6) holds 102 templates of 4.3 MiB in all
-_TEMPLATE_CACHE_BYTES = 64 * 2**20
 # an object entry: an 8-byte pointer and a Python integer of up to 240 bits
 _OBJECT_ENTRY_BYTES = 64
 
@@ -170,38 +168,14 @@ def _template_bytes(rows: np.ndarray) -> int:
     return rows.nbytes if rows.dtype != object else rows.size * _OBJECT_ENTRY_BYTES
 
 
-class _TemplateCache:
-    """`_build_template` by (form, degree), least recently used first.
-
-    The oldest templates are evicted while the total size is over
-    `_TEMPLATE_CACHE_BYTES`: an int64 template counts its `nbytes`, an object
-    one `_OBJECT_ENTRY_BYTES` per entry.
-    """
-
-    def __init__(self):
-        self.entries: OrderedDict = OrderedDict()
-        self.nbytes = 0
-
-    def __call__(self, primitive: tuple[int, ...], k: int
-                 ) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
-        key = (primitive, k)
-        found = self.entries.get(key)
-        if found is not None:
-            self.entries.move_to_end(key)
-            return found
-        found = self.entries[key] = _build_template(primitive, k)
-        self.nbytes += _template_bytes(found[0])
-        while self.nbytes > _TEMPLATE_CACHE_BYTES:
-            _, (rows, _, _) = self.entries.popitem(last=False)
-            self.nbytes -= _template_bytes(rows)
-        return found
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.nbytes = 0
-
-
-_template = _TemplateCache()
+def _template(primitive: tuple[int, ...], k: int) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+    """`_build_template`, kept in the shared store by (form, degree) and sized by `_template_bytes`."""
+    key = primitive, k
+    found = store.get(key)
+    if found is None:
+        found = _build_template(primitive, k)
+        store.put(key, found, _template_bytes(found[0]))
+    return found
 
 
 def _divisible_rows(primitive: tuple[int, ...], k: int, m: int) -> tuple[np.ndarray, int]:
@@ -254,13 +228,12 @@ def _standard_rows(rows: np.ndarray) -> list[list[int]]:
 
 
 class _Engine:
-    """Per-arrangement solver; its one cache `bases` is an LRU of solved (m, k) bases."""
+    """Per-arrangement solver; its bases live in the shared store, keyed by (arrangement, m, k)."""
 
     def __init__(self, arrangement: Arrangement):
         self.arrangement = arrangement
         self.nvars = arrangement.nvars
         self.prims = [f.primitive for f in arrangement.forms]
-        self.bases: OrderedDict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], ...]] = OrderedDict()
 
     # -- assembly ---------------------------------------------------------
 
@@ -352,11 +325,11 @@ class _Engine:
         None when no such basis is cached.  The image is None when the block
         does not exist at degree k or vanishes on the basis, which is then
         the answer unchanged; otherwise the basis comes as an array.  The
-        parent is looked up without refreshing its place in the LRU order,
-        so the route taken does not change which bases the cache evicts.
+        parent is looked up by `peek`, which leaves its place in the store,
+        so the route taken does not change which bases the store evicts.
         """
         for idx in support:
-            parent = self.bases.get((mult[:idx] + (mult[idx] - 1,) + mult[idx + 1:], k))
+            parent = store.peek((self.arrangement, mult[:idx] + (mult[idx] - 1,) + mult[idx + 1:], k))
             if parent is not None:
                 break
         else:
@@ -373,14 +346,11 @@ class _Engine:
     def basis(self, mult: tuple[int, ...], k: int) -> tuple[tuple[int, ...], ...]:
         if k < 0:
             return ()
-        key = (mult, k)
-        hit = self.bases.get(key)
-        if hit is not None:
-            self.bases.move_to_end(key)
-            return hit
-        basis = self.bases[key] = self._solve(mult, k)
-        while len(self.bases) > _BASIS_CACHE_LIMIT:
-            self.bases.popitem(last=False)
+        key = self.arrangement, mult, k
+        basis = store.get(key)
+        if basis is None:
+            basis = self._solve(mult, k)
+            store.put(key, basis, rows_bytes(basis))
         return basis
 
 
@@ -430,12 +400,3 @@ def solve_routes() -> dict[str, int]:
     """
     return {route: _routes[route] for route in ("unchanged", "restricted", "full")}
 
-
-def clear_caches() -> None:
-    _engine.cache_clear()
-    _sub.cache_clear()
-    _template.clear()
-    _coordinate_columns.cache_clear()
-    monomial_exponents.cache_clear()
-    monomial_index.cache_clear()
-    _routes.clear()

@@ -39,14 +39,13 @@ route by the cell count rows x cols:
      primes, B3 (3^9) at degree 17 four;
   3. `bareiss_kernel`, which cannot fail to lift, only be slower.
 
-Every answer passes the exact check A v = 0 over the integers, which splits
-at the same size: dot products of Python integer rows at most 160 cells,
-one numpy product above.  Soundness does not rest on the lift: a mod-p
-reduction of the exact matrix can only enlarge the kernel (an exact
-dependency survives reduction, so null_Q <= null_p), and the verified
-vectors are echelon-patterned hence independent, so exhibiting null_p exact
-kernel vectors pins the dimension.  A Bareiss basis that fails the check
-raises `InternalCheckError`.
+Every answer passes the exact check A v = 0 over the integers, one numpy
+product (`_exact_product`, int64 when a bound proves it safe).  Soundness
+does not rest on the lift: a mod-p reduction of the exact matrix can only
+enlarge the kernel (an exact dependency survives reduction, so
+null_Q <= null_p), and the verified vectors are echelon-patterned hence
+independent, so exhibiting null_p exact kernel vectors pins the dimension.
+A Bareiss basis that fails the check raises `InternalCheckError`.
 
 Kernel bases are primitive integer vectors (content 1, first nonzero entry
 positive) in the standard free-column order, so every route produces
@@ -56,7 +55,6 @@ byte-identical output.
 from __future__ import annotations
 
 import math
-import operator
 from typing import Sequence
 
 import numpy as np
@@ -74,8 +72,7 @@ PRIMES: tuple[int, ...] = (
 _INT64_SAFE = 2**62
 
 # Cell count (rows x cols) at or below which `certified_kernel` runs Bareiss
-# with no prime and `_annihilates` works on Python integer rows; the module
-# docstring has the measured crossover.
+# with no prime; the module docstring has the measured crossover.
 _SMALL_CELLS = 160
 
 
@@ -316,14 +313,7 @@ def _exact_product(left, right) -> np.ndarray:
 
 
 def _annihilates(matrix: np.ndarray, vectors: list[list[int]]) -> bool:
-    """Whether matrix v = 0 over the integers for every vector v.
-
-    Up to `_SMALL_CELLS` cells, each dot product is a sum of Python integers
-    over `matrix.tolist()`; above, one `_exact_product`.
-    """
-    if matrix.size <= _SMALL_CELLS:
-        rows = matrix.tolist()
-        return not any(sum(map(operator.mul, row, v)) for v in vectors for row in rows)
+    """Whether matrix v = 0 over the integers for every vector v: one `_exact_product`."""
     return not vectors or not _exact_product(vectors, matrix.T).any()
 
 

@@ -35,6 +35,7 @@ from .arrangement import (
     essentialize,
     irreducible_component_count,
 )
+from .cache import rows_bytes, store
 from .errors import (
     ArrangementError,
     HypothesisError,
@@ -110,21 +111,6 @@ def _essential_rank2(ma: Multiarrangement) -> Multiarrangement:
     return ess
 
 
-# bytes of order bases kept, by `_basis_bytes`; rank2-lattice's 1,000 B2 bases
-# (|m| <= 10) take 0.84 MiB, and a cold A2 (400, 400, 401) chain 65 MiB
-_ORDER_BASIS_BYTES = 8 * 2**20
-# (essential arrangement, m) -> (basis of D(A, m), its bytes), least recently
-# used first, holding `_order_bytes` in all; `multider.clear_caches` empties it
-_order_bases: dict = {}
-_order_bytes = 0
-
-
-def _basis_bytes(basis) -> int:
-    """What `sys.getsizeof` counts for a basis, from above: a tuple of n
-    integers takes 40 + 8 n bytes and an integer of b bits at most 28 + b / 7.5."""
-    (f1, g1), (f2, g2) = basis
-    return 160 + 72 * (len(f1) + len(f2)) + sum(map(int.bit_length, f1 + g1 + f2 + g2)) // 7
-
 # D(A, 0): the partial derivatives d/dx and d/dy
 _UNIT_BASIS = (((1,), (0,)), ((0,), (1,)))
 
@@ -187,8 +173,8 @@ def _step(basis, forms, mult: Multiplicity, h: int):
         shifted = [c + pad if p0 else pad + c for c in pivot]
         other = [[scale * u - r * v for u, v in zip(c, s)] for c, s in zip(other, shifted)]
         content = math.gcd(*other[0], *other[1])
-        other = tuple(tuple([u // content for u in c]) for c in other)
-    return other, tuple(tuple([a * u + b * v for u, v in zip(c + (0,), (0,) + c)]) for c in pivot)
+        other = tuple([tuple([u // content for u in c]) for c in other])
+    return other, tuple([tuple([a * u + b * v for u, v in zip(c + (0,), (0,) + c)]) for c in pivot])
 
 
 def _lowered(mult: Multiplicity, i: int) -> Multiplicity:
@@ -197,7 +183,13 @@ def _lowered(mult: Multiplicity, i: int) -> Multiplicity:
 
 def _special_basis(ma: Multiarrangement, h: int):
     """(theta, psi) of D(A, m), m(H_h) >= 1, on the essential model: one `_step`
-    at h from the order basis of m - delta_h, so psi is in alpha_h * Der."""
+    at h from the order basis of m - delta_h, so psi is in alpha_h * Der.
+
+    m(H_h) < 1 raises `HypothesisError`: m - delta_h would have a negative
+    entry, which `_order_basis` never reaches zero from.
+    """
+    if ma.mult[h] < 1:
+        raise HypothesisError(f"the special basis at hyperplane {h} needs m(H) >= 1, not {ma.mult[h]}")
     ess = _essential_rank2(ma)
     below = _lowered(ess.mult, h)
     return _step(_order_basis(ess.arrangement, below), [f.primitive for f in ess.forms], below, h)
@@ -207,39 +199,34 @@ def _order_basis(arrangement: Arrangement, mult: Multiplicity):
     """A homogeneous basis of D(A, m): two (f, g) pairs of coefficient tuples.
 
     Walks down from m, one hyperplane at a time, to the first point whose
-    basis is cached or to zero, then steps back up, caching every point on
-    the way and evicting the oldest while over `_ORDER_BASIS_BYTES`.  Each
-    point goes down to a cached m - delta_i when there is one, trying the
-    last hyperplane first (in grid order its neighbour is the newest), and
+    basis is in the shared store (keyed by (arrangement, m)) or to zero,
+    then steps back up, storing every point on the way.  Each point goes
+    down to a stored m - delta_i when there is one, trying the last
+    hyperplane first (in grid order its neighbour is the newest), and
     otherwise lowers its largest entry.
     """
-    global _order_bytes
     chain = []
     while True:
         key = arrangement, mult
-        hit = _order_bases.pop(key, None)
-        if hit is not None:
-            _order_bases[key] = hit
-            basis = hit[0]
+        basis = store.get(key)
+        if basis is not None:
             break
         if not any(mult):
             basis = _UNIT_BASIS
             break
         for h in range(len(mult) - 1, -1, -1):
-            if mult[h] and (arrangement, _lowered(mult, h)) in _order_bases:
+            if mult[h] and (arrangement, _lowered(mult, h)) in store:
                 break
         else:
             h = mult.index(max(mult))
         mult = _lowered(mult, h)
         chain.append((key, mult, h))
-    forms = [f.primitive for f in arrangement.forms]
-    for key, below, h in reversed(chain):
-        basis = _step(basis, forms, below, h)
-        size = _basis_bytes(basis)
-        _order_bases[key] = basis, size
-        _order_bytes += size
-        while _order_bytes > _ORDER_BASIS_BYTES:
-            _order_bytes -= _order_bases.pop(next(iter(_order_bases)))[1]
+    if chain:
+        forms = [f.primitive for f in arrangement.forms]
+        for key, below, h in reversed(chain):
+            basis = _step(basis, forms, below, h)
+            # sized as its four coefficient tuples
+            store.put(key, basis, rows_bytes(basis[0] + basis[1]))
     return basis
 
 

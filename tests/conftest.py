@@ -14,7 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from multider import Multiarrangement, Poly
+from multider import Arrangement, Multiarrangement, Poly
+from multider.cache import rows_bytes, store
+from multider.graded import _template_bytes
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -25,6 +27,29 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+def stored_kind(key) -> str:
+    """What a key of the shared store holds: "graded" (arrangement, m, k),
+    "order" (arrangement, m) or "template" (primitive form, k)."""
+    if isinstance(key[0], Arrangement):
+        return "graded" if len(key) == 3 else "order"
+    return "template"
+
+
+def stored_sizes() -> list[int]:
+    """Each stored entry's size, recomputed from its value by its kind."""
+    sizes = []
+    for key in store:
+        value, kind = store.peek(key), stored_kind(key)
+        sizes.append(_template_bytes(value[0]) if kind == "template"
+                     else rows_bytes(value if kind == "graded" else value[0] + value[1]))
+    return sizes
+
+
+def basis_getsizeof(rows) -> int:
+    """`sys.getsizeof` of a tuple of integer tuples and everything in it."""
+    return sys.getsizeof(rows) + sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in rows)
 
 
 def monomials(nvars: int, k: int) -> list[tuple[int, ...]]:

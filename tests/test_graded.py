@@ -23,7 +23,9 @@ from multider import (
     membership,
     solve_routes,
 )
+from multider import cache
 from multider.arrangement import _sub
+from multider.cache import rows_bytes, store
 from multider.graded import (
     _ENGINE_CACHE_LIMIT,
     _OBJECT_ENTRY_BYTES,
@@ -41,7 +43,7 @@ from multider.polyring import (
     monomial_index,
 )
 
-from conftest import oracle_graded_dimension
+from conftest import basis_getsizeof, oracle_graded_dimension, stored_kind, stored_sizes
 
 CASES = [
     ("A2", (1, 1, 1), 4),
@@ -189,9 +191,9 @@ def test_equal_value_arrangements_share_results():
 
 def test_engine_and_template_caches_stay_bounded(monkeypatch):
     # one engine per slope, and six (x - t y, degree) templates per slope; the
-    # templates get room for 40 KB, far less than 200 slopes need
+    # store gets room for 40 KB, far less than 200 slopes' templates and bases
     budget = 40_000
-    monkeypatch.setattr("multider.graded._TEMPLATE_CACHE_BYTES", budget)
+    monkeypatch.setattr(cache, "_CACHE_BYTES", budget)
     clear_caches()
     first = catalog("maehara4", (2, 1, 1, 2), t=2)
     evicted = _engine(first.arrangement)
@@ -202,13 +204,14 @@ def test_engine_and_template_caches_stay_bounded(monkeypatch):
     for t in range(3, 203):
         hilbert_dims(catalog("maehara4", (2, 1, 1, 2), t=t), 5)
         assert _engine.cache_info().currsize <= _ENGINE_CACHE_LIMIT
-        assert _template.nbytes <= budget
-        assert _template.nbytes == sum(_template_bytes(rows) for rows, _, _ in
-                                       _template.entries.values())
+        assert store.nbytes <= budget
+        assert store.nbytes == sum(stored_sizes())
     assert _engine.cache_info().currsize == _ENGINE_CACHE_LIMIT
-    assert len(_template.entries) < 6 * 200
-    # the first engine and its slope's templates were dropped; rebuilds answer the same
-    assert (slope_form, 5) not in _template.entries
+    assert sum(stored_kind(key) == "template" for key in store) < 6 * 200
+    # the first engine, its slope's templates and its bases were dropped;
+    # rebuilds answer the same
+    assert (slope_form, 5) not in store
+    assert (first.arrangement, first.mult, 5) not in store
     assert _engine(first.arrangement) is not evicted
     assert _template(slope_form, 5) is not template
     rows, starts, maxes = _template(slope_form, 5)
@@ -219,34 +222,70 @@ def test_engine_and_template_caches_stay_bounded(monkeypatch):
     big = _template((1, 2**40), 4)[0]
     assert big.dtype == object and _template_bytes(big) == big.size * _OBJECT_ENTRY_BYTES
     clear_caches()
-    assert _engine.cache_info().currsize == len(_template.entries) == _template.nbytes == 0
+    assert _engine.cache_info().currsize == len(store) == store.nbytes == 0
 
 
 def test_basis_cache_stays_bounded_and_is_the_only_store(monkeypatch):
-    # a B2 grid walk with room for 12 bases: pieces are evicted and solved again
-    limit = 12
-    monkeypatch.setattr("multider.graded._BASIS_CACHE_LIMIT", limit)
+    # a B2 grid walk with room for a dozen or so bases: pieces are evicted
+    # and solved again
+    budget = 6_000
+    monkeypatch.setattr(cache, "_CACHE_BYTES", budget)
     clear_caches()
-    eng = _engine(catalog("B2").arrangement)
+    arrangement = catalog("B2").arrangement
+    eng = _engine(arrangement)
     grid = [m for m in itertools.product(range(3), repeat=4) if sum(m) <= 5]
     first = {}
     for m in grid:
         ma = catalog("B2", m)
         for k in range(4):
             first[m, k] = (graded_dimension(ma, k), graded_basis_vectors(ma, k))
-            assert len(eng.bases) <= limit
-    assert len(eng.bases) == limit
-    assert set(vars(eng)) == {"arrangement", "nvars", "prims", "bases"}
+            assert store.nbytes <= budget
+            # the newest piece is kept
+            assert list(store)[-1] == (arrangement, m, k)
+    assert budget - max(stored_sizes()) < store.nbytes
+    assert set(vars(eng)) == {"arrangement", "nvars", "prims"}
     assert isinstance(eng.prims, list) and len(eng.prims) == 4
+    # every stored basis is sized from above
+    for key in store:
+        if stored_kind(key) == "graded":
+            assert rows_bytes(store.peek(key)) >= basis_getsizeof(store.peek(key))
     solves = sum(solve_routes().values())
     for (m, k), (dim, basis) in first.items():
         ma = catalog("B2", m)
         assert graded_dimension(ma, k) == dim == len(basis)
         assert graded_basis_vectors(ma, k) == basis
-        assert len(eng.bases) <= limit
+        assert store.nbytes <= budget
     # the evicted pieces were solved again, not remembered elsewhere
     assert sum(solve_routes().values()) > solves
     clear_caches()
+
+
+def test_templates_graded_and_order_bases_share_one_budget(monkeypatch):
+    # X3 Hilbert functions, B2 deltas and their templates interleaved under
+    # one 50 KB budget: all three kinds are stored, their sum stays under it
+    # after each operation, and evicted pieces come back the same
+    from multider import delta
+
+    budget = 50_000
+    monkeypatch.setattr(cache, "_CACHE_BYTES", budget)
+    clear_caches()
+    points = [m for m in itertools.product(range(1, 4), repeat=3) if sum(m) <= 7]
+    first, kinds = {}, set()
+    for a, b, c in points:
+        x3, b2 = catalog("X3", (a, b, c, 1, 1, 1)), catalog("B2", (a, b, c, a + b))
+        first[a, b, c] = hilbert_dims(x3, 4), delta(b2).pair
+        assert store.nbytes <= budget and store.nbytes == sum(stored_sizes())
+        kinds.update(map(stored_kind, store))
+    assert kinds == {"template", "graded", "order"}
+    assert budget - max(stored_sizes()) < store.nbytes
+    solves = sum(solve_routes().values())
+    for (a, b, c), (dims, pair) in first.items():
+        assert hilbert_dims(catalog("X3", (a, b, c, 1, 1, 1)), 4) == dims
+        assert delta(catalog("B2", (a, b, c, a + b))).pair == pair
+        assert store.nbytes <= budget
+    assert sum(solve_routes().values()) > solves
+    clear_caches()
+    assert len(store) == store.nbytes == 0
 
 
 def test_non_catalog_fraction_coefficients():
@@ -698,9 +737,10 @@ def test_every_stored_basis_is_the_standard_primitive_one(walk):
     name, start, steps, k = walk
     clear_caches()
     _walk(name, start, steps, k)
-    stored = _engine(catalog(name).arrangement).bases
+    stored = [store.peek(key) for key in store
+              if stored_kind(key) == "graded" and key[0] == catalog(name).arrangement]
     assert stored
-    for basis in stored.values():
+    for basis in stored:
         _assert_standard_basis(basis)
     clear_caches()
 
@@ -721,7 +761,8 @@ def test_restriction_depends_only_on_the_span_of_the_parent(name, mult, idx, k):
     basis = graded_basis_vectors(catalog(name, parent), k)
     assert len(basis) >= 2 and len(expected) < len(basis)
     mixed = [tuple(a + b for a, b in zip(basis[0], v)) for v in basis[1:]]
-    _engine(catalog(name).arrangement).bases[(parent, k)] = tuple(reversed(mixed)) + (basis[0],)
+    planted = tuple(reversed(mixed)) + (basis[0],)
+    store.put((catalog(name).arrangement, parent, k), planted, rows_bytes(planted))
     assert graded_basis_vectors(catalog(name, mult), k) == expected
     assert solve_routes() == {"unchanged": 0, "restricted": 1, "full": 1}
     clear_caches()
@@ -745,7 +786,7 @@ def test_restriction_rank_drop_mod_p_fails_the_prime(monkeypatch, name, mult, id
     clear_caches()
     basis = graded_basis_vectors(catalog(name, parent), k)
     planted = (tuple(PRIMES[0] * v for v in basis[0]),) + basis[1:]
-    _engine(catalog(name).arrangement).bases[(parent, k)] = planted
+    store.put((catalog(name).arrangement, parent, k), planted, rows_bytes(planted))
     with monkeypatch.context() as patch:
         # the image takes the prime ladder, however small
         patch.setattr(linalg, "_SMALL_CELLS", -1)

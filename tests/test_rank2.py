@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +31,10 @@ from multider import (
     saito_determinant,
     wakamiko_exponents,
 )
+from multider import cache
+from multider.cache import rows_bytes, store
+
+from conftest import basis_getsizeof, stored_sizes
 
 
 def test_is_balanced():
@@ -277,7 +280,7 @@ def test_queries_step_from_cached_neighbours(monkeypatch):
     clear_caches()
     # cold: one chain up from zero, every point on it cached
     assert delta(catalog("B2", (3, 1, 2, 2))).pair == (3, 5)
-    assert len(steps) == len(multider.rank2._order_bases) == 8
+    assert len(steps) == len(store) == 8
     steps.clear()
     # (3, 1, 3, 2) - delta_2 is cached: one step, and a repeat takes none
     assert delta(catalog("B2", (3, 1, 3, 2))).pair == (4, 5)
@@ -286,34 +289,47 @@ def test_queries_step_from_cached_neighbours(monkeypatch):
     clear_caches()
 
 
-def test_order_basis_cache_stays_bounded():
-    import multider.rank2
-
-    # the B2 grid with |m| <= 20 holds 10,625 bases of about 15 MiB, the A2
-    # chain to (400, 400, 401) 1,201 of about 65 MiB; each must be evicted
-    # down to the byte budget, newest kept
-    budget = multider.rank2._ORDER_BASIS_BYTES
-    cache = multider.rank2._order_bases
+def test_order_basis_cache_stays_bounded(monkeypatch):
+    # the B2 grid with |m| <= 20 holds 10,625 bases of about 16 MiB, the A2
+    # chain to (400, 400, 401) 1,201 of more than 64 MiB; under an 8 MiB
+    # budget each must be evicted down to it, newest kept
+    budget = 8 * 2**20
+    monkeypatch.setattr(cache, "_CACHE_BYTES", budget)
     for name, grid in (("B2", [m for m in itertools.product(range(21), repeat=4) if sum(m) <= 20]),
                        ("A2", [(400, 400, 401)])):
         clear_caches()
         for mult in grid:
             delta(catalog(name, mult))
-        held = multider.rank2._order_bytes
-        assert held == sum(multider.rank2._basis_bytes(basis) for basis, _ in cache.values())
-        assert budget - 2**20 < held <= budget
-        assert next(reversed(cache))[1] == grid[-1]
+        assert store.nbytes == sum(stored_sizes())
+        assert budget - 2**20 < store.nbytes <= budget
+        assert list(store)[-1] == (catalog(name).arrangement, grid[-1])
     # the size counted is at least what sys.getsizeof reports
-    for basis, size in cache.values():
-        assert size >= sum(sys.getsizeof(c) + sum(map(sys.getsizeof, c)) for element in basis for c in element)
+    for key in store:
+        first, second = store.peek(key)
+        assert rows_bytes(first + second) >= basis_getsizeof(first + second)
     clear_caches()
-    assert not cache and multider.rank2._order_bytes == 0
+    assert len(store) == store.nbytes == 0
 
 
 def test_long_chains_need_no_recursion():
     # a cold query walks 1,201 steps up from zero in one loop
     clear_caches()
     assert delta(catalog("A2", (400, 400, 401))).pair == (600, 601) == wakamiko_exponents(400, 400, 401)
+    clear_caches()
+
+
+def test_special_basis_needs_a_positive_multiplicity():
+    # m - delta_h would have a negative entry, from which the order-basis
+    # walk never reaches zero
+    from multider.rank2 import _special_basis
+
+    clear_caches()
+    for mult, h in (((0, 1, 1), 0), ((2, 0, 3), 1)):
+        with pytest.raises(HypothesisError, match=f"hyperplane {h} needs m"):
+            _special_basis(catalog("A2", mult), h)
+    assert len(store) == 0
+    theta, psi = _special_basis(catalog("A2", (2, 1, 3)), 1)
+    assert len(theta[0]) + len(psi[0]) - 2 == 6
     clear_caches()
 
 
