@@ -4,8 +4,8 @@ It holds divisibility templates keyed by (primitive form, degree)
 (`graded._template`), graded bases by (arrangement, m, degree)
 (`graded._Engine.basis`) and rank-2 order bases by (essential arrangement,
 m) (`rank2._order_basis`); keys of different kinds never compare equal.
-Each entry carries its size, an upper bound on what `sys.getsizeof` counts
-for it, and the oldest entries are evicted while the sizes add up to more
+Each entry carries its size, an upper bound on the bytes its value
+allocates, and the oldest entries are evicted while the sizes add up to more
 than `_CACHE_BYTES`.  `get` makes a hit the newest entry; `peek` and `in`
 leave the order alone, so a lookup that only chooses a route does not change
 what is evicted.
@@ -22,12 +22,16 @@ _bit_length, _flat = int.bit_length, chain.from_iterable
 
 
 def rows_bytes(rows) -> int:
-    """What `sys.getsizeof` counts for a tuple of integer tuples and everything in it, from above.
+    """What `sys.getsizeof` counts for a tuple of integer tuples and everything in it, from above,
+    but for its zeros.
 
     A tuple of n items takes 40 + 8 n bytes and an integer of b bits at most
-    28 + b / 7.5.
+    28 + b / 7.5.  CPython shares the integers -5..256 rather than allocating
+    them, so a zero costs only its slot; zeros are nearly all the shared
+    integers of a basis, and cheaper to count than the range.
     """
-    return 40 + 48 * len(rows) + 36 * sum(map(len, rows)) + sum(map(_bit_length, _flat(rows))) // 7
+    flat = [*_flat(rows)]
+    return 40 + 48 * len(rows) + 36 * len(flat) - 28 * flat.count(0) + sum(map(_bit_length, flat)) // 7
 
 
 class Store:

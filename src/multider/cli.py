@@ -87,6 +87,8 @@ def _load_input(args) -> Multiarrangement:
     src = args.input
     if src.startswith("catalog:"):
         return catalog(src[len("catalog:"):], mult, **params)
+    if params:
+        raise ArrangementError("--param applies only to a catalog:NAME input")
     if src.lstrip().startswith("{"):
         ma = multiarrangement_from_dict(json.loads(src))
     else:
@@ -162,7 +164,7 @@ def _cmd_is_critical(args, ma):
 
 
 def _cmd_find_universal(args, ma):
-    theta = find_universal(ma, seed=args.seed)
+    theta = find_universal(ma)
     report = _base_report(args, ma)
     if theta is None:
         report["universal"] = None

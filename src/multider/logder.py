@@ -31,8 +31,9 @@ Four standard facts are used without proof and recorded here:
   arrangement spans D(A, m+1)_{|m|/l + 1} (Abe, Roehrle, Stump and
   Yoshinaga, after Abe, Terao and Wakefield): nabla theta maps D(A, 1)
   isomorphically onto D(A, m+1), and D(A, 1)_1 holds only the Euler
-  derivation.  `find_universal` therefore tests that piece's one basis
-  vector with `is_universal` and needs neither the exponents of m nor a
+  derivation.  That piece's one basis vector is thus a certified member of
+  the right degree, so `find_universal` runs only the gradient rank test of
+  `is_universal` on it, and needs neither the exponents of m nor a
   criticality scan; `is_k_critical` stays a public query.
 """
 
@@ -536,6 +537,21 @@ def is_k_critical(ma: Multiarrangement, k: int) -> bool:
     return not any(graded_dimension(ma.plus_delta(i), k) for i in range(len(ma.forms)))
 
 
+def _gradients_independent(vec: Sequence[int], deg: int, ma_base: Multiarrangement) -> bool:
+    """Whether the l gradients of the degree-`deg` derivation with integer
+    coefficient vector `vec` have full rank at an integer point off every
+    hyperplane of positive multiplicity in `ma_base`."""
+    l = ma_base.nvars
+    weighted = [f for f, m in zip(ma_base.forms, ma_base.mult) if m]
+    point = _random_point(random.Random(DEFAULT_SEED), l, weighted)
+    # row i holds the coefficients of nabla_{d/dx_i} theta = sum_j d_i(f_j) d/dx_j
+    # at the point, with d_i x^e = e_i x^(e - 1_i)
+    lower = dict(zip(monomial_exponents(l, deg - 1), _monomial_values(point, deg - 1)))
+    rows = [_blocks_at(vec, [e[i] and e[i] * lower[e[:i] + (e[i] - 1,) + e[i + 1:]]
+                             for e in monomial_exponents(l, deg)]) for i in range(l)]
+    return rank(rows) == l
+
+
 def is_universal(theta: Derivation, ma_base: Multiarrangement) -> bool:
     """Whether theta is a universal derivation for the base multiplicity m.
 
@@ -545,7 +561,8 @@ def is_universal(theta: Derivation, ma_base: Multiarrangement) -> bool:
     D(A, m+1) already puts them in D(A, m), and their degrees sum to |m|, so
     their determinant is c * Q(A, m).  One evaluation decides c != 0: at an
     integer point off every hyperplane of positive multiplicity the gradients
-    have full rank (a nonzero determinant) exactly when c is nonzero.
+    have full rank (a nonzero determinant) exactly when c is nonzero.  That
+    rank test is all `find_universal` runs on its certified candidate.
     """
     if not theta.is_homogeneous():
         raise HypothesisError("is_universal needs a homogeneous derivation")
@@ -553,35 +570,23 @@ def is_universal(theta: Derivation, ma_base: Multiarrangement) -> bool:
         raise ArrangementError("derivation and arrangement dimensions differ")
     if not theta:
         return False
-    l = ma_base.nvars
     deg = theta.homogeneous_degree()
     assert deg is not None
-    if l * (deg - 1) != ma_base.order():
+    if ma_base.nvars * (deg - 1) != ma_base.order() or not _member(theta, ma_base.plus_ones()):
         return False
-    if not _member(theta, ma_base.plus_ones()):
-        return False
-    weighted = [f for f, m in zip(ma_base.forms, ma_base.mult) if m]
-    point = _random_point(random.Random(DEFAULT_SEED), l, weighted)
-    # row i holds the coefficients of nabla_{d/dx_i} theta = sum_j d_i(f_j) d/dx_j
-    # at the point, with d_i x^e = e_i x^(e - 1_i); theta is rescaled to a
-    # primitive integer vector, which keeps the rank
-    vec = primitive_integer_vector(theta.coefficient_vector(deg))
-    lower = dict(zip(monomial_exponents(l, deg - 1), _monomial_values(point, deg - 1)))
-    rows = [_blocks_at(vec, [e[i] and e[i] * lower[e[:i] + (e[i] - 1,) + e[i + 1:]]
-                             for e in monomial_exponents(l, deg)]) for i in range(l)]
-    return rank(rows) == l
+    return _gradients_independent(primitive_integer_vector(theta.coefficient_vector(deg)), deg, ma_base)
 
 
-def find_universal(ma_base: Multiarrangement, seed: int = DEFAULT_SEED) -> Derivation | None:
+def find_universal(ma_base: Multiarrangement) -> Derivation | None:
     """Find a universal derivation for m, or None when none exists.
 
     Route: the direct characterization.  A universal derivation has degree
     d + 1 with d = |m|/l and spans D(A, m+1)_{d+1} (the last fact in the
     module docstring), so there is at most one candidate, that piece's basis
-    vector when the piece is a line, and `is_universal` decides it exactly.
-    A positive answer is certified; a negative one rests on that fact.
-    `seed` is still accepted (reports echo it) but no longer changes the
-    answer.
+    vector when the piece is a line.  The graded solver has certified it as
+    a member of that degree, so only the gradient rank test of `is_universal`
+    runs on it.  A positive answer is certified; a negative one rests on
+    that fact.
     """
     if not is_essential(ma_base.arrangement):
         raise ArrangementError("find_universal needs an essential arrangement")
@@ -593,10 +598,9 @@ def find_universal(ma_base: Multiarrangement, seed: int = DEFAULT_SEED) -> Deriv
         return None
     d = total // l
     vectors = graded_basis_vectors(ma_base.plus_ones(), d + 1)
-    if len(vectors) != 1:
+    if len(vectors) != 1 or not _gradients_independent(vectors[0], d + 1, ma_base):
         return None
-    theta = derivation_from_vector(l, d + 1, vectors[0])
-    return theta if is_universal(theta, ma_base) else None
+    return derivation_from_vector(l, d + 1, vectors[0])
 
 
 # -- JSON ------------------------------------------------------------------

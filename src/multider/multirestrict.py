@@ -18,7 +18,7 @@ report for universal derivations over a supersolvable multiplicity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .arrangement import (
     Arrangement,
@@ -38,12 +38,7 @@ from .errors import (
     MultiderError,
 )
 from .linalg import rank
-from .logder import (
-    DEFAULT_SEED,
-    Derivation,
-    find_free_basis,
-    find_universal,
-)
+from .logder import Derivation, find_free_basis, find_universal
 from .polyring import LinearForm, Poly, product_of_forms
 from .rank2 import _special_basis, delta, is_balanced
 
@@ -385,22 +380,15 @@ class ObstructionReport:
     increments_equal: bool
     universal: Derivation | None
 
-    def passes(self) -> bool:
-        return (self.lift_balanced and self.base_order_even
-                and self.rank2_equal and self.increments_equal)
-
     def failed(self) -> tuple[str, ...]:
-        names = (
-            ("lift_balanced", self.lift_balanced),
-            ("base_order_even", self.base_order_even),
-            ("rank2_equal", self.rank2_equal),
-            ("increments_equal", self.increments_equal),
-        )
-        return tuple(name for name, ok in names if not ok)
+        names = ("lift_balanced", "base_order_even", "rank2_equal", "increments_equal")
+        return tuple(name for name in names if not getattr(self, name))
+
+    def passes(self) -> bool:
+        return not self.failed()
 
 
-def universal_obstruction_report(ma: Multiarrangement, filt: Filtration,
-                                 seed: int = DEFAULT_SEED) -> ObstructionReport:
+def universal_obstruction_report(ma: Multiarrangement, filt: Filtration) -> ObstructionReport:
     """Evaluate the necessary conditions for universality over the base m.
 
     Conditions: the lifted level-2 multiplicity is balanced; the base level-2
@@ -427,17 +415,6 @@ def universal_obstruction_report(ma: Multiarrangement, filt: Filtration,
         for depth in range(3, filt.rank + 1)
     )
     increments_equal = base_order_even and all(inc == half for inc in increments)
-    universal = None
-    if lift_balanced and base_order_even and rank2_equal and increments_equal:
-        universal = find_universal(base, seed=seed)
-    return ObstructionReport(
-        ma,
-        filt,
-        lift_balanced,
-        base_order_even,
-        rank2_exps,
-        rank2_equal,
-        increments,
-        increments_equal,
-        universal,
-    )
+    report = ObstructionReport(ma, filt, lift_balanced, base_order_even, rank2_exps,
+                               rank2_equal, increments, increments_equal, None)
+    return replace(report, universal=find_universal(base)) if report.passes() else report

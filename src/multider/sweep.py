@@ -160,7 +160,7 @@ def evaluate_point(ma: Multiarrangement, predicates, seed: int) -> SweepRow:
         exps = cert.exponents
     degree = None
     if "universal" in predicates and (cert is None or (cert.free and len(set(cert.exponents)) == 1)):
-        theta = find_universal(ma, seed=seed)
+        theta = find_universal(ma)
         if theta is not None:
             degree = theta.homogeneous_degree()
     return SweepRow(tuple(ma.mult), seed, free, exps, degree)

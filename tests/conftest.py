@@ -48,8 +48,10 @@ def stored_sizes() -> list[int]:
 
 
 def basis_getsizeof(rows) -> int:
-    """`sys.getsizeof` of a tuple of integer tuples and everything in it."""
-    return sys.getsizeof(rows) + sum(sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in rows)
+    """`sys.getsizeof` of a tuple of integer tuples and everything in it but
+    the integers -5..256, which CPython shares rather than allocates."""
+    return sys.getsizeof(rows) + sum(sys.getsizeof(row) + sum(sys.getsizeof(v) for v in row if not -5 <= v <= 256)
+                                     for row in rows)
 
 
 def monomials(nvars: int, k: int) -> list[tuple[int, ...]]:

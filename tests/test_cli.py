@@ -203,6 +203,9 @@ def test_input_errors_exit_2(capsys):
         ("exponents", "/no/such/file.json"),
         ("exponents", '{"forms": "junk"}'),
         ("exponents", "catalog:fan2d", "--param", "h"),
+        # --param names a catalog parameter, so it needs a catalog input
+        ("delta", json.dumps({"variables": ["x", "y"], "hyperplanes": [
+            {"form": [1, 0]}, {"form": [0, 1]}, {"form": [1, 1]}]}), "--param", "t=2"),
         ("is-universal", "catalog:A2", "--mult", "1,1,2", "--theta", '{"nope": 1}'),
         # m(H0) = 0 lies outside the restriction's hypotheses
         ("euler-restrict", "catalog:A2", "--mult", "0,1,1", "--hyperplane", "0"),

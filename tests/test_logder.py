@@ -634,11 +634,11 @@ def test_find_universal_matches_the_criticality_route_in_rank_two(ma):
 
 
 @st.composite
-def rank3_universality_cases(draw):
-    """A3, X3 or deletedA3 with multiplicities 0-3, half of them within one of
-    a constant, where the universal ones lie."""
-    name = draw(st.sampled_from(("A3", "X3", "deletedA3")))
-    size = RANK3_SIZES[name]
+def universality_cases(draw, names=("A3", "X3", "deletedA3")):
+    """A catalog arrangement of `names` with multiplicities 0-3, half of them
+    within one of a constant, where the universal ones lie."""
+    name = draw(st.sampled_from(names))
+    size = {"B2": 4, **RANK3_SIZES}[name]
     if draw(st.booleans()):
         base = draw(st.integers(0, 2))
         mult = [base + draw(st.integers(0, 1)) for _ in range(size)]
@@ -647,7 +647,7 @@ def rank3_universality_cases(draw):
     return catalog(name, tuple(mult))
 
 
-@given(rank3_universality_cases())
+@given(universality_cases())
 @example(catalog("A3", (2, 2, 2, 2, 2, 2)))
 @example(catalog("A3", (1, 1, 1, 0, 0, 0)))
 @example(catalog("deletedA3", (1, 1, 2, 1, 1)))
@@ -664,11 +664,58 @@ def test_find_universal_needs_neither_exponents_nor_criticality(monkeypatch):
     monkeypatch.setattr("multider.logder.find_free_basis", refuse)
     monkeypatch.setattr("multider.logder.is_k_critical", refuse)
     base = catalog("B2", (2, 4, 1, 1))
-    theta = find_universal(base, seed=7)
+    theta = find_universal(base)
     assert theta is not None and theta.homogeneous_degree() == 5 and is_universal(theta, base)
     # exponents (3, 3, 3), but D(A, m+1)_4 = 0
     assert find_universal(catalog("X3", (2, 2, 2, 1, 1, 1))) is None
     assert find_universal(catalog("B2", (1, 3, 1, 1))) is None
+
+
+def _is_universal_route(ma):
+    """The former `find_universal`, kept as its oracle: the one basis vector
+    of D(A, m+1)_{|m|/l+1} as a `Derivation`, decided by `is_universal`."""
+    l, total = ma.nvars, ma.order()
+    if total % l:
+        return None
+    vectors = graded_basis_vectors(ma.plus_ones(), total // l + 1)
+    if len(vectors) != 1:
+        return None
+    theta = derivation_from_vector(l, total // l + 1, vectors[0])
+    return theta if is_universal(theta, ma) else None
+
+
+@given(universality_cases(("A3", "B2", "deletedA3", "X3")))
+@example(catalog("deletedA3", (1, 1, 2, 1, 1)))
+@example(catalog("B2", (2, 4, 1, 1)))
+@example(catalog("A3", (1, 1, 1, 0, 0, 0)))
+@example(catalog("X3", (2, 2, 2, 1, 1, 1)))
+# D(A, m+1)_{|m|/l+1} is a line, but its gradients drop rank
+@example(catalog("deletedA3", (1, 1, 3, 1, 3)))
+@example(catalog("A3", (0, 0, 0, 2, 2, 2)))
+@settings(max_examples=100, deadline=None)
+def test_find_universal_matches_the_is_universal_route(ma):
+    assert find_universal(ma) == _is_universal_route(ma), (ma.forms, ma.mult)
+
+
+def test_find_universal_decides_on_the_certified_vector(monkeypatch):
+    # the graded solver certified the vector, so it is not checked again
+    cases = [catalog("deletedA3", (1, 1, 2, 1, 1)), catalog("B2", (2, 4, 1, 1)),
+             catalog("A3", (2, 2, 2, 2, 2, 2)), catalog("B2", (1, 3, 1, 1)),
+             catalog("deletedA3", (1, 1, 3, 1, 3))]
+    expected = [_is_universal_route(ma) for ma in cases]
+    assert [theta is not None for theta in expected] == [True, True, True, False, False]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_universal checked the certified vector again")
+
+    for name in ("is_universal", "_member", "graded_member"):
+        monkeypatch.setattr(f"multider.logder.{name}", refuse)
+    assert [find_universal(ma) for ma in cases] == expected
+
+
+def test_find_universal_takes_no_seed():
+    with pytest.raises(TypeError):
+        find_universal(catalog("B2", (2, 4, 1, 1)), seed=1)
 
 
 def test_find_universal_b2():

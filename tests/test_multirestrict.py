@@ -561,6 +561,11 @@ def test_obstruction_report_failing_points():
     assert find_universal(base) is None
 
 
+def test_obstruction_report_takes_no_seed():
+    with pytest.raises(TypeError):
+        universal_obstruction_report(catalog("A3", (2, 2, 2, 1, 1, 1)), catalog_filtration("A3"), seed=1)
+
+
 def test_obstruction_report_requires_positive_input():
     filt = catalog_filtration("A3")
     with pytest.raises(ArrangementError):

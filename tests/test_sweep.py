@@ -312,9 +312,9 @@ def test_certificate_gate_keeps_the_universal_column(monkeypatch, name, spec, ma
     calls = []
     real = sweep.find_universal
 
-    def counted(ma, seed):
+    def counted(ma):
         calls.append(ma.mult)
-        return real(ma, seed=seed)
+        return real(ma)
 
     monkeypatch.setattr(sweep, "find_universal", counted)
     ranges = parse_ranges(spec)
