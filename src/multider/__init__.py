@@ -92,7 +92,6 @@ def clear_caches() -> None:
     """Empty the store of templates, graded and order bases (`cache.store`) and
     every functools cache, and reset `solve_routes`."""
     cache.store.clear()
-    graded._engine.cache_clear()
     graded._coordinate_columns.cache_clear()
     graded._routes.clear()
     arrangement._sub.cache_clear()

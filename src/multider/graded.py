@@ -93,7 +93,6 @@ from .linalg import (
 )
 from .polyring import _MONOMIAL_CACHE_LIMIT, monomial_count, monomial_exponents
 
-_ENGINE_CACHE_LIMIT = 64
 # an object entry: an 8-byte pointer and a Python integer of up to 240 bits
 _OBJECT_ENTRY_BYTES = 64
 
@@ -354,14 +353,9 @@ class _Engine:
         return basis
 
 
-@lru_cache(maxsize=_ENGINE_CACHE_LIMIT)
-def _engine(arrangement: Arrangement) -> _Engine:
-    return _Engine(arrangement)
-
-
 def graded_dimension(ma: Multiarrangement, k: int) -> int:
     """dim D(A, m)_k, exact."""
-    return len(_engine(ma.arrangement).basis(ma.mult, k))
+    return len(_Engine(ma.arrangement).basis(ma.mult, k))
 
 
 def graded_basis_vectors(ma: Multiarrangement, k: int) -> tuple[tuple[int, ...], ...]:
@@ -370,7 +364,7 @@ def graded_basis_vectors(ma: Multiarrangement, k: int) -> tuple[tuple[int, ...],
     A vector lists the l coefficient polynomials back to back, each as degree-k
     coefficients in graded lex order.
     """
-    return _engine(ma.arrangement).basis(ma.mult, k)
+    return _Engine(ma.arrangement).basis(ma.mult, k)
 
 
 def graded_member(ma: Multiarrangement, k: int, vector: Sequence[int]) -> bool:
@@ -381,7 +375,7 @@ def graded_member(ma: Multiarrangement, k: int, vector: Sequence[int]) -> bool:
     at the monomials with x_i-exponent below m(H), otherwise the divisibility
     rows; the layout is that of `graded_basis_vectors`.
     """
-    eng = _engine(ma.arrangement)
+    eng = _Engine(ma.arrangement)
     vm = eng._vectors([list(vector)])
     return not any(eng._image(idx, k, 0, ma.mult[idx], vm).any() for idx in eng._support(ma.mult))
 

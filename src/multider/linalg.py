@@ -31,11 +31,11 @@ route by the cell count rows x cols:
      to a primitive integer vector (rational reconstruction, Monagan 2004);
   2. the first two primes, then the first three, and so on through all ten
      `PRIMES`, when a vector fails to lift or the exact check rejects it.
-     Each rung adds one prime's kernel (computed once and reused by the next
-     rung) and combines the residues by Garner's mixed-radix method over the
-     whole kernel, one modular inverse per prime (Garner 1959); the primes
-     must agree on the free columns.  A lift needs a modulus of about twice
-     the bits of the answer: X3 (7,7,7,6,6,6) at degree 18 needs five
+     Each rung adds the next prime's kernel to one running combination of
+     the residues, Garner's mixed-radix method over the whole kernel with
+     one modular inverse per prime (Garner 1959), and lifts it again; the
+     primes must agree on the free columns.  A lift needs a modulus of about
+     twice the bits of the answer: X3 (7,7,7,6,6,6) at degree 18 needs five
      primes, B3 (3^9) at degree 17 four;
   3. `bareiss_kernel`, which cannot fail to lift, only be slower.
 
@@ -110,14 +110,14 @@ def rref_mod(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a[: len(pivots)], pivots
 
 
-def kernel_mod(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """Standard kernel basis mod p: columns of the result, one per free column.
+def kernel_mod(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Standard kernel basis mod p, one row per free column, and the free columns.
 
-    The free columns, the pivots (their complement) and the standard basis
-    (the kernel vector that is 1 at one free column and 0 at the others) are
-    those of a plain Gauss-Jordan reduction of the whole matrix mod p, and so
-    depend only on the matrix and p.  The input, int64 or of Python integers,
-    is reduced mod p here and left unchanged.
+    The free columns and the standard basis (the kernel vector that is 1 at
+    one free column and 0 at the others) are those of a plain Gauss-Jordan
+    reduction of the whole matrix mod p, and so depend only on the matrix
+    and p.  The input, int64 or of Python integers, is reduced mod p here and
+    left unchanged.
 
     Singleton rows go first (the opening step of structured Gaussian
     elimination, LaMacchia & Odlyzko 1990): a row with one nonzero entry
@@ -126,8 +126,8 @@ def kernel_mod(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[
     `rref_mod` reduces the rest.  The kernel of the matrix is the kernel of
     the remainder padded with zeros in the forced columns, in the same column
     order, so the kernel vectors have the same last nonzero positions: the
-    free columns, pivots and standard basis are those of a plain `rref_mod`
-    of the whole matrix.
+    free columns and standard basis are those of a plain `rref_mod` of the
+    whole matrix.
     """
     reduced = np.mod(matrix, p).astype(np.int64, copy=False)
     ncols = reduced.shape[1]
@@ -145,10 +145,10 @@ def kernel_mod(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[
     rref, sub_pivots = rref_mod(reduced[np.ix_(np.flatnonzero(counts), live)], p)
     pivot[live[sub_pivots]] = True
     free = np.flatnonzero(~pivot)
-    basis = np.zeros((ncols, free.size), dtype=np.int64)
-    basis[free, np.arange(free.size)] = 1
-    basis[live[sub_pivots], :] = (-rref[:, ~pivot[live]]) % p
-    return basis, np.flatnonzero(pivot).tolist(), free.tolist()
+    basis = np.zeros((free.size, ncols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, live[sub_pivots]] = (-rref[:, ~pivot[live]]).T % p
+    return basis, free.tolist()
 
 
 def rational_reconstruction(a: int, modulus: int) -> tuple[int, int] | None:
@@ -317,53 +317,37 @@ def _annihilates(matrix: np.ndarray, vectors: list[list[int]]) -> bool:
     return not vectors or not _exact_product(vectors, matrix.T).any()
 
 
-def _modular_kernel(matrix: np.ndarray, primes: Sequence[int], kernels: dict) -> list[list[int]] | None:
-    """Kernel of `matrix` mod the product of `primes`, lifted to primitive integer vectors.
-
-    `kernels` maps each prime seen so far to the standard kernel basis mod p
-    (`kernel_mod`, one vector per row) and its free columns, and gains the
-    new ones.  The residues are combined by Garner's mixed-radix method over
-    whole kernels: with x the combination mod M so far, prime p adds the
-    digit (r_p - x) * (M^-1 mod p) mod p, and x becomes x + M * digit.  x
-    stays int64 while M * p < 2**62 and holds Python integers beyond.  None
-    when two primes disagree on the free columns or a vector fails to lift.
-    """
-    modulus = 1
-    combined = structure = None
-    for p in primes:
-        if p not in kernels:
-            basis, _, free = kernel_mod(matrix, p)
-            kernels[p] = basis.T, free
-        basis, free = kernels[p]
-        if combined is None:
-            combined, structure = basis, free
-        elif free != structure:
-            return None
-        else:
-            if modulus * p >= _INT64_SAFE:
-                combined = combined.astype(object)
-            digit = (basis - combined % p) * pow(modulus, -1, p) % p
-            combined = combined + modulus * digit
-        modulus *= p
-    vectors = [lift_residue_vector(row, modulus) for row in combined.tolist()]
-    return None if any(v is None for v in vectors) else vectors
-
-
 def certified_kernel(matrix: np.ndarray) -> list[list[int]]:
     """Certified rational kernel of an exact integer matrix, as primitive vectors.
 
     `matrix` is a 2-D array, int64 or of Python integers.  At most
     `_SMALL_CELLS` cells go straight to `bareiss_kernel`.  A larger matrix
-    tries the first one prime, then two, and so on through all of `PRIMES`,
-    adding one prime at a time (`kernel_mod` runs at most once per prime),
-    then Bareiss.  Every answer passes `_annihilates`; a Bareiss basis that
-    fails it raises `InternalCheckError`.
+    walks `PRIMES` in order, asking `kernel_mod` for one prime per pass and
+    keeping one running combination of the residues by Garner's mixed-radix
+    method over the whole kernel: with x the combination mod M so far, prime
+    p adds the digit (r_p - x) * (M^-1 mod p) mod p, and x becomes
+    x + M * digit.  x stays int64 while M * p < 2**62 and holds Python
+    integers beyond.  Each pass lifts x mod M and returns the first lift that
+    passes `_annihilates`; a prime whose free columns differ from the first
+    prime's, or a tenth prime without an answer, leaves it to Bareiss.  A
+    Bareiss basis that fails the check raises `InternalCheckError`.
     """
     if matrix.size > _SMALL_CELLS:
-        kernels: dict = {}
-        for prime_count in range(1, len(PRIMES) + 1):
-            vectors = _modular_kernel(matrix, PRIMES[:prime_count], kernels)
-            if vectors is not None and _annihilates(matrix, vectors):
+        modulus = 1
+        for p in PRIMES:
+            basis, free = kernel_mod(matrix, p)
+            if modulus == 1:
+                combined, structure = basis, free
+            elif free != structure:
+                break
+            else:
+                if modulus * p >= _INT64_SAFE:
+                    combined = combined.astype(object)
+                digit = (basis - combined % p) * pow(modulus, -1, p) % p
+                combined = combined + modulus * digit
+            modulus *= p
+            vectors = [lift_residue_vector(row, modulus) for row in combined.tolist()]
+            if None not in vectors and _annihilates(matrix, vectors):
                 return vectors
     vectors = bareiss_kernel(matrix)
     if not _annihilates(matrix, vectors):

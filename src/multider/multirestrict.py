@@ -112,13 +112,6 @@ class Filtration:
     def rank(self) -> int:
         return len(self.levels)
 
-    def new_at(self, depth: int) -> tuple[int, ...]:
-        """Hyperplane indices first appearing at 1-based level `depth`."""
-        if depth == 1:
-            return self.levels[0]
-        before = set(self.levels[depth - 2])
-        return tuple(i for i in self.levels[depth - 1] if i not in before)
-
     def sub_multiarrangement(self, ma: Multiarrangement, depth: int) -> Multiarrangement:
         """The level-`depth` (1-based) piece of `ma`."""
         if ma.arrangement != self.arrangement:

@@ -195,11 +195,6 @@ class Poly:
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
 
-    def leading_coefficient(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[min(self.terms, key=grlex_key)]
-
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError("point has wrong dimension")

@@ -216,6 +216,8 @@ def run_sweep(
     script calling this must do so under `if __name__ == "__main__":`.
     """
     params = params or {}
+    if not predicates:
+        raise ArrangementError("a sweep needs at least one predicate")
     for p in predicates:
         if p not in PREDICATES:
             raise ArrangementError(f"unknown predicate {p!r}")

@@ -209,6 +209,9 @@ def test_input_errors_exit_2(capsys):
         ("is-universal", "catalog:A2", "--mult", "1,1,2", "--theta", '{"nope": 1}'),
         # m(H0) = 0 lies outside the restriction's hypotheses
         ("euler-restrict", "catalog:A2", "--mult", "0,1,1", "--hyperplane", "0"),
+        # a sweep with no predicate would print a grid with no verdict column
+        ("sweep", "catalog:A2", "--range", "a=0..1,b=0..1,c=0..1", "--predicates", ","),
+        ("sweep", "catalog:A2", "--range", "a=0..1,b=0..1,c=0..1", "--predicates", ""),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)

@@ -24,7 +24,7 @@ from multider import (
     hilbert_dims,
     solve_routes,
 )
-from multider.graded import _build_template, _engine, graded_member
+from multider.graded import _Engine, _build_template, graded_member
 from multider.linalg import _INT64_SAFE, certified_kernel
 from multider.polyring import monomial_count
 from multider.sweep import run_sweep
@@ -167,7 +167,7 @@ def test_coordinate_support_alone_gives_the_live_unit_vectors():
     ma = catalog("X3", (2, 1, 0, 0, 0, 0))
     for k in range(5):
         clear_caches()
-        matrix, live = _engine(ma.arrangement)._matrix([0, 1], ma.mult, k)
+        matrix, live = _Engine(ma.arrangement)._matrix([0, 1], ma.mult, k)
         assert matrix.shape == (0, live.sum())
         n = math.comb(k + 2, 2)
         assert live.sum() == 3 * n - (n - math.comb(k, 2)) - (n - math.comb(k + 1, 2))
@@ -184,7 +184,7 @@ def test_every_column_forced_gives_the_empty_basis(others):
         mult = (k + 1,) * 3 + (others,) * 3
         ma = catalog("X3", mult)
         clear_caches()
-        matrix, live = _engine(ma.arrangement)._matrix([i for i, m in enumerate(mult) if m], mult, k)
+        matrix, live = _Engine(ma.arrangement)._matrix([i for i, m in enumerate(mult) if m], mult, k)
         assert not live.any() and matrix.shape[1] == 0 and bool(len(matrix)) == bool(others)
         assert graded_basis_vectors(ma, k) == () == _oracle_basis(ma, k)
     clear_caches()
@@ -198,7 +198,7 @@ def test_big_coefficients_match_the_template_assembly():
             expected = _oracle_basis(ma, k)
             assert len(expected) == oracle_graded_dimension(ma, k)
             clear_caches()
-            matrix, _ = _engine(BIG)._matrix([i for i, m in enumerate(mult) if m], mult, k)
+            matrix, _ = _Engine(BIG)._matrix([i for i, m in enumerate(mult) if m], mult, k)
             assert (matrix.dtype == object) == (k > 0 and any(mult[3:]))
             assert graded_basis_vectors(ma, k) == expected
             # warm, through a restriction from each hyperplane of the support

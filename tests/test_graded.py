@@ -27,10 +27,9 @@ from multider import cache
 from multider.arrangement import _sub
 from multider.cache import rows_bytes, store
 from multider.graded import (
-    _ENGINE_CACHE_LIMIT,
     _OBJECT_ENTRY_BYTES,
+    _Engine,
     _divisible_rows,
-    _engine,
     _template,
     _template_bytes,
 )
@@ -185,34 +184,32 @@ def test_equal_value_arrangements_share_results():
     b = Arrangement(2, [(3, 0), (0, 7), (-2, 2)]).with_multiplicity((2, 2, 2))
     assert a.arrangement == b.arrangement
     assert hash(a.arrangement) == hash(b.arrangement)
-    assert _engine(a.arrangement) is _engine(b.arrangement)
     assert hilbert_dims(a, 5) == hilbert_dims(b, 5)
+    # b's bases are a's store entries, not solved again
+    for k in range(6):
+        assert graded_basis_vectors(b, k) is graded_basis_vectors(a, k)
 
 
 def test_engine_and_template_caches_stay_bounded(monkeypatch):
-    # one engine per slope, and six (x - t y, degree) templates per slope; the
-    # store gets room for 40 KB, far less than 200 slopes' templates and bases
+    # six (x - t y, degree) templates per slope; the store gets room for
+    # 40 KB, far less than 200 slopes' templates and bases
     budget = 40_000
     monkeypatch.setattr(cache, "_CACHE_BYTES", budget)
     clear_caches()
     first = catalog("maehara4", (2, 1, 1, 2), t=2)
-    evicted = _engine(first.arrangement)
     dims = hilbert_dims(first, 5)
     bases = [graded_basis_vectors(first, k) for k in range(6)]
     slope_form = first.forms[3].primitive
     template = _template(slope_form, 5)
     for t in range(3, 203):
         hilbert_dims(catalog("maehara4", (2, 1, 1, 2), t=t), 5)
-        assert _engine.cache_info().currsize <= _ENGINE_CACHE_LIMIT
         assert store.nbytes <= budget
         assert store.nbytes == sum(stored_sizes())
-    assert _engine.cache_info().currsize == _ENGINE_CACHE_LIMIT
     assert sum(stored_kind(key) == "template" for key in store) < 6 * 200
-    # the first engine, its slope's templates and its bases were dropped;
-    # rebuilds answer the same
+    # the first slope's templates and bases were dropped; rebuilds answer the
+    # same
     assert (slope_form, 5) not in store
     assert (first.arrangement, first.mult, 5) not in store
-    assert _engine(first.arrangement) is not evicted
     assert _template(slope_form, 5) is not template
     rows, starts, maxes = _template(slope_form, 5)
     assert (rows == template[0]).all() and (starts, maxes) == template[1:]
@@ -222,7 +219,7 @@ def test_engine_and_template_caches_stay_bounded(monkeypatch):
     big = _template((1, 2**40), 4)[0]
     assert big.dtype == object and _template_bytes(big) == big.size * _OBJECT_ENTRY_BYTES
     clear_caches()
-    assert _engine.cache_info().currsize == len(store) == store.nbytes == 0
+    assert len(store) == store.nbytes == 0
 
 
 def test_basis_cache_stays_bounded_and_is_the_only_store(monkeypatch):
@@ -232,7 +229,7 @@ def test_basis_cache_stays_bounded_and_is_the_only_store(monkeypatch):
     monkeypatch.setattr(cache, "_CACHE_BYTES", budget)
     clear_caches()
     arrangement = catalog("B2").arrangement
-    eng = _engine(arrangement)
+    eng = _Engine(arrangement)
     grid = [m for m in itertools.product(range(3), repeat=4) if sum(m) <= 5]
     first = {}
     for m in grid:
@@ -374,7 +371,7 @@ def test_escalation_routes_give_identical_bases(monkeypatch):
     # a solve with a trivial kernel lifts nothing, so it never escalates
     escalated = solves - sum(1 for basis in one_prime if not basis)
     # failing below the product of the first n primes fails every shorter
-    # rung; each rung adds one prime's kernel and reuses the ones before it
+    # rung; each rung adds one prime's kernel to the running combination
     for primes in range(2, len(PRIMES) + 1):
         modulus = math.prod(PRIMES[:primes])
         bases, calls, lifted = _bases_by_route(monkeypatch, lambda m: m < modulus)
@@ -445,7 +442,7 @@ def test_multiplicity_rows_are_prefix_views_of_one_matrix_per_degree():
 
     for primitive, fits in [((1, -1, 2), True), ((1, 2**40, 0), False)]:
         clear_caches()
-        eng = _engine(Arrangement(3, [primitive]))
+        eng = _Engine(Arrangement(3, [primitive]))
         for k in range(5):
             matrix_k, starts, maxes = _template(primitive, k)
             for cap in range(1, k + 3):
@@ -527,7 +524,7 @@ def test_big_coefficients_take_one_object_matrix_per_solve(monkeypatch):
 ])
 def test_catalog_matrices_stay_int64(name, params):
     arr = catalog(name, **params).arrangement
-    eng = _engine(arr)
+    eng = _Engine(arr)
     mult = (4,) * len(arr.forms)
     # every catalog arrangement has a hyperplane that is no coordinate, whose
     # rows the matrix holds at every degree

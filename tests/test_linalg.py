@@ -15,10 +15,10 @@ from hypothesis.extra import numpy as hnp
 from multider import Poly, linalg
 from multider.errors import InternalCheckError
 from multider.linalg import (
+    _INT64_SAFE,
     _SMALL_CELLS,
     PRIMES,
     _annihilates,
-    _modular_kernel,
     bareiss_kernel,
     certified_kernel,
     echelon,
@@ -119,7 +119,7 @@ def test_echelon_rank_and_rref_match_the_fraction_reference(rows):
 @settings(max_examples=200, deadline=None)
 def test_echelon_determinant_matches_polyring(rows):
     constant = [[Poly.constant(1, v) for v in row] for row in rows]
-    assert _determinant(rows) == determinant(constant).leading_coefficient()
+    assert determinant(constant) == _determinant(rows)
 
 
 def test_echelon_edge_cases():
@@ -249,9 +249,9 @@ def test_kernel_mod_annihilates():
         [[rng.randrange(-20, 20) for _ in range(5)] for _ in range(3)],
         dtype=np.int64,
     )
-    basis, pivots, free = kernel_mod(a, p)
-    assert basis.shape == (5, len(free))
-    prod = (a.astype(object) @ basis.astype(object)) % p
+    basis, free = kernel_mod(a, p)
+    assert basis.shape == (len(free), 5)
+    prod = (basis.astype(object) @ a.T.astype(object)) % p
     assert not prod.any()
 
 
@@ -271,45 +271,49 @@ def test_crt_pair():
 
 @st.composite
 def prime_kernels(draw):
-    """Residue kernels for the first one to ten primes, with the same free columns.
+    """Residue kernels for all ten primes, with the same free columns, and their column count.
 
     Kernels may be empty; residues 0 and p - 1 are drawn often.
     """
-    primes = PRIMES[:draw(st.integers(1, len(PRIMES)))]
     ncols = draw(st.integers(1, 6))
     free = sorted(draw(st.lists(st.integers(0, ncols - 1), unique=True, max_size=4)))
     nvectors = len(free)
     kernels = {}
-    for p in primes:
+    for p in PRIMES:
         entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
         rows = [[draw(entry) for _ in range(ncols)] for _ in range(nvectors)]
         kernels[p] = (np.array(rows, dtype=np.int64).reshape(nvectors, ncols), free)
-    return primes, kernels
+    return kernels, ncols
 
 
 @given(prime_kernels())
 @settings(max_examples=150, deadline=None)
 def test_garner_over_whole_kernels_matches_the_crt_pair_fold(case):
-    # the lift is replaced by the identity, so `_modular_kernel` returns the
-    # combined residues; from three primes on the product passes 2**62 and
-    # the combination takes Python integers.
-    # Every prime's kernel is handed over already computed, so no matrix is
-    # reduced.
-    primes, kernels = case
+    # `certified_kernel` is handed every prime's kernel already computed, so
+    # no matrix is reduced; the lift is replaced by the identity and the
+    # exact check rejects every rung, so each rung's running combination is
+    # recorded, and Bareiss on the zero matrix fails the check too.  From
+    # three primes on the product passes 2**62 and the combination takes
+    # Python integers.
+    kernels, ncols = case
     lifted = []
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "kernel_mod", lambda matrix, p: kernels[p])
         patch.setattr(linalg, "lift_residue_vector",
-                      lambda residues, modulus: lifted.append(modulus) or residues)
-        combined = _modular_kernel(None, primes, dict(kernels))
-    # the oracle: a per-entry crt_pair fold over the rows
-    expected, modulus = kernels[primes[0]][0].tolist(), primes[0]
-    for p in primes[1:]:
-        expected = [[crt_pair(a, modulus, b, p)[0] for a, b in zip(old, new)]
-                    for old, new in zip(expected, kernels[p][0].tolist())]
+                      lambda residues, modulus: lifted.append((residues, modulus)) or residues)
+        patch.setattr(linalg, "_annihilates", lambda matrix, vectors: False)
+        with pytest.raises(InternalCheckError):
+            certified_kernel(np.zeros((_SMALL_CELLS // ncols + 1, ncols), dtype=np.int64))
+    # the oracle: a per-entry crt_pair fold over the rows of the first k primes
+    expected, fold, modulus = [], kernels[PRIMES[0]][0].tolist(), 1
+    for k, p in enumerate(PRIMES):
+        if k:
+            fold = [[crt_pair(a, modulus, b, p)[0] for a, b in zip(old, new)]
+                    for old, new in zip(fold, kernels[p][0].tolist())]
         modulus *= p
-    assert combined == expected
-    assert all(type(v) is int and 0 <= v < modulus for row in combined for v in row)
-    assert lifted == [modulus] * len(expected)
+        expected += [(row, modulus) for row in fold]
+    assert lifted == expected
+    assert all(type(v) is int and 0 <= v < modulus for row, modulus in lifted for v in row)
 
 
 @given(st.integers(-50, 50), st.integers(1, 50))
@@ -463,13 +467,13 @@ def test_certified_kernel_lifts_by_crt_when_one_prime_is_not_enough(monkeypatch)
 
 def test_certified_kernel_rejects_primes_that_disagree_on_free_columns(monkeypatch):
     # the third prime loses the last kernel vector.  The free-column
-    # comparison rejects every rung from three primes on before anything is
-    # lifted; without it the short kernel would be broadcast over the
-    # combination, lifted, rejected by the exact check and answered by the
-    # same Bareiss run, so only the lifted moduli show the comparison at work
+    # comparison ends the loop at the third prime before anything is lifted;
+    # without it the short kernel would be broadcast over the combination,
+    # lifted, rejected by the exact check and answered by the same Bareiss
+    # run, so only the lifted moduli show the comparison at work
     def losing(matrix, p):
-        basis, pivots, free = kernel_mod(matrix, p)
-        return (basis[:, :-1], pivots, free[:-1]) if p == PRIMES[2] else (basis, pivots, free)
+        basis, free = kernel_mod(matrix, p)
+        return (basis[:-1], free[:-1]) if p == PRIMES[2] else (basis, free)
 
     lift, lifted = linalg.lift_residue_vector, set()
     monkeypatch.setattr(linalg, "lift_residue_vector",
@@ -480,6 +484,84 @@ def test_certified_kernel_rejects_primes_that_disagree_on_free_columns(monkeypat
     assert _certified(matrix) == [[10**12, 10**6, 1, 0], [0, 0, 0, 1]]
     assert bareiss == [matrix]
     assert lifted == {PRIMES[0], PRIMES[0] * PRIMES[1]}
+
+
+def _modular_kernel(matrix, primes, kernels):
+    """Kernel of `matrix` mod the product of `primes`, lifted; None when two
+    primes disagree on the free columns or a vector fails to lift (oracle).
+
+    The rung of the earlier ladder: `kernels` maps each prime seen so far to
+    its `kernel_mod` answer and gains the new ones, and the Garner
+    combination starts again from the first prime on every call.
+    """
+    modulus = 1
+    combined = structure = None
+    for p in primes:
+        if p not in kernels:
+            kernels[p] = linalg.kernel_mod(matrix, p)
+        basis, free = kernels[p]
+        if combined is None:
+            combined, structure = basis, free
+        elif free != structure:
+            return None
+        else:
+            if modulus * p >= _INT64_SAFE:
+                combined = combined.astype(object)
+            digit = (basis - combined % p) * pow(modulus, -1, p) % p
+            combined = combined + modulus * digit
+        modulus *= p
+    vectors = [linalg.lift_residue_vector(row, modulus) for row in combined.tolist()]
+    return None if any(v is None for v in vectors) else vectors
+
+
+def _ladder_kernel(matrix):
+    """The earlier ladder: one `_modular_kernel` per rung, then Bareiss (oracle for `certified_kernel`)."""
+    if matrix.size > _SMALL_CELLS:
+        kernels = {}
+        for prime_count in range(1, len(PRIMES) + 1):
+            vectors = _modular_kernel(matrix, PRIMES[:prime_count], kernels)
+            if vectors is not None and _annihilates(matrix, vectors):
+                return vectors
+    return bareiss_kernel(matrix)
+
+
+@st.composite
+def ladder_matrices(draw):
+    """Matrices above `_SMALL_CELLS` cells, some past 2**63, some climbing the ladder.
+
+    Half are `kernel_mod_matrices` above the line, int64 or past 2**63.  The
+    others are chains x_i = a_i x_{i+1} shaped like `NEEDS_TWO_PRIMES`,
+    `NEEDS_CRT` and `NEEDS_FOUR_PRIMES`, padded by `_past_small_cells`: the
+    kernel vector (a_0 a_1 ... a_last, ..., a_last, 1) needs more primes the
+    larger its entries, up to eight for three links near 10**12, and four
+    such links outgrow all ten, so Bareiss answers.
+    """
+    if draw(st.booleans()):
+        return draw(kernel_mod_matrices(small=False))[0]
+    links = draw(st.lists(st.one_of(st.integers(-10**4, 10**4), st.integers(-10**12, 10**12))
+                          .filter(bool), min_size=1, max_size=4))
+    ncols = len(links) + 1 + draw(st.integers(0, 2))
+    rows = [[int(c == i) - a * (c == i + 1) for c in range(ncols)] for i, a in enumerate(links)]
+    return np.array(_past_small_cells(rows), dtype=draw(st.sampled_from([np.int64, object])))
+
+
+def _recorded(kernel, matrix):
+    """kernel(matrix), the primes it asks `kernel_mod` for and the moduli it lifts, in order."""
+    asked, lifted = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "kernel_mod", lambda m, p: asked.append(p) or kernel_mod(m, p))
+        patch.setattr(linalg, "lift_residue_vector",
+                      lambda residues, modulus: lifted.append(modulus) or lift_residue_vector(residues, modulus))
+        return kernel(matrix), asked, lifted
+
+
+@given(ladder_matrices())
+@settings(max_examples=120, deadline=None)
+def test_one_running_combination_equals_the_rung_by_rung_ladder(matrix):
+    # the same kernel from the same primes in the same order, lifting the
+    # same moduli, as the ladder that recombines from the first prime
+    assert matrix.size > _SMALL_CELLS
+    assert _recorded(certified_kernel, matrix) == _recorded(_ladder_kernel, matrix)
 
 
 def test_certified_kernel_chooses_its_route_by_cell_count(monkeypatch):
@@ -498,28 +580,30 @@ def test_certified_kernel_chooses_its_route_by_cell_count(monkeypatch):
 
 
 def _plain_kernel_mod(matrix, p):
-    """The standard kernel read off one rref_mod of the whole matrix (oracle)."""
+    """The standard kernel read off one rref_mod of the whole matrix, one row
+    per free column, with its pivots and free columns (oracle)."""
     rref, pivots = rref_mod(matrix, p)
     ncols = matrix.shape[1]
     free = sorted(set(range(ncols)) - set(pivots))
-    basis = np.zeros((ncols, len(free)), dtype=np.int64)
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
     for k, f in enumerate(free):
-        basis[f, k] = 1
+        basis[k, f] = 1
     if pivots and free:
-        basis[pivots, :] = (-rref[:, free]) % p
+        basis[:, pivots] = (-rref[:, free].T) % p
     return basis, pivots, free
 
 
 def _assert_matches_plain_kernel(matrix, p):
+    """Checks `kernel_mod` against the oracle; returns the pivots, the complement of the free columns."""
     before = matrix.copy()
     want_basis, want_pivots, want_free = _plain_kernel_mod(matrix, p)
-    basis, pivots, free = kernel_mod(matrix, p)
+    basis, free = kernel_mod(matrix, p)
+    pivots = sorted(set(range(matrix.shape[1])) - set(free))
     assert (matrix == before).all() and matrix.dtype == before.dtype
     assert pivots == want_pivots and free == want_free
     assert basis.dtype == want_basis.dtype == np.int64 and basis.shape == want_basis.shape
     assert (basis == want_basis).all()
-    assert pivots == sorted(pivots)
-    assert sorted(pivots + free) == list(range(matrix.shape[1]))
+    assert free == sorted(set(free)) and all(0 <= f < matrix.shape[1] for f in free)
     return pivots
 
 
@@ -562,9 +646,9 @@ def test_kernel_mod_matches_the_plain_rref_kernel(case):
     matrix, p = case
     _assert_matches_plain_kernel(matrix, p)
     # an exact matrix of any dtype has the kernel of its int64 reduction
-    basis, pivots, free = kernel_mod(matrix, p)
-    want_basis, want_pivots, want_free = kernel_mod(np.mod(matrix, p).astype(np.int64), p)
-    assert (pivots, free) == (want_pivots, want_free)
+    basis, free = kernel_mod(matrix, p)
+    want_basis, want_free = kernel_mod(np.mod(matrix, p).astype(np.int64), p)
+    assert free == want_free
     assert basis.dtype == want_basis.dtype and basis.shape == want_basis.shape
     assert (basis == want_basis).all()
 
@@ -572,15 +656,15 @@ def test_kernel_mod_matches_the_plain_rref_kernel(case):
 def test_kernel_mod_singleton_edge_cases():
     p = PRIMES[0]
     # no rows: the whole space, as the identity
-    basis, pivots, free = kernel_mod(np.zeros((0, 4), dtype=np.int64), p)
-    assert (basis == np.eye(4, dtype=np.int64)).all() and pivots == [] and free == [0, 1, 2, 3]
+    basis, free = kernel_mod(np.zeros((0, 4), dtype=np.int64), p)
+    assert (basis == np.eye(4, dtype=np.int64)).all() and free == [0, 1, 2, 3]
     _assert_matches_plain_kernel(np.zeros((0, 4), dtype=np.int64), p)
     # zero rows, and entries that vanish mod p, leave every column free
     assert _assert_matches_plain_kernel(np.array([[0, 0, 0], [p, 0, -p]]), p) == []
     # a chain forced in three waves, with every column forced: empty kernel
     chain = np.array([[1, 2, 3], [0, 4, 5], [0, 0, 6]], dtype=np.int64)
     assert _assert_matches_plain_kernel(chain, p) == [0, 1, 2]
-    assert kernel_mod(chain, p)[0].shape == (3, 0)
+    assert kernel_mod(chain, p)[0].shape == (0, 3)
     # row 1 is a singleton only once row 0 has forced column 3
     wave = np.array([[0, 0, 0, 7], [0, 0, 1, 1], [1, 1, 1, 0]], dtype=np.int64)
     assert _assert_matches_plain_kernel(wave, p) == [0, 2, 3]

@@ -58,7 +58,7 @@ def test_catalog_filtrations_validate():
         assert set(filt.levels[-1]) == set(range(len(filt.arrangement.forms)))
     fan = catalog_filtration("fan2d", h=4, slopes=(1, 2, 3, 4))
     assert fan.levels[1] == (0, 1, 2)
-    assert fan.new_at(3) == (3, 4, 5, 6)
+    assert set(fan.levels[2]) - set(fan.levels[1]) == {3, 4, 5, 6}
 
 
 def test_filtration_rejects_bad_levels():
@@ -82,9 +82,9 @@ def test_filtration_rejects_bad_levels():
 def test_filtration_accessors():
     filt = catalog_filtration("A3")
     assert filt.levels == ((0,), (0, 1, 3), (0, 1, 2, 3, 4, 5))
-    assert filt.new_at(1) == (0,)
-    assert filt.new_at(2) == (1, 3)
-    assert filt.new_at(3) == (2, 4, 5)
+    # the hyperplanes new at each level
+    levels = [set(), *map(set, filt.levels)]
+    assert [new - old for old, new in zip(levels, levels[1:])] == [{0}, {1, 3}, {2, 4, 5}]
     ma = catalog("A3", (2, 2, 2, 1, 1, 1))
     sub = filt.sub_multiarrangement(ma, 2)
     assert sub.mult == (2, 2, 1)

@@ -109,7 +109,7 @@ def test_grlex_ordering():
     assert ordered == [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)]
     p = Poly(2, {e: 1 for e in exps})
     assert [e for e, _ in p.sorted_terms()] == ordered
-    assert p.leading_coefficient() == 1
+    assert p.sorted_terms()[0] == ((2, 0), 1)
 
 
 def test_monomial_bookkeeping():

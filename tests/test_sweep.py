@@ -371,6 +371,9 @@ def test_run_sweep_argument_validation():
         run_sweep("A2", parse_ranges("a=0..1"))
     with pytest.raises(ArrangementError):
         run_sweep("A2", parse_ranges("a=0..1,b=0..1,c=0..1"), predicates=("shiny",))
+    # no predicate, no verdict column
+    with pytest.raises(ArrangementError, match="at least one predicate"):
+        run_sweep("A2", parse_ranges("a=0..1,b=0..1,c=0..1"), predicates=())
 
 
 def test_format_tsv_shapes():
