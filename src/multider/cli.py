@@ -79,7 +79,7 @@ def _catalog_params(args) -> dict:
 def _load_input(args) -> Multiarrangement:
     params = _catalog_params(args)
     mult = None
-    if args.mult:
+    if args.mult is not None:
         try:
             mult = [int(v) for v in args.mult.split(",")]
         except ValueError as exc:

@@ -54,15 +54,17 @@ in A (`solve_routes` counts them):
   m is never built.
 - full: the divisibility matrix of the non-coordinate hyperplanes of the
   support, on the live columns only (those no coordinate hyperplane forces),
-  built once per solve.  Its kernel, with zeros written into the forced
-  columns, is the kernel of the whole matrix, whose unit rows say just that
-  those entries vanish.  The standard basis is the same too: padding keeps
-  each vector's last nonzero position, and the free columns are the last
-  nonzero positions of kernel vectors (each forced column is a pivot of the
-  whole matrix, since its unit row lies in the row space).  The coordinate
-  conditions hold by construction and `_annihilates` checks the rest, so
-  the certificate stays complete.  The full route serves cache misses and is
-  the reference the restriction is tested against.
+  built once per solve.  Over the integers, `_drop_singletons` then deletes
+  each row with one nonzero entry on the columns left, with that column,
+  until none is left (structured Gaussian elimination's opening step,
+  LaMacchia & Odlyzko 1990).  The kernel of the rest, with zeros written
+  into every forced column, is the kernel of the whole matrix, and so is
+  its standard basis: padding keeps each vector's last nonzero position,
+  and each forced column is a pivot of the whole matrix (its unit vector
+  lies in the row space).  A deleted row is nonzero only at forced columns
+  and `_annihilates` checks every row left, so the certificate stays
+  complete.  The full route serves cache misses and is the reference the
+  restriction is tested against.
 
 Cache state chooses the route, never the answer: every route returns the
 same primitive vectors in the same order.  An engine keeps its bases in the
@@ -199,6 +201,23 @@ def _coordinate_columns(nvars: int, axis: int, k: int, low: int, high: int) -> n
     return cols
 
 
+def _drop_singletons(matrix: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_matrix`'s output without its zero rows and, until none is left, each row with one
+    nonzero entry on the columns left, with the column it forces to zero; and a new mask."""
+    nonzero = matrix != 0
+    forced = np.zeros(matrix.shape[1], dtype=bool)
+    while True:
+        counts = np.count_nonzero(nonzero, axis=1)
+        hit = nonzero[counts == 1].any(axis=0)
+        if not hit.any():
+            break
+        forced |= hit
+        nonzero[:, hit] = False
+    kept = live.copy()
+    kept[np.flatnonzero(live)[forced]] = False
+    return matrix[np.ix_(np.flatnonzero(counts), np.flatnonzero(~forced))], kept
+
+
 def _padded(vectors: list[list[int]], live: np.ndarray) -> list[list[int]]:
     """Vectors on the live columns, with zeros written into the others."""
     if live.all():
@@ -299,7 +318,7 @@ class _Engine:
         support = self._support(mult)
         found = self._restriction(support, mult, k)
         if found is None:
-            route, (matrix, live) = "full", self._matrix(support, mult, k)
+            route, (matrix, live) = "full", _drop_singletons(*self._matrix(support, mult, k))
         elif found[1] is None:
             _routes["unchanged"] += 1
             return found[0]

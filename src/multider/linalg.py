@@ -5,9 +5,10 @@ one back substitution: its pivot count is a rank, its last pivot d a
 determinant, `rref` returns the integer matrix d RREF and `bareiss_kernel`
 reads a kernel from that.  Callers hand them integer rows (a rational row
 scaled by `primitive_integer_vector` keeps its rank, row space and pivots).
-Mod p, `kernel_mod` deletes singleton rows and the columns they force to
-zero, then row reduces the rest with vectorized numpy (`rref_mod`, which
-updates only the live columns at and right of each pivot).
+Mod p, `kernel_mod` is one Gauss-Jordan reduction with vectorized numpy
+(`rref_mod`, which updates only the live columns at and right of each
+pivot).  `graded` decides the columns forced to zero before any prime,
+once per solve and over the integers (`graded._drop_singletons`).
 
 `certified_kernel` is the only escalation loop in the package.  It is handed
 one exact integer matrix A (int64 or Python integers) and certifies every
@@ -23,8 +24,7 @@ route by the cell count rows x cols:
   check 32-39 us a kernel at most 32 cells, 103-107 at 33-64 and 146-193 at
   65-100, against 151, 268 and 332 us up the prime ladder.  On 258 kernels
   of 101-400 cells from A3, deletedA3 and B3 sweeps the two routes were
-  within run-to-run noise of each other.  Every B2 delta with |m| <= 10
-  eliminates at most 90 cells.
+  within run-to-run noise of each other.
 - above: the prime ladder.
   1. one 31-bit prime: `kernel_mod` reduces A mod p itself, and
      `lift_residue_vector` lifts each standard kernel vector mod p straight
@@ -114,40 +114,18 @@ def kernel_mod(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Standard kernel basis mod p, one row per free column, and the free columns.
 
     The free columns and the standard basis (the kernel vector that is 1 at
-    one free column and 0 at the others) are those of a plain Gauss-Jordan
-    reduction of the whole matrix mod p, and so depend only on the matrix
-    and p.  The input, int64 or of Python integers, is reduced mod p here and
-    left unchanged.
-
-    Singleton rows go first (the opening step of structured Gaussian
-    elimination, LaMacchia & Odlyzko 1990): a row with one nonzero entry
-    mod p forces its column to zero in every kernel vector, so the row and
-    the column are deleted, zero rows with them, until no singleton is left.
-    `rref_mod` reduces the rest.  The kernel of the matrix is the kernel of
-    the remainder padded with zeros in the forced columns, in the same column
-    order, so the kernel vectors have the same last nonzero positions: the
-    free columns and standard basis are those of a plain `rref_mod` of the
-    whole matrix.
+    one free column and 0 at the others) are read off one `rref_mod` of the
+    whole matrix, and so depend only on the matrix and p.  The input, int64
+    or of Python integers, is reduced mod p there and left unchanged.  A
+    graded matrix comes with its forced columns already taken out.
     """
-    reduced = np.mod(matrix, p).astype(np.int64, copy=False)
-    ncols = reduced.shape[1]
-    nonzero = reduced != 0
-    pivot = np.zeros(ncols, dtype=bool)  # forced columns, then every pivot
-    while True:
-        counts = np.count_nonzero(nonzero, axis=1)
-        hit = nonzero[counts == 1].any(axis=0)
-        if not hit.any():
-            break
-        pivot |= hit
-        nonzero[:, hit] = False
-    # no singleton is left, so the rows still nonzero have two or more entries
-    live = np.flatnonzero(~pivot)
-    rref, sub_pivots = rref_mod(reduced[np.ix_(np.flatnonzero(counts), live)], p)
-    pivot[live[sub_pivots]] = True
+    rref, pivots = rref_mod(matrix, p)
+    pivot = np.zeros(matrix.shape[1], dtype=bool)
+    pivot[pivots] = True
     free = np.flatnonzero(~pivot)
-    basis = np.zeros((free.size, ncols), dtype=np.int64)
+    basis = np.zeros((free.size, pivot.size), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
-    basis[:, live[sub_pivots]] = (-rref[:, ~pivot[live]]).T % p
+    basis[:, pivots] = (-rref[:, free]).T % p
     return basis, free.tolist()
 
 

@@ -531,8 +531,10 @@ def is_k_critical(ma: Multiarrangement, k: int) -> bool:
     nonzero theta of degree j into degree j + 1: the lower pieces all vanish
     exactly when D(A, m)_{k-1} does.  That check is an early exit: a lower
     theta would also put alpha_H * theta into every D(A, m + delta_H)_k.
+    Q(A, m) * d/dx_1 lies in D(A, m)_{|m|}, so D(A, m)_{k-1} != 0 for every
+    k > |m|, and the answer there is False with no solve.
     """
-    if k < 0 or graded_dimension(ma, k - 1) or not graded_dimension(ma, k):
+    if not 0 <= k <= ma.order() or graded_dimension(ma, k - 1) or not graded_dimension(ma, k):
         return False
     return not any(graded_dimension(ma.plus_delta(i), k) for i in range(len(ma.forms)))
 

@@ -1,4 +1,4 @@
-"""Shared helpers: an independent graded-dimension oracle and tiny utilities.
+"""Shared helpers: an independent graded-dimension oracle, a matrix generator and tiny utilities.
 
 The oracle recomputes dim D(A, m)_k from first principles: the coefficients
 of a candidate derivation are generic unknowns, theta(alpha_H) is rewritten
@@ -12,11 +12,14 @@ agreement between the two is a real check, not a tautology.
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from multider import Arrangement, Multiarrangement, Poly
 from multider.cache import rows_bytes, store
 from multider.graded import _template_bytes
+from multider.linalg import PRIMES
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -52,6 +55,40 @@ def basis_getsizeof(rows) -> int:
     the integers -5..256, which CPython shares rather than allocates."""
     return sys.getsizeof(rows) + sum(sys.getsizeof(row) + sum(sys.getsizeof(v) for v in row if not -5 <= v <= 256)
                                      for row in rows)
+
+
+@st.composite
+def sparse_mod_matrices(draw):
+    """Sparse integer matrices with zero rows, unit rows and singleton chains, and a prime p.
+
+    A chain's row i is nonzero on the chain's first i + 1 columns, so it
+    becomes a singleton only once earlier waves have forced the first i.
+    Entries include multiples of p, nonzero integers that vanish mod p.
+    Some matrices are object arrays of Python integers beyond 2**63 with
+    the same residues.  Drives `rref_mod` (tests/test_linalg.py) and the
+    singleton pass `graded._drop_singletons` (tests/test_graded.py).
+    """
+    p = draw(st.sampled_from(PRIMES[:3]))
+    ncols = draw(st.integers(1, 7))
+    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 5, p, -2 * p, p - 1, p + 1])
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    chain = draw(st.permutations(range(ncols)))[: draw(st.integers(0, ncols))]
+    nonzero = st.sampled_from([1, -1, 2, -3, 5, p - 1, p + 1])
+    for i in range(len(chain)):
+        row = [0] * ncols
+        for c in chain[: i + 1]:
+            row[c] = draw(nonzero)
+        rows.append(row)
+    for c in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+        rows.append([int(j == c) for j in range(ncols)])
+    rows = draw(st.permutations(rows))
+    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    if draw(st.booleans()):
+        shifts = draw(st.lists(st.integers(-2**20, 2**20), min_size=matrix.size,
+                               max_size=matrix.size))
+        matrix = matrix.astype(object) + p * 2**63 * np.array(shifts, dtype=object).reshape(
+            matrix.shape)
+    return matrix, p
 
 
 def monomials(nvars: int, k: int) -> list[tuple[int, ...]]:

@@ -200,6 +200,7 @@ def test_input_errors_exit_2(capsys):
         ("exponents", "catalog:nope"),
         ("exponents", "catalog:A2", "--mult", "1,2"),
         ("exponents", "catalog:A2", "--mult", "one,two,three"),
+        ("exponents", "catalog:A2", "--mult", ""),
         ("exponents", "/no/such/file.json"),
         ("exponents", '{"forms": "junk"}'),
         ("exponents", "catalog:fan2d", "--param", "h"),

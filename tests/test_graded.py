@@ -28,12 +28,14 @@ from multider.arrangement import _sub
 from multider.cache import rows_bytes, store
 from multider.graded import (
     _OBJECT_ENTRY_BYTES,
+    _drop_singletons,
     _Engine,
     _divisible_rows,
+    _padded,
     _template,
     _template_bytes,
 )
-from multider.linalg import _INT64_SAFE
+from multider.linalg import _INT64_SAFE, PRIMES, bareiss_kernel
 from multider.polyring import (
     _MONOMIAL_CACHE_LIMIT,
     LinearForm,
@@ -42,7 +44,7 @@ from multider.polyring import (
     monomial_index,
 )
 
-from conftest import basis_getsizeof, oracle_graded_dimension, stored_kind, stored_sizes
+from conftest import basis_getsizeof, oracle_graded_dimension, sparse_mod_matrices, stored_kind, stored_sizes
 
 CASES = [
     ("A2", (1, 1, 1), 4),
@@ -536,6 +538,85 @@ def test_catalog_matrices_stay_int64(name, params):
     clear_caches()
 
 
+# -- the singleton pass ----------------------------------------------------
+
+@st.composite
+def masked_matrices(draw):
+    """`sparse_mod_matrices` as the live columns of a wider random mask."""
+    matrix, _ = draw(sparse_mod_matrices())
+    dead = draw(st.integers(0, 3))
+    live = np.array(draw(st.permutations([True] * matrix.shape[1] + [False] * dead)), dtype=bool)
+    return matrix, live
+
+
+@given(masked_matrices())
+@settings(max_examples=300, deadline=None)
+def test_dropping_singletons_keeps_the_padded_kernel(case):
+    matrix, live = case
+    before = live.copy()
+    reduced, kept = _drop_singletons(matrix, live)
+    assert (live == before).all() and kept is not live
+    assert not (kept & ~live).any() and reduced.shape[1] == kept.sum()
+    assert reduced.dtype == matrix.dtype
+    # no singleton or zero row is left
+    assert (np.count_nonzero(reduced != 0, axis=1) >= 2).all()
+    assert _padded(bareiss_kernel(reduced), kept) == _padded(bareiss_kernel(matrix), live)
+
+
+def test_drop_singletons_edge_cases():
+    p = PRIMES[0]
+
+    def dropped(rows, live=None):
+        """The columns forced (as positions in the mask) and the rows left."""
+        matrix = np.array(rows, dtype=np.int64)
+        live = np.ones(matrix.shape[1], dtype=bool) if live is None else np.array(live)
+        reduced, kept = _drop_singletons(matrix, live)
+        assert reduced.shape[1] == kept.sum()
+        return np.flatnonzero(live & ~kept).tolist(), reduced.tolist()
+
+    # no rows: nothing is forced
+    assert dropped(np.zeros((0, 4), dtype=np.int64)) == ([], [])
+    # zero rows go and force nothing; multiples of p are nonzero integers
+    assert dropped([[0, 0, 0], [p, 0, -p]]) == ([], [[p, 0, -p]])
+    # a chain forced in three waves, with every column forced: nothing left
+    assert dropped([[1, 2, 3], [0, 4, 5], [0, 0, 6]]) == ([0, 1, 2], [])
+    # row 1 is a singleton only once row 0 has forced column 3
+    assert dropped([[0, 0, 0, 7], [0, 0, 1, 1], [1, 1, 1, 0]]) == ([2, 3], [[1, 1]])
+    # an integer singleton p, a zero row mod p, is forced exactly
+    assert dropped([[p, 0, 0], [1, 1, 1]]) == ([0], [[1, 1]])
+    # the matrix holds the live columns only
+    assert dropped([[0, 5, 0], [1, 1, 1]], [False, True, True, False, True]) == ([2], [[1, 1]])
+
+
+SINGLETON_ARRANGEMENTS = {name: catalog(name).arrangement for name in ("A3", "B3", "X3", "deletedA3")}
+SINGLETON_ARRANGEMENTS["BIG"] = BIG
+
+
+@st.composite
+def full_solves(draw):
+    arrangement = SINGLETON_ARRANGEMENTS[draw(st.sampled_from(sorted(SINGLETON_ARRANGEMENTS)))]
+    n = len(arrangement.forms)
+    mult = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return arrangement.with_multiplicity(tuple(mult)), draw(st.integers(0, 8))
+
+
+@given(full_solves())
+@settings(max_examples=100, deadline=None)
+def test_dropping_singletons_never_changes_a_full_solve(case):
+    # the oracle is the full route without the pass: the whole live matrix
+    from multider import graded
+
+    ma, k = case
+    clear_caches()
+    basis = graded_basis_vectors(ma, k)
+    assert solve_routes()["full"] == 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graded, "_drop_singletons", lambda matrix, live: (matrix, live))
+        clear_caches()
+        assert graded_basis_vectors(ma, k) == basis
+    clear_caches()
+
+
 # -- the restriction route -------------------------------------------------
 
 WALK_NAMES = ("A3", "X3", "B3", "deletedA3")
@@ -617,24 +698,31 @@ def _fixed_walk_under(monkeypatch, failing_moduli):
     Every matrix takes the prime ladder, however small (`_SMALL_CELLS` is
     -1).  Returns the bases, the routes, the mod-p elimination and Bareiss counts
     (`calls`), the multiplicities `_matrix` built the divisibility matrix for
-    (`assembled`) and those matrices (`built`), the matrices the exact check
-    `linalg._annihilates` was handed (`checked`), the matrices Bareiss
-    eliminated (`eliminated`) and the moduli lifted (`lifted`).
+    (`assembled`) and those matrices (`built`), each matrix
+    `_drop_singletons` was handed with what it returned (`dropped`), the
+    matrices the exact check `linalg._annihilates` was handed (`checked`),
+    the matrices Bareiss eliminated (`eliminated`) and the moduli lifted
+    (`lifted`).
     """
     from types import SimpleNamespace
 
-    from multider import linalg
+    from multider import graded, linalg
     from multider.graded import _Engine
 
     name, start, steps = FIXED_WALK
-    run = SimpleNamespace(assembled=[], built=[], checked=[], eliminated=[])
-    build, annihilates = _Engine._matrix, linalg._annihilates
+    run = SimpleNamespace(assembled=[], built=[], dropped=[], checked=[], eliminated=[])
+    build, drop, annihilates = _Engine._matrix, graded._drop_singletons, linalg._annihilates
 
     def building(self, support, mult, k):
         run.assembled.append(mult)
         matrix, live = build(self, support, mult, k)
         run.built.append(matrix)
         return matrix, live
+
+    def dropping(matrix, live):
+        reduced, kept = drop(matrix, live)
+        run.dropped.append((matrix, reduced))
+        return reduced, kept
 
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "_SMALL_CELLS", -1)
@@ -643,6 +731,7 @@ def _fixed_walk_under(monkeypatch, failing_moduli):
         patch.setattr(linalg, "bareiss_kernel",
                       lambda matrix: run.eliminated.append(matrix) or counted_bareiss(matrix))
         patch.setattr(_Engine, "_matrix", building)
+        patch.setattr(graded, "_drop_singletons", dropping)
         patch.setattr(linalg, "_annihilates",
                       lambda matrix, vectors: run.checked.append(matrix) or annihilates(matrix, vectors))
         run.lifted = _fail_lift(patch, failing_moduli)
@@ -683,15 +772,18 @@ def test_restriction_escalates_to_crt_without_the_full_matrix(monkeypatch):
 def test_restricted_solves_check_only_their_image(monkeypatch, failing):
     # with one prime and with every lift failing down to Bareiss, each solve
     # runs its exact check once, against the one matrix it eliminated: the
-    # walk's start against its divisibility matrix, the one matrix built,
-    # and each restricted solve against its image alone
+    # walk's start against what `_drop_singletons` left of its divisibility
+    # matrix, the one matrix built, and each restricted solve against its
+    # image alone
     name, start, _ = FIXED_WALK
     run = _fixed_walk_under(monkeypatch, failing)
     assert run.routes["restricted"] >= 5 and run.routes["full"] == 1
     # each solve went up the ladder from PRIMES[0]
     assert run.calls["kernel_mod"] >= run.routes["restricted"] + run.routes["full"]
     assert run.assembled == [tuple(start)]
-    assert [_is_one_of(matrix, run.built) for matrix in run.checked] == [True] + [False] * run.routes["restricted"]
+    assert len(run.dropped) == 1 and run.dropped[0][0] is run.built[0]
+    reduced = [run.dropped[0][1]]
+    assert [_is_one_of(matrix, reduced) for matrix in run.checked] == [True] + [False] * run.routes["restricted"]
     n = 3 * math.comb(2 + 2, 2)
     assert all(image.shape[0] < n for image in run.checked[1:])
 
@@ -711,10 +803,12 @@ def test_failed_lifts_reach_bareiss_on_the_image(monkeypatch):
     # tried every other prime before Bareiss
     assert expected.calls == {"kernel_mod": run.routes["restricted"] + run.routes["full"], "bareiss_kernel": 0}
     assert run.calls["kernel_mod"] == expected.calls["kernel_mod"] + (len(PRIMES) - 1) * run.calls["bareiss_kernel"]
-    # the walk's start eliminates its divisibility matrix; every later run
-    # eliminates the image its restricted solve checked
+    # the walk's start eliminates what `_drop_singletons` left of its
+    # divisibility matrix; every later run eliminates the image its
+    # restricted solve checked
     assert run.assembled == [FIXED_WALK[1]]
-    assert _is_one_of(run.eliminated[0], run.built)
+    assert len(run.dropped) == 1 and run.dropped[0][0] is run.built[0]
+    assert run.eliminated[0] is run.dropped[0][1]
     assert all(_is_one_of(matrix, run.checked[1:]) for matrix in run.eliminated[1:])
 
 

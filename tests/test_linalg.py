@@ -32,6 +32,8 @@ from multider.linalg import (
 )
 from multider.polyring import determinant
 
+from conftest import sparse_mod_matrices
+
 
 def _rref_fraction(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over the rationals; tiny matrices only."""
@@ -253,6 +255,9 @@ def test_kernel_mod_annihilates():
     assert basis.shape == (len(free), 5)
     prod = (basis.astype(object) @ a.T.astype(object)) % p
     assert not prod.any()
+    # no rows: the whole space, as the identity
+    basis, free = kernel_mod(np.zeros((0, 4), dtype=np.int64), p)
+    assert (basis == np.eye(4, dtype=np.int64)).all() and free == [0, 1, 2, 3]
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
@@ -579,97 +584,6 @@ def test_certified_kernel_chooses_its_route_by_cell_count(monkeypatch):
         assert (len(bareiss), asked) == ((1, []) if small else (0, [PRIMES[0]])), shape
 
 
-def _plain_kernel_mod(matrix, p):
-    """The standard kernel read off one rref_mod of the whole matrix, one row
-    per free column, with its pivots and free columns (oracle)."""
-    rref, pivots = rref_mod(matrix, p)
-    ncols = matrix.shape[1]
-    free = sorted(set(range(ncols)) - set(pivots))
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-    if pivots and free:
-        basis[:, pivots] = (-rref[:, free].T) % p
-    return basis, pivots, free
-
-
-def _assert_matches_plain_kernel(matrix, p):
-    """Checks `kernel_mod` against the oracle; returns the pivots, the complement of the free columns."""
-    before = matrix.copy()
-    want_basis, want_pivots, want_free = _plain_kernel_mod(matrix, p)
-    basis, free = kernel_mod(matrix, p)
-    pivots = sorted(set(range(matrix.shape[1])) - set(free))
-    assert (matrix == before).all() and matrix.dtype == before.dtype
-    assert pivots == want_pivots and free == want_free
-    assert basis.dtype == want_basis.dtype == np.int64 and basis.shape == want_basis.shape
-    assert (basis == want_basis).all()
-    assert free == sorted(set(free)) and all(0 <= f < matrix.shape[1] for f in free)
-    return pivots
-
-
-@st.composite
-def sparse_mod_matrices(draw):
-    """Sparse matrices with zero rows, unit rows and singleton chains.
-
-    A chain's row i is nonzero on the chain's first i + 1 columns, so it
-    becomes a singleton only once earlier waves have forced the first i.
-    Entries include multiples of p, nonzero integers that vanish mod p.
-    Some matrices are object arrays of Python integers beyond 2**63 with
-    the same residues.
-    """
-    p = draw(st.sampled_from(PRIMES[:3]))
-    ncols = draw(st.integers(1, 7))
-    entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 5, p, -2 * p, p - 1, p + 1])
-    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
-    chain = draw(st.permutations(range(ncols)))[: draw(st.integers(0, ncols))]
-    nonzero = st.sampled_from([1, -1, 2, -3, 5, p - 1, p + 1])
-    for i in range(len(chain)):
-        row = [0] * ncols
-        for c in chain[: i + 1]:
-            row[c] = draw(nonzero)
-        rows.append(row)
-    for c in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
-        rows.append([int(j == c) for j in range(ncols)])
-    rows = draw(st.permutations(rows))
-    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
-    if draw(st.booleans()):
-        shifts = draw(st.lists(st.integers(-2**20, 2**20), min_size=matrix.size,
-                               max_size=matrix.size))
-        matrix = matrix.astype(object) + p * 2**63 * np.array(shifts, dtype=object).reshape(
-            matrix.shape)
-    return matrix, p
-
-
-@given(sparse_mod_matrices())
-@settings(max_examples=300, deadline=None)
-def test_kernel_mod_matches_the_plain_rref_kernel(case):
-    matrix, p = case
-    _assert_matches_plain_kernel(matrix, p)
-    # an exact matrix of any dtype has the kernel of its int64 reduction
-    basis, free = kernel_mod(matrix, p)
-    want_basis, want_free = kernel_mod(np.mod(matrix, p).astype(np.int64), p)
-    assert free == want_free
-    assert basis.dtype == want_basis.dtype and basis.shape == want_basis.shape
-    assert (basis == want_basis).all()
-
-
-def test_kernel_mod_singleton_edge_cases():
-    p = PRIMES[0]
-    # no rows: the whole space, as the identity
-    basis, free = kernel_mod(np.zeros((0, 4), dtype=np.int64), p)
-    assert (basis == np.eye(4, dtype=np.int64)).all() and free == [0, 1, 2, 3]
-    _assert_matches_plain_kernel(np.zeros((0, 4), dtype=np.int64), p)
-    # zero rows, and entries that vanish mod p, leave every column free
-    assert _assert_matches_plain_kernel(np.array([[0, 0, 0], [p, 0, -p]]), p) == []
-    # a chain forced in three waves, with every column forced: empty kernel
-    chain = np.array([[1, 2, 3], [0, 4, 5], [0, 0, 6]], dtype=np.int64)
-    assert _assert_matches_plain_kernel(chain, p) == [0, 1, 2]
-    assert kernel_mod(chain, p)[0].shape == (0, 3)
-    # row 1 is a singleton only once row 0 has forced column 3
-    wave = np.array([[0, 0, 0, 7], [0, 0, 1, 1], [1, 1, 1, 0]], dtype=np.int64)
-    assert _assert_matches_plain_kernel(wave, p) == [0, 2, 3]
-
-
 def _rref_mod_full_rows(matrix, p):
     """Gauss-Jordan mod p on whole rows of Python integers (oracle for `rref_mod`)."""
     a = [[int(v) % p for v in row] for row in matrix.tolist()]
@@ -727,6 +641,28 @@ def test_rref_mod_matches_full_row_gauss_jordan(case):
     assert rref.tolist() == want
 
 
+@given(st.one_of(dense_mod_matrices(), sparse_mod_matrices()))
+@settings(max_examples=300, deadline=None)
+def test_kernel_mod_matches_the_plain_rref_kernel(case):
+    # the standard kernel mod p is the one kernel basis that is the identity
+    # on the free columns, the non-pivots of a full-row Gauss-Jordan pass
+    matrix, p = case
+    before = matrix.copy()
+    basis, free = kernel_mod(matrix, p)
+    assert (matrix == before).all() and matrix.dtype == before.dtype
+    _, pivots = _rref_mod_full_rows(matrix, p)
+    assert free == sorted(set(range(matrix.shape[1])) - set(pivots))
+    assert basis.dtype == np.int64 and basis.shape == (len(free), matrix.shape[1])
+    assert (basis[:, free] == np.eye(len(free), dtype=np.int64)).all()
+    assert ((0 <= basis) & (basis < p)).all()
+    assert not ((basis.astype(object) @ matrix.T.astype(object)) % p).any()
+    # an exact matrix of any dtype has the kernel of its int64 reduction
+    want_basis, want_free = kernel_mod(np.mod(matrix, p).astype(np.int64), p)
+    assert free == want_free
+    assert basis.dtype == want_basis.dtype and basis.shape == want_basis.shape
+    assert (basis == want_basis).all()
+
+
 @st.composite
 def kernel_mod_matrices(draw, small=None):
     """Matrices at or below `_SMALL_CELLS` cells or above it, int64 or beyond 2**63.
@@ -761,12 +697,6 @@ def kernel_mod_matrices(draw, small=None):
     if draw(st.booleans()):
         matrix = matrix.astype(object) + p * 2**64 * draw(st.integers(-2**20, 2**20))
     return matrix, p
-
-
-@given(kernel_mod_matrices())
-@settings(max_examples=200, deadline=None)
-def test_kernel_mod_matches_the_plain_rref_kernel_on_both_sides_of_small_cells(case):
-    _assert_matches_plain_kernel(*case)
 
 
 def _by_the_ladder(matrix):

@@ -569,6 +569,21 @@ def test_is_k_critical():
     assert graded_dimension(lifted, 5) > 0
 
 
+def test_is_k_critical_is_false_above_the_order_without_a_solve(monkeypatch):
+    # Q(A, m) d/dx_1 puts D(A, m)_{k-1} != 0 for every k > |m|
+    from multider import graded, logder
+
+    def unreachable(ma, k):
+        raise AssertionError(f"graded_dimension asked for degree {k}")
+
+    ma = catalog("A3", (1, 1, 1, 1, 1, 1))
+    for module in (graded, logder):
+        monkeypatch.setattr(module, "graded_dimension", unreachable)
+    assert not is_k_critical(ma, ma.order() + 2)
+    assert not is_k_critical(ma, ma.order() + 1)
+    assert not is_k_critical(ma, 100_000)
+
+
 def _is_k_critical_degree_by_degree(ma, k):
     """The former `is_k_critical`: every piece below k checked on its own."""
     return (k >= 0 and not any(graded_dimension(ma, j) for j in range(k))
