@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import ArrangementError
-from .linalg import echelon, rank
+from .exact import echelon, rank
 from .polyring import (
     LinearForm,
     Poly,
@@ -221,7 +221,7 @@ def delete(ma: Multiarrangement, h0: int) -> Multiarrangement:
 class CoordinateChange:
     """Essentialization data: new forms live on the span of the old ones.
 
-    `basis` holds the integer echelon rows (`linalg.echelon`) of the forms'
+    `basis` holds the integer echelon rows (`exact.echelon`) of the forms'
     primitive rows; a form in their span maps to its coefficients at the
     pivot columns, onto which the span projects bijectively.
     """

@@ -46,7 +46,7 @@ in A (`solve_routes` counts them):
   other free columns and zero after its own: primitive, it is the child's
   j-th standard vector, the one the full solve returns.  A parent in any
   other form leaves K V out of that form, which a check of its nonzero
-  pattern catches; its rows are then reduced over the integers (`linalg.rref`
+  pattern catches; its rows are then reduced over the integers (`exact.rref`
   of the reversed rows, each made primitive), so the answer is a function of
   the span of the parent alone.  Membership follows from the certified parent
   and the exact image check, and the dimension is the verified nullity of
@@ -85,14 +85,8 @@ import numpy as np
 from .arrangement import Arrangement, Multiarrangement
 from .cache import rows_bytes, store
 from .errors import InternalCheckError
-from .linalg import (
-    _INT64_SAFE,
-    _exact_product,
-    _max_abs,
-    _normalize,
-    certified_kernel,
-    rref,
-)
+from .exact import _normalize, rref
+from .linalg import _INT64_SAFE, _exact_product, _max_abs, certified_kernel
 from .polyring import _MONOMIAL_CACHE_LIMIT, monomial_count, monomial_exponents
 
 # an object entry: an 8-byte pointer and a Python integer of up to 240 bits

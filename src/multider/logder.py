@@ -55,8 +55,9 @@ from .arrangement import (
     is_essential,
 )
 from .errors import ArrangementError, HypothesisError, MembershipError
+from .exact import echelon, rank
 from .graded import graded_basis_vectors, graded_dimension, graded_member, hilbert_dims
-from .linalg import echelon, primitive_integer_vector, rank
+from .linalg import primitive_integer_vector
 from .polyring import (
     LinearForm,
     Poly,

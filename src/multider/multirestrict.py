@@ -37,7 +37,7 @@ from .errors import (
     InternalCheckError,
     MultiderError,
 )
-from .linalg import rank
+from .exact import rank
 from .logder import Derivation, find_free_basis, find_universal
 from .polyring import LinearForm, Poly, product_of_forms
 from .rank2 import _special_basis, delta, is_balanced

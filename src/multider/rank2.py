@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .arrangement import (
     Arrangement,
@@ -42,7 +43,9 @@ from .errors import (
     InternalCheckError,
     MembershipError,
 )
-from .logder import Derivation, _member
+
+if TYPE_CHECKING:
+    from .logder import Derivation
 
 __all__ = [
     "DeltaValue",
@@ -358,6 +361,8 @@ def classify_universal_rank2(ma_base: Multiarrangement, theta: Derivation) -> bo
         raise HypothesisError("with three hyperplanes the base multiplicity must be balanced")
     if not theta or not theta.is_homogeneous():
         raise HypothesisError("the classifier needs a nonzero homogeneous derivation")
+    from .logder import _member
+
     lifted = ma_base.plus_ones()
     if not _member(theta, lifted):
         raise MembershipError("the derivation does not lie in D(A, m+1)")

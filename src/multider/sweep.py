@@ -20,12 +20,11 @@ import os
 import zlib
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from multiprocessing import get_context
 from typing import Iterator
 
 from .arrangement import Arrangement, Multiarrangement, catalog
 from .errors import ArrangementError
-from .linalg import _normalize, rref
+from .exact import _normalize, rref
 from .logder import DEFAULT_SEED, find_free_basis, find_universal
 
 __all__ = [
@@ -239,6 +238,9 @@ def run_sweep(
     if workers <= 1:
         return [_eval_task(t) for t in tasks]
     chunk = max(1, len(tasks) // (workers * 8))
+    # imported only here, so a serial sweep and the CLI do not load it
+    from multiprocessing import get_context
+
     with get_context("spawn").Pool(workers) as pool:
         return list(pool.imap(_eval_task, tasks, chunksize=chunk))
 

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import multider.arrangement as arrangement_module
-import multider.linalg as linalg_module
+import multider.exact as exact_module
 from multider import (
     Arrangement,
     ArrangementError,
@@ -164,7 +164,7 @@ def test_rank_and_hash_are_computed_once(monkeypatch):
     def no_elimination(rows):
         raise AssertionError("rank recomputed")
 
-    monkeypatch.setattr(linalg_module, "echelon", no_elimination)
+    monkeypatch.setattr(exact_module, "echelon", no_elimination)
     for _ in range(3):
         assert a.rank() == 2 and hash(a) == hash((a.nvars, a.forms))
 
@@ -318,7 +318,7 @@ def test_rank2_flats_partition_pairs():
         n = len(a.forms)
         seen_pairs = set()
         for fl in flats:
-            assert linalg_module.rank([a.forms[i].primitive for i in fl.indices]) == 2
+            assert exact_module.rank([a.forms[i].primitive for i in fl.indices]) == 2
             assert list(fl.indices) == sorted(fl.indices)
             for i in fl.indices:
                 for j in fl.indices:

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from multider import Poly, linalg
 from multider.errors import InternalCheckError
+from multider.exact import echelon, rank, rref
 from multider.linalg import (
     _INT64_SAFE,
     _SMALL_CELLS,
@@ -21,13 +22,10 @@ from multider.linalg import (
     _annihilates,
     bareiss_kernel,
     certified_kernel,
-    echelon,
     kernel_mod,
     lift_residue_vector,
     primitive_integer_vector,
-    rank,
     rational_reconstruction,
-    rref,
     rref_mod,
 )
 from multider.polyring import determinant

@@ -37,8 +37,9 @@ from multider import (
     saito_determinant,
 )
 from multider import logder
+from multider.exact import echelon, rank
 from multider.graded import _divisible_rows, graded_basis_vectors
-from multider.linalg import _INT64_SAFE, echelon, primitive_integer_vector, rank
+from multider.linalg import _INT64_SAFE, primitive_integer_vector
 from multider.logder import FreenessCertificate, GradedPiece, _member
 from multider.polyring import monomial_exponents
 from multider.rank2 import delta

@@ -210,12 +210,16 @@ def test_run_sweep_serial_matches_parallel():
 
 
 def test_run_sweep_requests_the_spawn_start_method(monkeypatch):
-    # fork is unsafe with threads on macOS and no longer the default from 3.14
+    # fork is unsafe with threads on macOS and no longer the default from 3.14;
+    # run_sweep imports get_context in its parallel branch, so it is patched
+    # where it is looked up then
+    import multiprocessing
+
     from multider import sweep
 
     requested = []
     sizes = []
-    real = sweep.get_context
+    real = multiprocessing.get_context
 
     class Recording:
         def __init__(self, method):
@@ -229,7 +233,7 @@ def test_run_sweep_requests_the_spawn_start_method(monkeypatch):
         requested.append(method)
         return Recording(method)
 
-    monkeypatch.setattr(sweep, "get_context", recording)
+    monkeypatch.setattr(multiprocessing, "get_context", recording)
     # enough CPUs that the row count, not the host, sets the pool size
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: 4)
     ranges = parse_ranges("a=1..2,b=1,c=1")
@@ -249,6 +253,8 @@ def test_run_sweep_requests_the_spawn_start_method(monkeypatch):
 ])
 def test_run_sweep_caps_its_pool_at_the_cpu_count(monkeypatch, cpus, jobs, workers):
     # a fake context whose pool starts no process and maps in this one
+    import multiprocessing
+
     from multider import sweep
 
     sizes = []
@@ -269,7 +275,7 @@ def test_run_sweep_caps_its_pool_at_the_cpu_count(monkeypatch, cpus, jobs, worke
     class FakeContext:
         Pool = FakePool
 
-    monkeypatch.setattr(sweep, "get_context", lambda method=None: FakeContext())
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: FakeContext())
     monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
     ranges = parse_ranges("a=1..2,b=1..2,c=1..2")
     rows = run_sweep("A2", ranges, predicates=("free",), jobs=jobs)
